@@ -6,6 +6,7 @@ so the lines always appear in the run log) and then asserts.
 
 import json
 import math
+import pathlib
 import random
 import sys
 import time
@@ -316,3 +317,45 @@ def test_c15_cli_contract(capsys):
     report("C15 CLI determinism and exit codes", ok,
            f"byte-identical reruns for all 14 subcommands (json+csv, cobweb svg); "
            f"exit codes {codes} == (0, 1, 2, 3)")
+
+
+# edge cases beyond C15: exit 1 verdicts, null cells, the other stages,
+# cdfs and formulas, a non-dyadic density map and an empty root list
+_GOLDEN_EDGE_CASES = [
+    ["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "affine:p=1,q=0",
+     "--lo", "0.1", "--hi", "0.11", "--depth", "6", "--grid", "41", "--tol", "1e-3"],
+    ["conjugacy", "verify", "--f", "tent", "--g", "tent", "--h", "reflect", "--samples", "100"],
+    ["conjugacy", "order", "--map", "logistic"],
+    ["rng", "collapse", "--bits", "8", "--value", "5", "--max-steps", "2"],
+    ["rng", "collapse", "--bits", "3", "--value", "5"],
+    ["rng", "ks", "--n", "2000", "--cdf", "uniform", "--seed", "0.123456789", "--tol", "1e-9"],
+    ["rng", "ks", "--n", "2000", "--cdf", "arcsine", "--seed", "0.123456789"],
+    ["rng", "ks", "--n", "2000", "--cdf", "square", "--seed", "0.123456789"],
+    ["closed-form", "check", "--formula", "hyperbola", "--e", "1.7320508075688772", "--a", "1",
+     "--lo", "2", "--hi", "5", "--n-max", "4", "--samples", "50"],
+    ["closed-form", "check", "--formula", "herschel", "--lo", "-1", "--hi", "1",
+     "--n-max", "6", "--samples", "100"],
+    ["density", "--map", "pwl:0,0;0.4,1;1,0", "--depth", "7"],
+    ["rng", "generate", "--n", "20", "--seed", "0.123456789", "--stage", "uniform"],
+    ["rng", "generate", "--n", "20", "--seed", "0.123456789", "--stage", "square"],
+    ["fixed-points", "--map", "tent", "--lo", "0.6", "--hi", "0.62"],
+]
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")
+
+
+def golden_argvs() -> list[list[str]]:
+    """Every C15 and edge case in each output format (svg is a usage
+    error except for cobweb)."""
+    return [argv + ["--format", fmt] for argv in _CLI_DETERMINISM_CASES + _GOLDEN_EDGE_CASES
+            for fmt in ("json", "csv", "svg")]
+
+
+def test_cli_golden_bytes(capsys):
+    # stored stdout and exit code of every golden case; regenerate with
+    # tests/make_golden_cli.py only for an intended output change
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert [case["argv"] for case in golden] == golden_argvs()
+    for case in golden:
+        code = main(case["argv"])
+        assert (code, capsys.readouterr().out) == (case["code"], case["stdout"]), case["argv"]

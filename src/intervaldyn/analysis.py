@@ -111,11 +111,16 @@ def check_idempotent_structure(m: MapDescriptor, samples: int, tol: float) -> Id
 
 @dataclass(frozen=True)
 class PreimageSet:
-    """Sorted points of [0, 1] that reach 0 within `depth` steps."""
+    """Sorted points of [0, 1] that reach 0 within `depth` steps.
+
+    levels holds (k, count, largest_gap) for every depth k = 1..depth;
+    its last entry describes points itself.
+    """
 
     depth: int
     points: tuple[float, ...]
     largest_gap: float
+    levels: tuple[tuple[int, int, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -184,8 +189,9 @@ def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
     Each target is pulled back through the increasing branch on [0, v]
     and the decreasing branch on [v, 1] by monotone bisection whenever
     it lies in the branch's range. Since g2(0) = 0 the preimage levels
-    are nested, so the depth-k set is just the k-th pullback of {0}.
-    Exact bisection hits keep the tent map's dyadic preimages exact.
+    are nested, so the depth-k set is just the k-th pullback of {0}, and
+    one pass records every level's count and largest gap. Exact
+    bisection hits keep the tent map's dyadic preimages exact.
     """
     if depth < 1 or depth != int(depth):
         raise ParameterError(f"depth must be a positive integer, got {depth!r}")
@@ -205,20 +211,23 @@ def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
         return _bisect_monotone(fwd, min(max(t, rlo), rhi), lo, hi)
 
     level = [0.0]
-    for _ in range(int(depth)):
-        nxt: list[float] = []
-        for t in level:
-            for branch in (pullback(t, 0.0, v), pullback(t, v, 1.0)):
-                if branch is not None:
-                    nxt.append(branch)
-        level = _dedup_sorted(nxt)
-        if not level:
-            break
-    points = [p for p in level if UNIT.contains(p)]
-    if not points:
-        return PreimageSet(depth=int(depth), points=(), largest_gap=1.0)
-    gaps = [points[0] - 0.0] + [b - a for a, b in zip(points, points[1:])] + [1.0 - points[-1]]
-    return PreimageSet(depth=int(depth), points=tuple(points), largest_gap=max(gaps))
+    points: list[float] = []
+    gap = 1.0
+    levels = []
+    for k in range(1, int(depth) + 1):
+        if level:  # once a level is empty every deeper one is too
+            nxt: list[float] = []
+            for t in level:
+                for branch in (pullback(t, 0.0, v), pullback(t, v, 1.0)):
+                    if branch is not None:
+                        nxt.append(branch)
+            level = _dedup_sorted(nxt)
+            points = [p for p in level if UNIT.contains(p)]
+            gap = max([points[0] - 0.0] + [b - a for a, b in zip(points, points[1:])]
+                      + [1.0 - points[-1]]) if points else 1.0
+        levels.append((k, len(points), gap))
+    return PreimageSet(depth=int(depth), points=tuple(points), largest_gap=gap,
+                       levels=tuple(levels))
 
 
 def density_report(pset: PreimageSet, threshold: float) -> DensityReport:

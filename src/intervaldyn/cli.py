@@ -23,16 +23,16 @@ seed of the rng subcommands; an explicit --seed beats both.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from . import analysis, chaos_rng, closed_form, conjugacy, maps
-from .errors import (DomainError, EmptySampleError, ImaginaryResidueError,
-                     IntervalDynError, ParameterError, RangeError, UsageError)
+from .errors import IntervalDynError, ParameterError, UsageError
 from .homeos import (Affine, AlphaArcsin, CompositionH, Homeomorphism, Mobius,
                      PiecewiseLinearHomeo, Power, Reflect, UlamArcsin)
 from .render import cobweb_svg
@@ -89,16 +89,15 @@ def to_json(value, indent: int = 0) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        s = fmt_float(v)
-    else:
-        s = str(v)
+    if v is None:
+        return ""
+    s = fmt_float(v) if isinstance(v, float) else str(v)
     if any(c in s for c in ',"\n'):
         s = '"' + s.replace('"', '""') + '"'
     return s
 
 
-def to_csv(header: list[str], rows: list[list]) -> str:
+def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -217,7 +216,15 @@ class RunConfig:
     timing: bool = False
 
 
+# argparse alone takes "--x0 -1e-3" for an unknown option -1e-3
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str):  # one-line diagnostics, no hard exit
         raise UsageError(message)
 
@@ -231,15 +238,11 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="intervaldyn", description="one-dimensional interval-map dynamics toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("iterate", parents=[common], help="n-fold map application")
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("orbit", parents=[common], help="iterate sequence")
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    for name, text in (("iterate", "n-fold map application"), ("orbit", "iterate sequence")):
+        sp = sub.add_parser(name, parents=[common], help=text)
+        sp.add_argument("--map", required=True)
+        sp.add_argument("--x0", type=float, required=True)
+        sp.add_argument("--n", type=int, required=True)
 
     sp = sub.add_parser("fixed-points", parents=[common], help="solutions of f(x) = x")
     sp.add_argument("--map", required=True)
@@ -331,7 +334,8 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    """Validate argv into a RunConfig; raises UsageError on bad input."""
+    """Validate argv into a RunConfig; raises UsageError on bad input and
+    ParameterError on a tolerance or threshold not positive and finite."""
     ns = _build_parser().parse_args(argv)
     command = ns.command
     if getattr(ns, "subcommand", None):
@@ -340,6 +344,10 @@ def parse_args(argv: list[str]) -> RunConfig:
               if k not in ("command", "subcommand", "format", "output", "timing")}
     if ns.format == "svg" and command != "cobweb":
         raise UsageError("svg output is only available for the cobweb subcommand")
+    for name in ("tol", "threshold"):
+        value = params.get(name)
+        if value is not None and not 0.0 < value < math.inf:
+            raise ParameterError(f"--{name} must be positive and finite, got {value!r}")
     return RunConfig(command=command, params=params, fmt=ns.format,
                      output=ns.output, timing=ns.timing)
 
@@ -357,49 +365,56 @@ def _default_seed() -> float:
     return chaos_rng.DEFAULT_SEED
 
 
-def _run_iterate(p: dict, fmt: str):
+@dataclass(frozen=True)
+class Result:
+    """One subcommand's outcome for every output format. fields is the
+    JSON result; the CSV table is csv_header over csv_rows, which view
+    data already computed and default to one row of the fields the
+    header names; figure holds the arguments of cobweb_svg."""
+
+    code: int
+    inputs: dict
+    fields: object
+    csv_header: tuple[str, ...]
+    csv_rows: Optional[Iterable] = None
+    figure: Optional[tuple] = None
+
+
+def _run_iterate(p: dict) -> Result:
     m = parse_map_spec(p["map"])
     value = maps.iterate(m, p["x0"], p["n"])
-    inputs = {"map": m.describe(), "x0": p["x0"], "n": p["n"]}
-    if fmt == "csv":
-        return EXIT_OK, inputs, None, to_csv(["x"], [[value]])
-    return EXIT_OK, inputs, value, None
+    return Result(EXIT_OK, {**p, "map": m.describe()}, value, ("x",), [(value,)])
 
 
-def _run_orbit(p: dict, fmt: str):
+def _run_orbit(p: dict) -> Result:
     m = parse_map_spec(p["map"])
     o = maps.orbit(m, p["x0"], p["n"])
-    inputs = {"map": m.describe(), "x0": p["x0"], "n": p["n"]}
-    if fmt == "csv":
-        return EXIT_OK, inputs, None, to_csv(["k", "x"], [[k, v] for k, v in enumerate(o.values)])
-    return EXIT_OK, inputs, {"seed": o.seed, "values": list(o.values)}, None
+    return Result(EXIT_OK, {**p, "map": m.describe()}, {"seed": o.seed, "values": o.values},
+                  ("k", "x"), enumerate(o.values))
 
 
-def _run_fixed_points(p: dict, fmt: str):
+def _run_fixed_points(p: dict) -> Result:
     m = parse_map_spec(p["map"])
     roots = maps.fixed_points(m, p["lo"], p["hi"], p["tol"])
-    inputs = {"map": m.describe(), "lo": p["lo"], "hi": p["hi"], "tol": p["tol"]}
-    if fmt == "csv":
-        return EXIT_OK, inputs, None, to_csv(["x"], [[r] for r in roots])
-    return EXIT_OK, inputs, {"count": len(roots), "roots": roots}, None
+    return Result(EXIT_OK, {**p, "map": m.describe()}, {"count": len(roots), "roots": roots},
+                  ("x",), zip(roots))
 
 
 _FORMULA_DEFAULT_TOL = {"boole": 1e-9, "herschel": 1e-6, "hyperbola": 1e-9}
+_QUADRATIC_FORMULAS = {"boole": closed_form.boole_iterate, "herschel": closed_form.herschel_iterate}
 
 
-def _run_closed_form_check(p: dict, fmt: str):
+def _run_closed_form_check(p: dict) -> Result:
     formula_name = p["formula"]
     tol = p["tol"] if p["tol"] is not None else _FORMULA_DEFAULT_TOL[formula_name]
-    if formula_name == "boole":
-        m, formula = maps.Quadratic(), closed_form.boole_iterate
-    elif formula_name == "herschel":
-        m, formula = maps.Quadratic(), closed_form.herschel_iterate
-    else:
+    if formula_name == "hyperbola":
         if p["e"] is None or p["a"] is None:
             raise UsageError("--formula hyperbola needs --e and --a")
         e, a = p["e"], p["a"]
         m = maps.Hyperbola(e=e, a=a)
         formula = lambda x, n: closed_form.hyperbola_iterate(e, a, x, n)
+    else:
+        m, formula = maps.Quadratic(), _QUADRATIC_FORMULAS[formula_name]
     report = closed_form.crosscheck_closed_form(m, formula, p["lo"], p["hi"],
                                                 p["n_max"], p["samples"])
     code = EXIT_OK if report.max_deviation < tol else EXIT_TOLERANCE
@@ -407,148 +422,107 @@ def _run_closed_form_check(p: dict, fmt: str):
               "n_max": p["n_max"], "samples": p["samples"], "tol": tol}
     result = {"max_deviation": report.max_deviation, "argmax_x": report.argmax_x,
               "argmax_n": report.argmax_n, "within_tolerance": code == EXIT_OK}
-    if fmt == "csv":
-        return code, inputs, None, to_csv(
-            ["max_deviation", "argmax_x", "argmax_n"],
-            [[report.max_deviation, report.argmax_x, report.argmax_n]])
-    return code, inputs, result, None
+    return Result(code, inputs, result, ("max_deviation", "argmax_x", "argmax_n"))
 
 
-def _run_conjugacy_verify(p: dict, fmt: str):
+def _residual_result(report, p: dict, f, g, h) -> Result:
+    code = EXIT_OK if report.max_residual < p["tol"] else EXIT_TOLERANCE
+    inputs = {**p, "f": f.describe(), "g": g.describe(), "h": h.describe()}
+    result = {"max_residual": report.max_residual, "argmax": report.argmax,
+              "within_tolerance": code == EXIT_OK}
+    return Result(code, inputs, result, ("max_residual", "argmax"))
+
+
+def _run_conjugacy_verify(p: dict) -> Result:
     f = parse_map_spec(p["f"])
     g = parse_map_spec(p["g"])
     h = parse_homeo_spec(p["h"])
     report = conjugacy.verify_conjugacy(f, g, h, p["samples"])
-    code = EXIT_OK if report.max_residual < p["tol"] else EXIT_TOLERANCE
-    inputs = {"f": f.describe(), "g": g.describe(), "h": h.describe(),
-              "samples": p["samples"], "tol": p["tol"]}
-    result = {"max_residual": report.max_residual, "argmax": report.argmax,
-              "within_tolerance": code == EXIT_OK}
-    if fmt == "csv":
-        return code, inputs, None, to_csv(["max_residual", "argmax"],
-                                          [[report.max_residual, report.argmax]])
-    return code, inputs, result, None
+    return _residual_result(report, p, f, g, h)
 
 
-def _run_conjugacy_semiverify(p: dict, fmt: str):
+def _run_conjugacy_semiverify(p: dict) -> Result:
     f = parse_map_spec(p["f"])
     g = parse_map_spec(p["g"])
     h = parse_map_spec(p["h"])
     report = conjugacy.verify_semiconjugacy(f, g, h, p["lo"], p["hi"], p["samples"])
-    code = EXIT_OK if report.max_residual < p["tol"] else EXIT_TOLERANCE
-    inputs = {"f": f.describe(), "g": g.describe(), "h": h.describe(), "lo": p["lo"],
-              "hi": p["hi"], "samples": p["samples"], "tol": p["tol"]}
-    result = {"max_residual": report.max_residual, "argmax": report.argmax,
-              "within_tolerance": code == EXIT_OK}
-    if fmt == "csv":
-        return code, inputs, None, to_csv(["max_residual", "argmax"],
-                                          [[report.max_residual, report.argmax]])
-    return code, inputs, result, None
+    return _residual_result(report, p, f, g, h)
 
 
-def _run_conjugacy_order(p: dict, fmt: str):
+def _run_conjugacy_order(p: dict) -> Result:
     m = parse_map_spec(p["map"])
     order = conjugacy.periodicity_order(m, p["p_max"], p["samples"], p["tol"])
-    inputs = {"map": m.describe(), "p_max": p["p_max"], "samples": p["samples"], "tol": p["tol"]}
-    if fmt == "csv":
-        return EXIT_OK, inputs, None, to_csv(["order"], [["" if order is None else order]])
-    return EXIT_OK, inputs, {"order": order}, None
+    return Result(EXIT_OK, {**p, "map": m.describe()}, {"order": order}, ("order",))
 
 
-def _run_conjugacy_propagate(p: dict, fmt: str):
+def _run_conjugacy_propagate(p: dict) -> Result:
     f = parse_map_spec(p["f"])
     g = parse_map_spec(p["g"])
     h = parse_homeo_spec(p["h"])
     outcome = conjugacy.propagate_partial_conjugacy(
         f, g, p["lo"], p["hi"], h, p["depth"], p["grid"], p["tol"])
-    inputs = {"f": f.describe(), "g": g.describe(), "h": h.describe(), "lo": p["lo"],
-              "hi": p["hi"], "depth": p["depth"], "grid": p["grid"], "tol": p["tol"]}
+    inputs = {**p, "f": f.describe(), "g": g.describe(), "h": h.describe()}
     if isinstance(outcome, conjugacy.Conflict):
         result = {"status": "conflict", "left": outcome.left, "right": outcome.right,
                   "image_gap": outcome.image_gap}
-        if fmt == "csv":
-            return EXIT_TOLERANCE, inputs, None, to_csv(
-                ["status", "left", "right", "image_gap"],
-                [["conflict", outcome.left, outcome.right, outcome.image_gap]])
-        return EXIT_TOLERANCE, inputs, result, None
-    result = {"status": "consistent", "entries": len(outcome),
-              "table": [[x, y] for x, y in outcome]}
-    if fmt == "csv":
-        return EXIT_OK, inputs, None, to_csv(["x", "y"], [[x, y] for x, y in outcome])
-    return EXIT_OK, inputs, result, None
+        return Result(EXIT_TOLERANCE, inputs, result, tuple(result))
+    result = {"status": "consistent", "entries": len(outcome), "table": outcome}
+    return Result(EXIT_OK, inputs, result, ("x", "y"), outcome)
 
 
-def _run_cobweb(p: dict, fmt: str):
+def _run_cobweb(p: dict) -> Result:
     m = parse_map_spec(p["map"])
     path = analysis.cobweb_path(m, p["x0"], p["steps"])
-    inputs = {"map": m.describe(), "x0": p["x0"], "steps": p["steps"]}
-    if fmt == "svg":
-        return EXIT_OK, inputs, None, cobweb_svg(m, path)
-    if fmt == "csv":
-        return EXIT_OK, inputs, None, to_csv(["x", "y"], [[x, y] for x, y in path.points])
-    result = {"points": [[x, y] for x, y in path.points],
-              "converged": path.converged, "limit": path.limit}
-    return EXIT_OK, inputs, result, None
+    result = {"points": path.points, "converged": path.converged, "limit": path.limit}
+    return Result(EXIT_OK, {**p, "map": m.describe()}, result, ("x", "y"), path.points,
+                  figure=(m, path))
 
 
-def _run_density(p: dict, fmt: str):
+def _run_density(p: dict) -> Result:
     m = parse_map_spec(p["map"])
-    inputs = {"map": m.describe(), "depth": p["depth"], "threshold": p["threshold"]}
-    if fmt == "csv":
-        rows = []
-        for k in range(1, p["depth"] + 1):
-            pset = analysis.zero_preimage_set(m, k)
-            rows.append([k, len(pset.points), pset.largest_gap])
-        return EXIT_OK, inputs, None, to_csv(["depth", "count", "largest_gap"], rows)
     pset = analysis.zero_preimage_set(m, p["depth"])
     report = analysis.density_report(pset, p["threshold"])
     result = {"depth": pset.depth, "count": report.count,
               "largest_gap": report.largest_gap, "dense_estimate": report.dense_estimate}
-    return EXIT_OK, inputs, result, None
+    return Result(EXIT_OK, {**p, "map": m.describe()}, result,
+                  ("depth", "count", "largest_gap"), pset.levels)
 
 
-def _rng_sample(n: int, seed: float, stage: str) -> list[float]:
+def _rng_sample(n: int, seed: float, stage: str) -> Sequence[float]:
     o = chaos_rng.logistic_sequence(seed, n)
     if stage == "raw":
-        return list(o.values)
+        return o.values
     uni = chaos_rng.uniformize(o)
     if stage == "uniform":
         return uni
     return chaos_rng.transform_to(uni, chaos_rng.square_distribution())
 
 
-def _run_rng_generate(p: dict, fmt: str):
+def _run_rng_generate(p: dict) -> Result:
     seed = p["seed"] if p["seed"] is not None else _default_seed()
     values = _rng_sample(p["n"], seed, p["stage"])
-    inputs = {"n": p["n"], "seed": seed, "stage": p["stage"]}
-    if fmt == "csv":
-        return EXIT_OK, inputs, None, to_csv(["k", "x"], [[k, v] for k, v in enumerate(values)])
-    return EXIT_OK, inputs, {"values": values}, None
+    return Result(EXIT_OK, {**p, "seed": seed}, {"values": values}, ("k", "x"),
+                  enumerate(values))
 
 
-def _run_rng_ks(p: dict, fmt: str):
+# --cdf: the pipeline stage sampled and the CDF it should follow
+_KS_TARGETS = {
+    "arcsine": ("raw", chaos_rng.arcsine_cdf),
+    "uniform": ("uniform", lambda x: x),
+    "square": ("square", lambda x: x * x),
+}
+
+
+def _run_rng_ks(p: dict) -> Result:
     seed = p["seed"] if p["seed"] is not None else _default_seed()
-    cdf_name = p["cdf"]
-    if cdf_name == "arcsine":
-        values = _rng_sample(p["n"], seed, "raw")
-        cdf = chaos_rng.arcsine_cdf
-    elif cdf_name == "uniform":
-        values = _rng_sample(p["n"], seed, "uniform")
-        cdf = lambda x: x
-    else:
-        values = _rng_sample(p["n"], seed, "square")
-        cdf = lambda x: x * x
-    statistic = chaos_rng.ks_distance(values, cdf)
-    code = EXIT_OK
-    if p["tol"] is not None and statistic >= p["tol"]:
-        code = EXIT_TOLERANCE
-    inputs = {"n": p["n"], "seed": seed, "cdf": cdf_name, "tol": p["tol"]}
-    if fmt == "csv":
-        return code, inputs, None, to_csv(["statistic"], [[statistic]])
-    return code, inputs, {"statistic": statistic}, None
+    stage, cdf = _KS_TARGETS[p["cdf"]]
+    statistic = chaos_rng.ks_distance(_rng_sample(p["n"], seed, stage), cdf)
+    exceeded = p["tol"] is not None and statistic >= p["tol"]
+    return Result(EXIT_TOLERANCE if exceeded else EXIT_OK, {**p, "seed": seed},
+                  {"statistic": statistic}, ("statistic",))
 
 
-def _run_rng_collapse(p: dict, fmt: str):
+def _run_rng_collapse(p: dict) -> Result:
     bits = p["bits"]
     if p["exhaustive"]:
         if p["value"] is not None:
@@ -561,32 +535,22 @@ def _run_rng_collapse(p: dict, fmt: str):
             assert steps is not None
             max_steps = max(max_steps, steps)
             tested += 1
-        inputs = {"bits": bits, "exhaustive": True}
         result = {"max_steps": max_steps, "words_tested": tested}
-        if fmt == "csv":
-            return EXIT_OK, inputs, None, to_csv(["max_steps", "words_tested"],
-                                                 [[max_steps, tested]])
-        return EXIT_OK, inputs, result, None
+        return Result(EXIT_OK, {"bits": bits, "exhaustive": True}, result, tuple(result))
     if p["value"] is None:
         raise UsageError("rng collapse needs --value or --exhaustive")
     word = chaos_rng.FixedPointWord(bits, p["value"])
     max_steps = p["max_steps"] if p["max_steps"] is not None else bits
     steps = chaos_rng.doubling_collapse(word, max_steps)
     inputs = {"bits": bits, "value": p["value"], "max_steps": max_steps}
-    result = {"steps": steps}
-    if fmt == "csv":
-        return EXIT_OK, inputs, None, to_csv(["steps"], [["" if steps is None else steps]])
-    return EXIT_OK, inputs, result, None
+    return Result(EXIT_OK, inputs, {"steps": steps}, ("steps",))
 
 
-def _run_sensitivity(p: dict, fmt: str):
+def _run_sensitivity(p: dict) -> Result:
     m = parse_map_spec(p["map"])
     seps = maps.sensitivity_report(m, p["x0"], p["delta"], p["n"])
-    inputs = {"map": m.describe(), "x0": p["x0"], "delta": p["delta"], "n": p["n"]}
-    if fmt == "csv":
-        return EXIT_OK, inputs, None, to_csv(["k", "separation"],
-                                             [[k, s] for k, s in enumerate(seps)])
-    return EXIT_OK, inputs, {"separations": seps}, None
+    return Result(EXIT_OK, {**p, "map": m.describe()}, {"separations": seps},
+                  ("k", "separation"), enumerate(seps))
 
 
 _HANDLERS = {
@@ -610,18 +574,23 @@ _HANDLERS = {
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute a parsed configuration; returns (exit code, output text)."""
     started = time.perf_counter()
-    code, inputs, result, text = _HANDLERS[config.command](config.params, config.fmt)
+    result = _HANDLERS[config.command](config.params)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if text is not None:  # csv or svg payloads are already assembled
-        return code, text
+    if config.fmt == "svg":
+        return result.code, cobweb_svg(*result.figure)
+    if config.fmt == "csv":
+        rows = result.csv_rows
+        if rows is None:
+            rows = [[result.fields[name] for name in result.csv_header]]
+        return result.code, to_csv(result.csv_header, rows)
     document = {
         "subcommand": config.command,
-        "inputs": inputs,
-        "result": result,
+        "inputs": result.inputs,
+        "result": result.fields,
         # measured timing is opt-in so that default output is byte-reproducible
         "elapsed_ms": elapsed_ms if config.timing else None,
     }
-    return code, to_json(document) + "\n"
+    return result.code, to_json(document) + "\n"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -633,10 +602,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, ParameterError, RangeError,
-            ImaginaryResidueError, EmptySampleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except IntervalDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

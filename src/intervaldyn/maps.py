@@ -233,7 +233,10 @@ class Cosine(MapDescriptor):
         return REALS
 
     def _raw(self, x: float) -> float:
-        return math.cos(x)
+        try:
+            return math.cos(x)
+        except ValueError:  # x is infinite
+            raise DomainError(f"cos is undefined at {x!r}") from None
 
     def describe(self) -> str:
         return "cosine"

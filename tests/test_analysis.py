@@ -122,6 +122,18 @@ def test_zero_preimage_truncated_tent_never_grows(depth):
     assert pset.largest_gap == 1.0
 
 
+@pytest.mark.parametrize("g2", [
+    Tent(), Logistic(), _truncated_tent(), PiecewiseLinear([(0.0, 0.0), (0.4, 1.0), (1.0, 0.0)]),
+    # lifted 1e-10 off 0 at both ends: 0 has no preimage, every level is empty
+    PiecewiseLinear([(0.0, 1e-10), (0.5, 1.0), (1.0, 1e-10)]),
+])
+def test_zero_preimage_levels_match_each_depth(g2):
+    pset = zero_preimage_set(g2, 7)
+    each = [zero_preimage_set(g2, k) for k in range(1, 8)]
+    assert pset.levels == tuple((k, len(p.points), p.largest_gap) for k, p in enumerate(each, 1))
+    assert pset.levels[-1] == (7, len(pset.points), pset.largest_gap)
+
+
 def test_zero_preimage_rejects_non_tent_shapes():
     with pytest.raises(ParameterError):
         zero_preimage_set(identity_map(), 3)  # no interior maximum

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 from intervaldyn.cli import (fmt_float, main, parse_args, parse_homeo_spec,
                              parse_map_spec)
 from intervaldyn.errors import UsageError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(argv, capsys):
@@ -75,13 +78,16 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_byte_identical_across_processes():
-    # fresh interpreters with different hash seeds must agree too
+    # fresh interpreters with different hash seeds must agree too; the
+    # child finds the package through src, installed or not
     argv = [sys.executable, "-m", "intervaldyn", "conjugacy", "verify",
             "--f", "logistic", "--g", "tent", "--h", "ulam", "--samples", "200"]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     outs = []
     for seed in ("0", "12345"):
         proc = subprocess.run(argv, capture_output=True, text=True,
-                              env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed})
+                              env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed,
+                                   "PYTHONPATH": path})
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
@@ -303,3 +309,62 @@ def test_parse_args_structure():
     assert config.command == "conjugacy verify"
     assert config.fmt == "json"
     assert config.params["samples"] == 10000
+
+
+_MAP_SPECS = ["logistic", "tent", "halftent", "quadratic", "doubling", "cosine", "sinsq",
+              "hyperbola:e=2,a=1", "hyperbola:e=0.5,a=1", "verhulst:m=4,n=4",
+              "pwl:0,0;0.4,1;1,0", "conj:logistic|alpha"]
+
+
+@pytest.mark.parametrize("spec", _MAP_SPECS)
+def test_non_finite_seeds_exit_cleanly(spec, capsys):
+    for x0 in ("inf", "-inf", "nan"):
+        for sub, *tail in (["iterate", "--n", "3"], ["orbit", "--n", "3"],
+                           ["cobweb", "--steps", "3"],
+                           ["sensitivity", "--delta", "1e-9", "--n", "3"]):
+            code, _, err = run_cli([sub, "--map", spec, f"--x0={x0}"] + tail, capsys)
+            assert code in (0, 3), (sub, x0)
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err
+            if spec == "cosine" and x0 != "nan":
+                assert code == 3 and "cos" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam",
+     "--lo", "0.1", "--hi", "0.11", "--tol", "nan"],
+    ["conjugacy", "order", "--map", "pwl:0,1;1,0", "--tol", "nan"],
+    ["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--h", "ulam", "--tol", "nan"],
+    ["conjugacy", "semiverify", "--f", "quadratic", "--g", "pwl:0,0;10,20", "--h", "cosine",
+     "--lo", "0", "--hi", "10", "--tol", "0"],
+    ["closed-form", "check", "--formula", "boole", "--lo", "-1", "--hi", "1", "--tol", "nan"],
+    ["rng", "ks", "--n", "100", "--cdf", "uniform", "--tol", "nan"],
+    ["rng", "ks", "--n", "100", "--cdf", "uniform", "--tol", "-1"],
+    ["fixed-points", "--map", "logistic", "--lo", "0.01", "--hi", "0.99", "--tol", "inf"],
+    ["density", "--map", "tent", "--depth", "3", "--threshold", "nan"],
+    ["density", "--map", "tent", "--depth", "3", "--threshold", "-1", "--format", "csv"],
+])
+def test_tolerance_must_be_positive_and_finite(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "positive and finite" in err
+
+
+def test_negative_scientific_arguments(capsys):
+    code, out, _ = run_cli(["iterate", "--map", "quadratic", "--x0", "-1e-3", "--n", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"]["x0"] == -1e-3
+    assert run_cli(["iterate", "--map", "quadratic", "--x0=-1e-3", "--n", "1"], capsys)[1] == out
+    code, out, _ = run_cli(["fixed-points", "--map", "quadratic", "--lo", "-1e0", "--hi", "2"],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["roots"] == pytest.approx([-0.5, 1.0], abs=1e-11)
+    code, out, _ = run_cli(["sensitivity", "--map", "logistic", "--x0", "0.3", "--delta", "-1e-9",
+                            "--n", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"]["delta"] == -1e-9
+    code, out, _ = run_cli(["iterate", "--map", "quadratic", "--x0", "-inf", "--n", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == float("inf")
+    # an unknown option that is not a number is still a usage error
+    assert run_cli(["iterate", "--map", "tent", "--x0", "-e3", "--n", "1"], capsys)[0] == 2

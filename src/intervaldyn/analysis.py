@@ -9,17 +9,19 @@ lands on 0 after finitely many steps. Whether that set fills [0, 1]
 densely is the operative criterion for g being conjugate to the tent
 map itself; here only the finite-depth gap statistic is computed, and
 the density verdict is a caller-thresholded heuristic, not a theorem.
+The tent map's preimages are computed exactly (t/2 and 1 - t/2); every
+other map's branches are inverted by monotone bisection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DomainError, ParameterError
 from .interval import UNIT
-from .maps import MapDescriptor, Tent, Unimodal, eval_map
+from .maps import MapDescriptor, Tent, Unimodal, eval_map, trajectory
 from .homeos import _bisect_monotone
 
 _CONVERGENCE_TOL = 1e-12
@@ -54,15 +56,11 @@ def cobweb_path(m: MapDescriptor, x0: float, steps: int) -> CobwebPath:
         raise ParameterError(f"steps must be a positive integer, got {steps!r}")
     if steps > _MAX_COBWEB_STEPS:
         raise ParameterError(f"steps {steps} exceeds the cap of {_MAX_COBWEB_STEPS}")
-    dom = m.domain()
-    cur = dom.snap(x0)
+    walk = trajectory(m, x0, int(steps))
+    cur = next(walk)
     points = [(cur, cur)]
     converged, limit = False, None
-    for k in range(int(steps)):
-        try:
-            nxt = dom.snap(m._raw(cur))
-        except DomainError as exc:
-            raise DomainError(f"cobweb escaped the domain at step {k + 1}: {exc}") from exc
+    for nxt in walk:
         points.append((cur, nxt))
         points.append((nxt, nxt))
         if not converged and abs(nxt - cur) < _CONVERGENCE_TOL:
@@ -183,26 +181,23 @@ def _dedup_sorted(points: list[float]) -> list[float]:
     return out
 
 
-def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
-    """All points of [0, 1] mapped to 0 within `depth` applications of g2.
+def _pullback(g2: MapDescriptor) -> Callable[[float], list[float]]:
+    """The preimages of a target t under g2's two branches.
 
-    Each target is pulled back through the increasing branch on [0, v]
-    and the decreasing branch on [v, 1] by monotone bisection whenever
-    it lies in the branch's range. Since g2(0) = 0 the preimage levels
-    are nested, so the depth-k set is just the k-th pullback of {0}, and
-    one pass records every level's count and largest gap. Exact
-    bisection hits keep the tent map's dyadic preimages exact.
+    The tent's branches invert exactly: t/2 and 1 - t/2, which are the
+    values bisection reaches for the dyadic targets a pullback of 0
+    produces. Any other map is located by _branch_structure and each
+    branch is inverted by monotone bisection whenever t lies in its
+    range.
     """
-    if depth < 1 or depth != int(depth):
-        raise ParameterError(f"depth must be a positive integer, got {depth!r}")
-    if depth > _MAX_PREIMAGE_DEPTH:
-        raise ParameterError(f"depth {depth} exceeds the cap of {_MAX_PREIMAGE_DEPTH}")
+    if isinstance(g2, Tent):
+        return lambda t: [0.5 * t, 1.0 - 0.5 * t]
     v = _branch_structure(g2)
 
     def fwd(x: float) -> float:
         return eval_map(g2, x)
 
-    def pullback(t: float, lo: float, hi: float) -> Optional[float]:
+    def branch(t: float, lo: float, hi: float) -> Optional[float]:
         # branch range with a roundoff allowance at the rim
         flo, fhi = fwd(lo), fwd(hi)
         rlo, rhi = min(flo, fhi), max(flo, fhi)
@@ -210,18 +205,30 @@ def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
             return None
         return _bisect_monotone(fwd, min(max(t, rlo), rhi), lo, hi)
 
+    return lambda t: [p for p in (branch(t, 0.0, v), branch(t, v, 1.0)) if p is not None]
+
+
+def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
+    """All points of [0, 1] mapped to 0 within `depth` applications of g2.
+
+    Each level is the previous one pulled back through g2's increasing
+    branch on [0, v] and its decreasing branch on [v, 1] (see
+    _pullback). Since g2(0) = 0 the preimage levels are nested, so the
+    depth-k set is just the k-th pullback of {0}, and one pass records
+    every level's count and largest gap.
+    """
+    if depth < 1 or depth != int(depth):
+        raise ParameterError(f"depth must be a positive integer, got {depth!r}")
+    if depth > _MAX_PREIMAGE_DEPTH:
+        raise ParameterError(f"depth {depth} exceeds the cap of {_MAX_PREIMAGE_DEPTH}")
+    pullback = _pullback(g2)
     level = [0.0]
     points: list[float] = []
     gap = 1.0
     levels = []
     for k in range(1, int(depth) + 1):
         if level:  # once a level is empty every deeper one is too
-            nxt: list[float] = []
-            for t in level:
-                for branch in (pullback(t, 0.0, v), pullback(t, v, 1.0)):
-                    if branch is not None:
-                        nxt.append(branch)
-            level = _dedup_sorted(nxt)
+            level = _dedup_sorted([p for t in level for p in pullback(t)])
             points = [p for p in level if UNIT.contains(p)]
             gap = max([points[0] - 0.0] + [b - a for a, b in zip(points, points[1:])]
                       + [1.0 - points[-1]]) if points else 1.0

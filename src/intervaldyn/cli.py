@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import analysis, chaos_rng, closed_form, conjugacy, maps
-from .errors import IntervalDynError, ParameterError, UsageError
+from .errors import IntervalDynError, ParameterError, RangeError, UsageError
 from .homeos import (Affine, AlphaArcsin, CompositionH, Homeomorphism, Mobius,
                      PiecewiseLinearHomeo, Power, Reflect, UlamArcsin)
 from .render import cobweb_svg
@@ -333,9 +333,25 @@ def _build_parser() -> _Parser:
     return p
 
 
+# Caps on the size arguments that make a subcommand build a list or a
+# string proportional to them: (subcommands, the size as written on the
+# command line, its value, cap). parse_args checks them before any
+# computation; cobweb --steps, density --depth and closed-form --n-max
+# are capped by the library itself. README lists every cap.
+SIZE_CAPS = (
+    (("orbit", "sensitivity", "rng generate", "rng ks"), "--n", lambda p: p["n"], 10**6),
+    (("closed-form check", "conjugacy verify", "conjugacy semiverify", "conjugacy order"),
+     "--samples", lambda p: p["samples"], 10**6),
+    (("conjugacy order",), "--p-max", lambda p: p["p_max"], 10**3),
+    (("conjugacy propagate",), "--grid * (--depth + 1)",
+     lambda p: p["grid"] * (p["depth"] + 1), 10**6),
+)
+
+
 def parse_args(argv: list[str]) -> RunConfig:
-    """Validate argv into a RunConfig; raises UsageError on bad input and
-    ParameterError on a tolerance or threshold not positive and finite."""
+    """Validate argv into a RunConfig; raises UsageError on bad input,
+    ParameterError on a tolerance or threshold not positive and finite
+    or a non-finite --delta, and RangeError on a size above its cap."""
     ns = _build_parser().parse_args(argv)
     command = ns.command
     if getattr(ns, "subcommand", None):
@@ -348,6 +364,11 @@ def parse_args(argv: list[str]) -> RunConfig:
         value = params.get(name)
         if value is not None and not 0.0 < value < math.inf:
             raise ParameterError(f"--{name} must be positive and finite, got {value!r}")
+    if "delta" in params and not math.isfinite(params["delta"]):
+        raise ParameterError(f"--delta must be finite, got {params['delta']!r}")
+    for commands, size, value_of, cap in SIZE_CAPS:
+        if command in commands and value_of(params) > cap:
+            raise RangeError(f"{size} {value_of(params)} exceeds the cap of {cap}")
     return RunConfig(command=command, params=params, fmt=ns.format,
                      output=ns.output, timing=ns.timing)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, ImaginaryResidueError, ParameterError, RangeError
-from .maps import MapDescriptor, iterate
+from .maps import MapDescriptor, trajectory
 
 MAX_ITERATIONS = 30  # keeps 2^n exact and the squaring cascade bounded
 
@@ -220,20 +220,21 @@ def crosscheck_closed_form(
     samples: int,
 ) -> CrosscheckReport:
     """Max deviation between iterate(m, x, n) and formula(x, n) over an
-    inclusive sample grid of [lo, hi] and n = 0..n_max."""
+    inclusive sample grid of [lo, hi] and n = 0..n_max. Each sample's
+    brute-force iterates come from one walk of its trajectory."""
     n_max = _check_n(n_max)
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples!r}")
     worst, arg_x, arg_n = -1.0, lo, 0
     for i in range(samples):
         x = lo + (hi - lo) * i / (samples - 1)
-        for n in range(n_max + 1):
-            try:
-                brute = iterate(m, x, n)
-                closed = formula(x, n)
-            except DomainError as exc:
-                raise DomainError(f"crosscheck failed at x={x!r}, n={n}: {exc}") from exc
-            d = _scaled_deviation(brute, closed)
-            if d > worst:
-                worst, arg_x, arg_n = d, x, n
+        n = 0  # the step being checked, also while the walk computes it
+        try:
+            for brute in trajectory(m, x, n_max):
+                d = _scaled_deviation(brute, formula(x, n))
+                if d > worst:
+                    worst, arg_x, arg_n = d, x, n
+                n += 1
+        except DomainError as exc:
+            raise DomainError(f"crosscheck failed at x={x!r}, n={n}: {exc}") from exc
     return CrosscheckReport(worst, arg_x, arg_n, samples, n_max)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 
 from .errors import DomainError, ParameterError
 from .homeos import Homeomorphism, Mobius, apply_homeo
-from .maps import Conjugated, MapDescriptor, eval_map, iterate
+from .maps import Conjugated, MapDescriptor, eval_map, iterate, trajectory
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,8 @@ def orbit_consistency(
         raise ParameterError(f"tolerance must be positive, got {tol!r}")
     f_orbits, g_orbits = [], []
     for a, b in pairs:
-        f_orbits.append([iterate(f, a, k) for k in range(int(n) + 1)])
-        g_orbits.append([iterate(g, b, k) for k in range(int(n) + 1)])
+        f_orbits.append(list(trajectory(f, a, int(n))))
+        g_orbits.append(list(trajectory(g, b, int(n))))
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             for k in range(int(n) + 1):

@@ -10,6 +10,10 @@ both endpoints of [0, 1]:
 
 ulam is implemented as exactly 2 * alpha so the two agree bit-for-bit
 under doubling.
+
+Monotone bisection is also how zero-preimage sets pull targets back
+through the branches of a tent-shaped map (analysis.zero_preimage_set),
+except for the tent map itself, whose branches invert exactly.
 """
 
 from __future__ import annotations
@@ -25,13 +29,16 @@ _BISECT_MAX_ITER = 100
 
 
 class Homeomorphism:
-    """Base class: a strictly monotone invertible change of coordinates."""
+    """Base class: a strictly monotone invertible change of coordinates.
+    A subclass holds its domain and range in _domain and _range, built
+    once (class attributes, or set at construction), or overrides
+    domain() and range()."""
 
     def domain(self) -> Interval:
-        raise NotImplementedError
+        return self._domain
 
     def range(self) -> Interval:
-        raise NotImplementedError
+        return self._range
 
     def _fwd(self, x: float) -> float:
         raise NotImplementedError
@@ -85,15 +92,37 @@ def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _checked_knots(knots) -> tuple[tuple[float, float], ...]:
+    """Knots as float pairs: at least two, finite, abscissae strictly increasing."""
+    out = tuple((float(x), float(y)) for x, y in knots)
+    if len(out) < 2:
+        raise ParameterError("need at least two knots")
+    if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in out):
+        raise ParameterError("knots must be finite")
+    if any(b[0] <= a[0] for a, b in zip(out, out[1:])):
+        raise ParameterError("knot abscissae must be strictly increasing")
+    return out
+
+
+def _interpolate(knots: tuple[tuple[float, float], ...], x: float) -> float:
+    """Linear interpolation between the knots bracketing x, found by
+    binary search; x must lie within the knots' abscissae."""
+    lo, hi = 0, len(knots) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if x < knots[mid][0]:
+            hi = mid
+        else:
+            lo = mid
+    (x0, y0), (x1, y1) = knots[lo], knots[hi]
+    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+
 @dataclass(frozen=True)
 class UlamArcsin(Homeomorphism):
     """x -> (2/pi) arcsin sqrt(x), conjugating the logistic map to the tent map."""
 
-    def domain(self) -> Interval:
-        return UNIT
-
-    def range(self) -> Interval:
-        return UNIT
+    _domain = _range = UNIT
 
     def _fwd(self, x: float) -> float:
         return 2.0 * (math.asin(math.sqrt(x)) / math.pi)
@@ -110,11 +139,7 @@ class UlamArcsin(Homeomorphism):
 class AlphaArcsin(Homeomorphism):
     """x -> (1/pi) arcsin sqrt(x), bijection [0,1] -> [0,0.5]."""
 
-    def domain(self) -> Interval:
-        return UNIT
-
-    def range(self) -> Interval:
-        return Interval(0.0, 0.5)
+    _domain, _range = UNIT, Interval(0.0, 0.5)
 
     def _fwd(self, x: float) -> float:
         return math.asin(math.sqrt(x)) / math.pi
@@ -131,16 +156,11 @@ class AlphaArcsin(Homeomorphism):
 class Affine(Homeomorphism):
     p: float
     q: float
+    _domain = _range = REALS
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and math.isfinite(self.q)) or self.p == 0.0:
             raise ParameterError(f"affine change needs a finite nonzero slope, got p={self.p}")
-
-    def domain(self) -> Interval:
-        return REALS
-
-    def range(self) -> Interval:
-        return REALS
 
     def _fwd(self, x: float) -> float:
         return self.p * x + self.q
@@ -157,16 +177,11 @@ class Power(Homeomorphism):
     """x -> x**gamma on [0, 1], gamma > 0. Fixes both endpoints."""
 
     gamma: float
+    _domain = _range = UNIT
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.gamma) or self.gamma <= 0.0:
             raise ParameterError(f"power change needs gamma > 0, got {self.gamma}")
-
-    def domain(self) -> Interval:
-        return UNIT
-
-    def range(self) -> Interval:
-        return UNIT
 
     def _fwd(self, x: float) -> float:
         return x ** self.gamma
@@ -192,6 +207,7 @@ class Mobius(Homeomorphism):
     b: float
     lo: float = 0.0
     hi: float = 1.0
+    _domain = _range = REALS
 
     def __post_init__(self) -> None:
         if abs(self.a * self.b - 1.0) <= 1e-9:
@@ -202,12 +218,6 @@ class Mobius(Homeomorphism):
             pole = -1.0 / self.b
             if self.lo <= pole <= self.hi:
                 raise ParameterError(f"declared interval [{self.lo}, {self.hi}] contains the pole {pole!r}")
-
-    def domain(self) -> Interval:
-        return REALS
-
-    def range(self) -> Interval:
-        return REALS
 
     def _fwd(self, x: float) -> float:
         den = 1.0 + self.b * x
@@ -233,38 +243,18 @@ class PiecewiseLinearHomeo(Homeomorphism):
     knots: tuple[tuple[float, float], ...]
 
     def __init__(self, knots) -> None:
-        object.__setattr__(self, "knots", tuple((float(x), float(y)) for x, y in knots))
-        if len(self.knots) < 2:
-            raise ParameterError("need at least two knots")
-        xs = [k[0] for k in self.knots]
+        object.__setattr__(self, "knots", _checked_knots(knots))
         ys = [k[1] for k in self.knots]
-        if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in self.knots):
-            raise ParameterError("knots must be finite")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ParameterError("knot abscissae must be strictly increasing")
         inc = all(b > a for a, b in zip(ys, ys[1:]))
         dec = all(b < a for a, b in zip(ys, ys[1:]))
         if not (inc or dec):
             raise ParameterError("knot ordinates must be strictly monotone")
-
-    def domain(self) -> Interval:
-        return Interval(self.knots[0][0], self.knots[-1][0])
-
-    def range(self) -> Interval:
-        ys = [k[1] for k in self.knots]
-        return Interval(min(ys), max(ys))
+        # built once, outside the dataclass fields, so eq/hash/repr see knots only
+        object.__setattr__(self, "_domain", Interval(self.knots[0][0], self.knots[-1][0]))
+        object.__setattr__(self, "_range", Interval(min(ys), max(ys)))
 
     def _fwd(self, x: float) -> float:
-        knots = self.knots
-        lo, hi = 0, len(knots) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if x < knots[mid][0]:
-                hi = mid
-            else:
-                lo = mid
-        (x0, y0), (x1, y1) = knots[lo], knots[hi]
-        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+        return _interpolate(self.knots, x)
 
     def _inv(self, y: float) -> float:
         return _bisect_monotone(self._fwd, y, self.knots[0][0], self.knots[-1][0])
@@ -277,11 +267,7 @@ class PiecewiseLinearHomeo(Homeomorphism):
 class Reflect(Homeomorphism):
     """x -> 1 - x on [0, 1]; an involution."""
 
-    def domain(self) -> Interval:
-        return UNIT
-
-    def range(self) -> Interval:
-        return UNIT
+    _domain = _range = UNIT
 
     def _fwd(self, x: float) -> float:
         return 1.0 - x

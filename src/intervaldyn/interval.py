@@ -53,6 +53,8 @@ class Interval:
         outside. Unbounded sides admit the corresponding infinity so
         that diverging orbits on all of R propagate rather than abort.
         """
+        if self.lo < x < self.hi:  # interior: NaN and infinities fail this
+            return x
         if math.isnan(x):
             raise DomainError(f"NaN is not a point of {self}")
         if math.isfinite(self.lo) and self.lo_closed and self.lo - ENDPOINT_TOL <= x < self.lo:

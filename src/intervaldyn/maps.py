@@ -13,17 +13,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainError, ParameterError
-from .homeos import Homeomorphism, apply_homeo, invert_homeo
+from .homeos import (Homeomorphism, _checked_knots, _interpolate, apply_homeo,
+                     invert_homeo)
 from .interval import REALS, UNIT, UNIT_HALF_OPEN, Interval
 
 
 class MapDescriptor:
-    """Base class for interval self-maps."""
+    """Base class for interval self-maps. A subclass holds its domain in
+    _domain, built once (a class attribute, or set at construction), or
+    overrides domain()."""
 
     def domain(self) -> Interval:
-        raise NotImplementedError
+        return self._domain
 
     def _raw(self, x: float) -> float:
         """Evaluate at a point already inside the domain."""
@@ -47,17 +51,28 @@ def eval_map(m: MapDescriptor, x: float) -> float:
     return m._raw(m.domain().snap(x))
 
 
+def trajectory(m: MapDescriptor, x: float, n: int) -> Iterator[float]:
+    """Yield x snapped into the domain, then its first n iterates, each
+    snapped back into the domain. This is the one orbit loop: everything
+    that walks an orbit (iterate, orbit, sensitivities, cobweb paths,
+    the closed-form and orbit-consistency checks) walks it here."""
+    dom = m.domain()
+    cur = dom.snap(x)
+    yield cur
+    for k in range(1, n + 1):
+        try:
+            cur = dom.snap(m._raw(cur))
+        except DomainError as exc:
+            raise DomainError(f"iterate {k} escaped the domain: {exc}") from exc
+        yield cur
+
+
 def iterate(m: MapDescriptor, x: float, n: int) -> float:
     """n-fold application; iterate(m, x, 0) returns x (snapped into the domain)."""
     if n < 0 or n != int(n):
         raise ParameterError(f"iteration count must be a nonnegative integer, got {n!r}")
-    dom = m.domain()
-    cur = dom.snap(x)
-    for k in range(int(n)):
-        try:
-            cur = dom.snap(m._raw(cur))
-        except DomainError as exc:
-            raise DomainError(f"iterate {k + 1} escaped the domain: {exc}") from exc
+    for cur in trajectory(m, x, int(n)):
+        pass
     return cur
 
 
@@ -74,16 +89,8 @@ def orbit(m: MapDescriptor, x0: float, n: int) -> Orbit:
     """Orbit of length n+1 starting at x0."""
     if n < 1 or n != int(n):
         raise ParameterError(f"orbit length must be a positive integer, got {n!r}")
-    dom = m.domain()
-    cur = dom.snap(x0)
-    values = [cur]
-    for k in range(int(n)):
-        try:
-            cur = dom.snap(m._raw(cur))
-        except DomainError as exc:
-            raise DomainError(f"iterate {k + 1} escaped the domain: {exc}") from exc
-        values.append(cur)
-    return Orbit(seed=values[0], values=tuple(values), map_id=m.describe())
+    values = tuple(trajectory(m, x0, int(n)))
+    return Orbit(seed=values[0], values=values, map_id=m.describe())
 
 
 def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[float]:
@@ -139,16 +146,8 @@ def sensitivity_report(m: MapDescriptor, x0: float, delta: float, n: int) -> lis
     """Separations |f^k(x0) - f^k(x0 + delta)| for k = 0..n."""
     if n < 1 or n != int(n):
         raise ParameterError(f"step count must be a positive integer, got {n!r}")
-    dom = m.domain()
-    a, b = dom.snap(x0), dom.snap(x0 + delta)
-    seps = [abs(a - b)]
-    for k in range(int(n)):
-        try:
-            a, b = dom.snap(m._raw(a)), dom.snap(m._raw(b))
-        except DomainError as exc:
-            raise DomainError(f"iterate {k + 1} escaped the domain: {exc}") from exc
-        seps.append(abs(a - b))
-    return seps
+    return [abs(a - b) for a, b in zip(trajectory(m, x0, int(n)),
+                                       trajectory(m, x0 + delta, int(n)))]
 
 
 # --- builtin families ------------------------------------------------------
@@ -158,8 +157,7 @@ def sensitivity_report(m: MapDescriptor, x0: float, delta: float, n: int) -> lis
 class Logistic(MapDescriptor):
     """x -> 4x(1-x) on [0, 1]."""
 
-    def domain(self) -> Interval:
-        return UNIT
+    _domain = UNIT
 
     def _raw(self, x: float) -> float:
         return 4.0 * x * (1.0 - x)
@@ -172,8 +170,7 @@ class Logistic(MapDescriptor):
 class Tent(MapDescriptor):
     """x -> 1 - |1 - 2x| on [0, 1]: 2x below the peak, 2 - 2x above."""
 
-    def domain(self) -> Interval:
-        return UNIT
+    _domain = UNIT
 
     def _raw(self, x: float) -> float:
         return 2.0 * x if x <= 0.5 else 2.0 - 2.0 * x
@@ -186,8 +183,7 @@ class Tent(MapDescriptor):
 class HalfTent(MapDescriptor):
     """The tent shape on [0, 0.5]: 2x on [0, 0.25], 1 - 2x on (0.25, 0.5]."""
 
-    def domain(self) -> Interval:
-        return Interval(0.0, 0.5)
+    _domain = Interval(0.0, 0.5)
 
     def _raw(self, x: float) -> float:
         return 2.0 * x if x <= 0.25 else 1.0 - 2.0 * x
@@ -200,8 +196,7 @@ class HalfTent(MapDescriptor):
 class Quadratic(MapDescriptor):
     """x -> 2x^2 - 1 on all of R (restricts to a self-map of [-1, 1])."""
 
-    def domain(self) -> Interval:
-        return REALS
+    _domain = REALS
 
     def _raw(self, x: float) -> float:
         return 2.0 * x * x - 1.0
@@ -214,8 +209,7 @@ class Quadratic(MapDescriptor):
 class Doubling(MapDescriptor):
     """x -> 2x mod 1 on [0, 1); a left shift on binary digits."""
 
-    def domain(self) -> Interval:
-        return UNIT_HALF_OPEN
+    _domain = UNIT_HALF_OPEN
 
     def _raw(self, x: float) -> float:
         y = 2.0 * x
@@ -229,8 +223,7 @@ class Doubling(MapDescriptor):
 class Cosine(MapDescriptor):
     """x -> cos x on R."""
 
-    def domain(self) -> Interval:
-        return REALS
+    _domain = REALS
 
     def _raw(self, x: float) -> float:
         try:
@@ -247,8 +240,7 @@ class SineSquared(MapDescriptor):
     """x -> sin^2(pi x) on [0, 1]; the non-invertible factor map carrying
     the doubling map onto the logistic map."""
 
-    def domain(self) -> Interval:
-        return UNIT
+    _domain = UNIT
 
     def _raw(self, x: float) -> float:
         s = math.sin(math.pi * x)
@@ -268,6 +260,7 @@ class Hyperbola(MapDescriptor):
 
     e: float
     a: float
+    _domain = REALS
 
     def __post_init__(self) -> None:
         e2 = self.e * self.e
@@ -277,9 +270,6 @@ class Hyperbola(MapDescriptor):
             raise ParameterError(f"e^2 = {e2!r} too close to 1 or 2; the iterate formula degenerates")
         if self.a <= 0.0:
             raise ParameterError(f"scale a must be positive, got {self.a!r}")
-
-    def domain(self) -> Interval:
-        return REALS
 
     def _raw(self, x: float) -> float:
         rad = (1.0 - self.e * self.e) * (self.a * self.a - x * x)
@@ -300,13 +290,11 @@ class Verhulst(MapDescriptor):
 
     m: float
     n: float
+    _domain = REALS
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.m) and math.isfinite(self.n)):
             raise ParameterError("growth and crowding coefficients must be finite")
-
-    def domain(self) -> Interval:
-        return REALS
 
     def _raw(self, x: float) -> float:
         return x * (self.m - self.n * x)
@@ -322,29 +310,12 @@ class PiecewiseLinear(MapDescriptor):
     knots: tuple[tuple[float, float], ...]
 
     def __init__(self, knots) -> None:
-        object.__setattr__(self, "knots", tuple((float(x), float(y)) for x, y in knots))
-        if len(self.knots) < 2:
-            raise ParameterError("need at least two knots")
-        if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in self.knots):
-            raise ParameterError("knots must be finite")
-        xs = [k[0] for k in self.knots]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ParameterError("knot abscissae must be strictly increasing")
-
-    def domain(self) -> Interval:
-        return Interval(self.knots[0][0], self.knots[-1][0])
+        object.__setattr__(self, "knots", _checked_knots(knots))
+        # built once, outside the dataclass fields, so eq/hash/repr see knots only
+        object.__setattr__(self, "_domain", Interval(self.knots[0][0], self.knots[-1][0]))
 
     def _raw(self, x: float) -> float:
-        knots = self.knots
-        lo, hi = 0, len(knots) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if x < knots[mid][0]:
-                hi = mid
-            else:
-                lo = mid
-        (x0, y0), (x1, y1) = knots[lo], knots[hi]
-        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+        return _interpolate(self.knots, x)
 
     def describe(self) -> str:
         return "pwl:" + ";".join(f"{x!r},{y!r}" for x, y in self.knots)
@@ -361,6 +332,7 @@ class Unimodal(MapDescriptor):
     v: float
     left: MapDescriptor
     right: MapDescriptor
+    _domain = UNIT
 
     def __post_init__(self) -> None:
         if not (0.0 < self.v < 1.0):
@@ -381,9 +353,6 @@ class Unimodal(MapDescriptor):
             if cur > prev + 1e-12:
                 raise ParameterError("right branch is not non-increasing on (v, 1]")
             prev = cur
-
-    def domain(self) -> Interval:
-        return UNIT
 
     def _raw(self, x: float) -> float:
         return eval_map(self.left, x) if x <= self.v else eval_map(self.right, x)

@@ -9,6 +9,8 @@ fixed formatting so identical inputs give byte-identical documents.
 
 from __future__ import annotations
 
+import math
+
 from .analysis import CobwebPath
 from .errors import DomainError
 from .maps import MapDescriptor, eval_map
@@ -28,6 +30,8 @@ def _window(m: MapDescriptor, path: CobwebPath) -> tuple[float, float]:
         lo, hi = min(dom.lo, min(data)), max(dom.hi, max(data))
     else:
         lo, hi = min(data), max(data)
+    if not math.isfinite(hi - lo):  # an orbit reaching an infinity, or overflowing spread
+        raise DomainError(f"cannot draw the cobweb window [{lo!r}, {hi!r}]: it is not finite")
     if hi - lo < 1e-9:
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi

@@ -1,13 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from intervaldyn.cli import (fmt_float, main, parse_args, parse_homeo_spec,
+from intervaldyn.cli import (SIZE_CAPS, fmt_float, main, parse_args, parse_homeo_spec,
                              parse_map_spec)
-from intervaldyn.errors import UsageError
+from intervaldyn.errors import RangeError, UsageError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -368,3 +369,66 @@ def test_negative_scientific_arguments(capsys):
     assert json.loads(out)["result"] == float("inf")
     # an unknown option that is not a number is still a usage error
     assert run_cli(["iterate", "--map", "tent", "--x0", "-e3", "--n", "1"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
+def test_delta_must_be_finite(delta, capsys):
+    code, out, err = run_cli(["sensitivity", "--map", "quadratic", "--x0", "0.5",
+                              f"--delta={delta}", "--n", "3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--delta must be finite" in err
+
+
+@pytest.mark.parametrize("seed", [["--x0=inf", "--steps", "3"], ["--x0", "3", "--steps", "12"]])
+def test_cobweb_svg_needs_a_finite_window(seed, capsys):
+    argv = ["cobweb", "--map", "quadratic"] + seed
+    code, out, err = run_cli(argv + ["--format", "svg"], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "not finite" in err
+    for fmt in ("json", "csv"):  # the data itself is still reported
+        code, out, _ = run_cli(argv + ["--format", fmt], capsys)
+        assert code == 0 and "Infinity" in out
+
+
+# (argv without the size, the capped size as named in SIZE_CAPS, its
+# arguments at the cap, and one above it)
+_CAPPED = [
+    (["orbit", "--map", "logistic", "--x0", "0.3"], "--n", ["--n", "1000000"], ["--n", "1000001"]),
+    (["sensitivity", "--map", "logistic", "--x0", "0.3", "--delta", "1e-9"], "--n",
+     ["--n", "1000000"], ["--n", "1000001"]),
+    (["rng", "generate"], "--n", ["--n", "1000000"], ["--n", "1000001"]),
+    (["rng", "ks", "--cdf", "uniform"], "--n", ["--n", "1000000"], ["--n", "1000001"]),
+    (["closed-form", "check", "--formula", "boole", "--lo", "-1", "--hi", "1"], "--samples",
+     ["--samples", "1000000"], ["--samples", "1000001"]),
+    (["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--h", "ulam"], "--samples",
+     ["--samples", "1000000"], ["--samples", "1000001"]),
+    (["conjugacy", "semiverify", "--f", "logistic", "--g", "doubling", "--h", "sinsq",
+      "--lo", "0", "--hi", "1"], "--samples", ["--samples", "1000000"], ["--samples", "1000001"]),
+    (["conjugacy", "order", "--map", "pwl:0,1;1,0"], "--samples",
+     ["--samples", "1000000"], ["--samples", "1000001"]),
+    (["conjugacy", "order", "--map", "pwl:0,1;1,0"], "--p-max",
+     ["--p-max", "1000"], ["--p-max", "1001"]),
+    (["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam",
+      "--lo", "0.1", "--hi", "0.2"], "--grid * (--depth + 1)",
+     ["--grid", "100000", "--depth", "9"], ["--grid", "100001", "--depth", "9"]),
+]
+
+
+@pytest.mark.parametrize("base,size,at_cap,over_cap", _CAPPED,
+                         ids=[f"{' '.join(c[0][:2])}:{c[1]}" for c in _CAPPED])
+def test_size_caps_reject_before_computing(base, size, at_cap, over_cap, capsys):
+    assert parse_args(base + at_cap).command  # accepted; not run, to keep the test small
+    with pytest.raises(RangeError, match=re.escape(size)):
+        parse_args(base + over_cap)
+    code, out, err = run_cli(base + over_cap, capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "exceeds the cap" in err
+
+
+def test_size_caps_table_is_tested():
+    table = {(command, size) for commands, size, _, _ in SIZE_CAPS for command in commands}
+    tested = {(parse_args(base + at_cap).command, size) for base, size, at_cap, _ in _CAPPED}
+    assert tested == table

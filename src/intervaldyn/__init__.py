@@ -17,8 +17,7 @@ from .chaos_rng import (DEFAULT_SEED, DistributionSpec, FixedPointWord,
                         fixed_precision_logistic, histogram, ks_distance,
                         logistic_sequence, square_distribution, transform_to,
                         uniform_distribution, uniformize)
-from .closed_form import (CrosscheckReport, HerschelConstant, boole_iterate,
-                          crosscheck_closed_form, effectively_real,
+from .closed_form import (CrosscheckReport, boole_iterate, crosscheck_closed_form,
                           fractional_iterate_hyperbola, fractional_iterate_quadratic,
                           herschel_constant, herschel_iterate, hyperbola_iterate)
 from .conjugacy import (Conflict, ConjugacyReport, conjugate_map,
@@ -28,11 +27,11 @@ from .conjugacy import (Conflict, ConjugacyReport, conjugate_map,
                         verify_semiconjugacy)
 from .errors import (DomainError, EmptySampleError, ImaginaryResidueError,
                      IntervalDynError, ParameterError, RangeError, UsageError)
-from .homeos import (Affine, AlphaArcsin, CompositionH, Homeomorphism, InverseH,
-                     Mobius, PiecewiseLinearHomeo, Power, Reflect, UlamArcsin,
-                     apply_homeo, identity_homeo, invert_homeo)
+from .homeos import (Affine, AlphaArcsin, CompositionH, Homeomorphism, Mobius,
+                     PiecewiseLinearHomeo, Power, Reflect, UlamArcsin, apply_homeo,
+                     invert_homeo)
 from .interval import Interval
-from .maps import (Composed, Conjugated, Cosine, Doubling, HalfTent, Hyperbola,
+from .maps import (Conjugated, Cosine, Doubling, HalfTent, Hyperbola,
                    Logistic, MapDescriptor, Orbit, PiecewiseLinear, Quadratic,
                    SineSquared, Tent, Unimodal, Verhulst, affine_map, eval_map,
                    fixed_points, identity_map, iterate, orbit, reflect_map,

@@ -24,22 +24,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, ImaginaryResidueError, ParameterError, RangeError
-from .maps import MapDescriptor, trajectory
+from .maps import MapDescriptor, _hyperbola_e2, trajectory
 
 MAX_ITERATIONS = 30  # keeps 2^n exact and the squaring cascade bounded
-
-
-def effectively_real(z: complex, rel_tol: float = 1e-9) -> bool:
-    """True when the imaginary part is negligible next to the real part."""
-    return abs(z.imag) < rel_tol * max(1.0, abs(z.real))
-
-
-@dataclass(frozen=True)
-class HerschelConstant:
-    """C = x + sqrt(x^2 - 1), the larger characteristic root; its product
-    with the conjugate root x - sqrt(x^2 - 1) is exactly 1."""
-
-    value: complex
 
 
 def _characteristic_roots(x: float) -> tuple[complex, complex]:
@@ -50,11 +37,13 @@ def _characteristic_roots(x: float) -> tuple[complex, complex]:
     return complex(x, s), complex(x, -s)
 
 
-def herschel_constant(x: float) -> HerschelConstant:
-    """x + sqrt(x^2 - 1) with the principal complex root when x^2 < 1."""
+def herschel_constant(x: float) -> complex:
+    """C = x + sqrt(x^2 - 1) with the principal complex root when x^2 < 1,
+    the larger characteristic root; its product with the conjugate root
+    x - sqrt(x^2 - 1) is exactly 1."""
     if not math.isfinite(x):
         raise DomainError(f"need a finite argument, got {x!r}")
-    return HerschelConstant(_characteristic_roots(x)[0])
+    return _characteristic_roots(x)[0]
 
 
 def _check_n(n: int, minimum: int = 0) -> int:
@@ -107,15 +96,6 @@ def boole_iterate(t: float, n: int) -> float:
     return math.cos(2.0**n * math.acos(t))
 
 
-def _hyperbola_params(e: float, a: float) -> float:
-    e2 = e * e
-    if not (math.isfinite(e2) and math.isfinite(a)) or a <= 0.0:
-        raise ParameterError(f"need finite e^2 and positive a, got e={e!r}, a={a!r}")
-    if abs(e2 - 1.0) <= 1e-9 or abs(e2 - 2.0) <= 1e-9:
-        raise ParameterError(f"e^2 = {e2!r} too close to 1 or 2")
-    return e2
-
-
 def _hyperbola_closed_form(e2: float, a: float, x: float, power: float) -> float:
     coeff = (e2 - 1.0) / (e2 - 2.0)
     try:
@@ -141,7 +121,7 @@ def hyperbola_iterate(e: float, a: float, x: float, n: int) -> float:
         f^n(x) = sqrt((e^2-1)^n x^2 - (e^2-1)/(e^2-2) ((e^2-1)^n - 1) a^2)
     """
     n = _check_n(n)
-    e2 = _hyperbola_params(e, a)
+    e2 = _hyperbola_e2(e, a)
     try:
         power = (e2 - 1.0) ** n
     except OverflowError:
@@ -173,7 +153,7 @@ def fractional_iterate_hyperbola(e: float, a: float, x: float, n: int) -> float:
     (e^2-1)^(1/n) has a real principal value."""
     if n != int(n) or n < 1:
         raise ParameterError(f"root order must be a positive integer, got {n!r}")
-    e2 = _hyperbola_params(e, a)
+    e2 = _hyperbola_e2(e, a)
     if e2 <= 1.0:
         raise ParameterError(f"fractional exponent needs e^2 > 1, got e^2 = {e2!r}")
     try:

@@ -303,27 +303,3 @@ class CompositionH(Homeomorphism):
 
     def describe(self) -> str:
         return f"({self.outer.describe()} o {self.inner.describe()})"
-
-
-@dataclass(frozen=True)
-class InverseH(Homeomorphism):
-    base: Homeomorphism
-
-    def domain(self) -> Interval:
-        return self.base.range()
-
-    def range(self) -> Interval:
-        return self.base.domain()
-
-    def _fwd(self, x: float) -> float:
-        return self.base._inv(x)
-
-    def _inv(self, y: float) -> float:
-        return self.base._fwd(self.base.domain().snap(y))
-
-    def describe(self) -> str:
-        return f"inv({self.base.describe()})"
-
-
-def identity_homeo() -> Affine:
-    return Affine(1.0, 0.0)

@@ -250,6 +250,20 @@ class SineSquared(MapDescriptor):
         return "sinsq"
 
 
+def _hyperbola_e2(e: float, a: float) -> float:
+    """e^2 for valid hyperbola parameters, the one rule shared by the map
+    and its closed-form iterates: e^2 and a finite, a positive, and e^2
+    away from 1 and 2, where the iterate formula degenerates."""
+    e2 = e * e
+    if not (math.isfinite(e2) and math.isfinite(a)):
+        raise ParameterError(f"hyperbola needs finite e^2 and a, got e={e!r}, a={a!r}")
+    if abs(e2 - 1.0) <= 1e-9 or abs(e2 - 2.0) <= 1e-9:
+        raise ParameterError(f"e^2 = {e2!r} too close to 1 or 2; the iterate formula degenerates")
+    if a <= 0.0:
+        raise ParameterError(f"scale a must be positive, got {a!r}")
+    return e2
+
+
 @dataclass(frozen=True)
 class Hyperbola(MapDescriptor):
     """x -> sqrt((1 - e^2)(a^2 - x^2)).
@@ -263,13 +277,7 @@ class Hyperbola(MapDescriptor):
     _domain = REALS
 
     def __post_init__(self) -> None:
-        e2 = self.e * self.e
-        if not (math.isfinite(self.e) and math.isfinite(self.a)):
-            raise ParameterError("hyperbola parameters must be finite")
-        if abs(e2 - 1.0) <= 1e-9 or abs(e2 - 2.0) <= 1e-9:
-            raise ParameterError(f"e^2 = {e2!r} too close to 1 or 2; the iterate formula degenerates")
-        if self.a <= 0.0:
-            raise ParameterError(f"scale a must be positive, got {self.a!r}")
+        _hyperbola_e2(self.e, self.a)
 
     def _raw(self, x: float) -> float:
         rad = (1.0 - self.e * self.e) * (self.a * self.a - x * x)
@@ -359,23 +367,6 @@ class Unimodal(MapDescriptor):
 
     def describe(self) -> str:
         return f"unimodal(v={self.v!r};l={self.left.describe()};r={self.right.describe()})"
-
-
-@dataclass(frozen=True)
-class Composed(MapDescriptor):
-    """outer(inner(x)); the domain is inner's domain."""
-
-    outer: MapDescriptor
-    inner: MapDescriptor
-
-    def domain(self) -> Interval:
-        return self.inner.domain()
-
-    def _raw(self, x: float) -> float:
-        return eval_map(self.outer, self.inner._raw(x))
-
-    def describe(self) -> str:
-        return f"comp:{self.outer.describe()}|{self.inner.describe()}"
 
 
 @dataclass(frozen=True)

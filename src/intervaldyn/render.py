@@ -2,9 +2,10 @@
 
 Documents are SVG 1.1 with viewBox 0 0 1000 1000 and no external
 references. A cobweb figure carries the axes, the y = x diagonal, the
-map's graph sampled at 1000 points, and the cobweb polyline itself;
-the polyline has exactly 2*steps + 1 points. Output is generated with
-fixed formatting so identical inputs give byte-identical documents.
+map's graph sampled at 1000 points (less those where the map raises or
+overflows), and the cobweb polyline itself; the polyline has exactly
+2*steps + 1 points. Output is generated with fixed formatting so
+identical inputs give byte-identical documents.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def cobweb_svg(m: MapDescriptor, path: CobwebPath) -> str:
             y = eval_map(m, x)
         except DomainError:
             continue
-        graph_pts.append((x, y))
+        if math.isfinite(py(y)):  # an overflowing value is left out like a raising one
+            graph_pts.append((x, y))
 
     def polyline(points, stroke: str, width: str, cls: str) -> str:
         coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in points)

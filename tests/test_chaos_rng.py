@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from intervaldyn import (DistributionSpec, DomainError, Doubling,
                          EmptySampleError, FixedPointWord, Logistic,
@@ -65,6 +66,43 @@ def test_ks_distance_examples():
     assert ks_distance(grid, lambda x: x) == pytest.approx(1.0 / n, abs=1e-15)
     with pytest.raises(EmptySampleError):
         ks_distance([], lambda x: x)
+
+
+def _ks_reference(sample, cdf):
+    """sup |F_n - F| over the sample points by counting: the empirical CDF
+    steps from #{s < v}/n to #{s <= v}/n at every sample value v."""
+    n = len(sample)
+    worst = 0.0
+    for v in sample:
+        f = cdf(v)
+        below = sum(1 for s in sample if s < v) / n
+        upto = sum(1 for s in sample if s <= v) / n
+        worst = max(worst, abs(upto - f), abs(below - f))
+    return worst
+
+
+# endpoints, both zeros and repeated values next to arbitrary unit floats
+_unit_samples = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    min_size=1, max_size=30,
+).map(lambda s: s + s[: len(s) // 2])
+
+
+@given(_unit_samples, st.sampled_from([arcsine_cdf, lambda x: x, lambda x: x * x]))
+def test_ks_distance_matches_brute_force(sample, cdf):
+    assert ks_distance(sample, cdf) == _ks_reference(sample, cdf)
+
+
+@pytest.mark.parametrize("sample, cdf", [
+    ([math.nan], lambda x: x),
+    ([math.nan, 0.2, 0.7], lambda x: 0.5),  # the CDF value alone hides it
+    ([0.2, 0.7, math.nan], lambda x: 0.5),
+    ([0.2, 0.7], lambda x: math.nan),
+    ([0.2, 0.7], lambda x: math.nan if x > 0.5 else x),
+])
+def test_ks_distance_rejects_nan(sample, cdf):
+    with pytest.raises(DomainError):
+        ks_distance(sample, cdf)
 
 
 def test_histogram_examples():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -6,11 +7,14 @@ import sys
 
 import pytest
 
+from intervaldyn import (Hyperbola, ParameterError, fractional_iterate_hyperbola,
+                         hyperbola_iterate)
 from intervaldyn.cli import (SIZE_CAPS, fmt_float, main, parse_args, parse_homeo_spec,
                              parse_map_spec)
 from intervaldyn.errors import RangeError, UsageError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
 
 def run_cli(argv, capsys):
@@ -92,6 +96,31 @@ def test_byte_identical_across_processes():
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# Blocks numpy, then replays every golden case (the rng ks ones among
+# them) through the CLI: the package runs on the standard library alone.
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import intervaldyn
+from intervaldyn.cli import main
+golden = json.load(open(sys.argv[1], encoding="utf-8"))
+assert any(case["argv"][:2] == ["rng", "ks"] for case in golden)
+for case in golden:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(case["argv"])
+    assert (code, out.getvalue()) == (case["code"], case["stdout"]), case["argv"]
+"""
+
+
+def test_runs_without_numpy():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, GOLDEN_PATH],
+                          capture_output=True, text=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_orbit_csv_columns(capsys):
@@ -432,3 +461,30 @@ def test_size_caps_table_is_tested():
     table = {(command, size) for commands, size, _, _ in SIZE_CAPS for command in commands}
     tested = {(parse_args(base + at_cap).command, size) for base, size, at_cap, _ in _CAPPED}
     assert tested == table
+
+
+@pytest.mark.parametrize("e, a", [
+    (1.0, 1.0), (math.sqrt(2.0), 1.0), (math.inf, 1.0), (math.nan, 1.0), (1e200, 1.0),
+    (math.sqrt(3.0), 0.0), (math.sqrt(3.0), -1.0), (math.sqrt(3.0), math.nan),
+])
+def test_hyperbola_parameters_have_one_rule(e, a, capsys):
+    for build in (lambda: Hyperbola(e=e, a=a),
+                  lambda: hyperbola_iterate(e, a, 2.0, 1),
+                  lambda: fractional_iterate_hyperbola(e, a, 2.0, 2)):
+        with pytest.raises(ParameterError):
+            build()
+    for argv in (["iterate", "--map", f"hyperbola:e={e!r},a={a!r}", "--x0", "2", "--n", "1"],
+                 ["closed-form", "check", "--formula", "hyperbola", f"--e={e!r}", f"--a={a!r}",
+                  "--lo", "2", "--hi", "3"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+
+
+def test_cobweb_svg_leaves_out_overflowing_graph_points(capsys):
+    # 2x^2 - 1 overflows inside the window that the orbit of 1e100 spans
+    code, out, _ = run_cli(["cobweb", "--map", "quadratic", "--x0", "1e100", "--steps", "1",
+                            "--format", "svg"], capsys)
+    assert code == 0
+    assert "inf" not in out and "nan" not in out
+    assert '<polyline class="graph"' in out

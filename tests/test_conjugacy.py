@@ -7,10 +7,10 @@ from intervaldyn import (Affine, AlphaArcsin, Conflict, Cosine, DomainError,
                          HalfTent, Logistic, ParameterError, Power, Quadratic,
                          Reflect, Tent, UlamArcsin, affine_map, apply_homeo,
                          conjugate_map, eval_map, herschel_relation_residual,
-                         identity_homeo, identity_map, iterate,
-                         mobius_involution, orbit_consistency,
-                         periodicity_order, propagate_partial_conjugacy,
-                         reflect_map, verify_conjugacy, verify_semiconjugacy)
+                         identity_map, iterate, mobius_involution,
+                         orbit_consistency, periodicity_order,
+                         propagate_partial_conjugacy, reflect_map,
+                         verify_conjugacy, verify_semiconjugacy)
 from intervaldyn.homeos import PiecewiseLinearHomeo
 
 
@@ -36,7 +36,7 @@ def test_conjugate_map_examples():
     assert eval_map(g, 0.1) == pytest.approx(0.2, abs=1e-13)
 
     f = Tent()
-    ident = conjugate_map(f, identity_homeo())
+    ident = conjugate_map(f, Affine(1.0, 0.0))
     for i in range(101):
         x = (i + 0.5) / 102
         assert eval_map(ident, x) == pytest.approx(eval_map(f, x), abs=1e-15)
@@ -145,7 +145,7 @@ def test_orbit_consistency_examples():
 
 def test_propagate_identity_stays_on_diagonal():
     table = propagate_partial_conjugacy(
-        Tent(), Tent(), 0.01, 0.02, identity_homeo(), 5, 21, 1e-6)
+        Tent(), Tent(), 0.01, 0.02, Affine(1.0, 0.0), 5, 21, 1e-6)
     assert not isinstance(table, Conflict)
     assert all(y == x for x, y in table)
     assert table == sorted(table)
@@ -162,7 +162,7 @@ def test_propagate_true_seed_stays_on_graph():
 
 def test_propagate_wrong_seed_conflicts():
     outcome = propagate_partial_conjugacy(
-        Logistic(), Tent(), 0.1, 0.11, identity_homeo(), 6, 41, 1e-3)
+        Logistic(), Tent(), 0.1, 0.11, Affine(1.0, 0.0), 6, 41, 1e-3)
     assert isinstance(outcome, Conflict)
     assert outcome.image_gap > 0.01
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from intervaldyn import (Composed, Conjugated, Cosine, DomainError, Doubling,
+from intervaldyn import (Conjugated, Cosine, DomainError, Doubling,
                          HalfTent, Hyperbola, Logistic, ParameterError,
                          PiecewiseLinear, Power, Quadratic, SineSquared, Tent,
                          Unimodal, Verhulst, affine_map, eval_map, fixed_points,
@@ -180,10 +180,7 @@ def test_unimodal_construction_and_eval():
                  right=PiecewiseLinear([(0.5, 1.0), (1.0, 0.0)]))
 
 
-def test_composed_and_conjugated():
-    comp = Composed(outer=Tent(), inner=Tent())
-    assert eval_map(comp, 0.1) == pytest.approx(0.4, abs=1e-15)
-
+def test_conjugated():
     conj = Conjugated(base=Logistic(), change=AlphaArcsin())
     h = AlphaArcsin()
     for i in range(101):

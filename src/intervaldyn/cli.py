@@ -11,10 +11,13 @@ or parameter error.
 
 Map specs: logistic, tent, halftent, quadratic, doubling, cosine,
 sinsq, hyperbola:e=<v>,a=<v>, verhulst:m=<v>,n=<v>,
-pwl:<x0>,<y0>;<x1>,<y1>;..., conj:<base>|<homeo>.
+pwl:<x0>,<y0>;<x1>,<y1>;..., conj:<base>|<homeo> (conj: nests).
 Homeo specs: ulam, alpha, affine:p=<v>,q=<v>, power:g=<v>,
 mobius:a=<v>,b=<v>, reflect, pwlh:<x0>,<y0>;..., and compositions
-written "outer o inner".
+written "outer o inner" ("a o b o c" is "a o (b o c)"; parentheses
+group). Parameterless names take no arguments, and a key may not
+repeat. Every spec the output echoes (describe()) parses back to the
+same map or coordinate change.
 
 The environment variable CONJUGATE_SEED overrides the default ergodic
 seed of the rng subcommands; an explicit --seed beats both.
@@ -33,8 +36,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import analysis, chaos_rng, closed_form, conjugacy, maps
 from .errors import IntervalDynError, ParameterError, RangeError, UsageError
-from .homeos import (Affine, AlphaArcsin, CompositionH, Homeomorphism, Mobius,
-                     PiecewiseLinearHomeo, Power, Reflect, UlamArcsin)
+from .homeos import parse_homeo_spec
+from .maps import parse_map_spec
 from .render import cobweb_svg
 
 EXIT_OK = 0
@@ -101,105 +104,6 @@ def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-# --- map and homeo spec grammars --------------------------------------------
-
-
-def _parse_kv(args: str, keys: list[str], spec: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    if not args:
-        raise UsageError(f"'{spec}' needs parameters {','.join(keys)}")
-    for part in args.split(","):
-        k, sep, v = part.partition("=")
-        if not sep or k not in keys:
-            raise UsageError(f"bad parameter '{part}' in '{spec}'")
-        try:
-            out[k] = float(v)
-        except ValueError:
-            raise UsageError(f"bad number '{v}' in '{spec}'") from None
-    missing = [k for k in keys if k not in out]
-    if missing:
-        raise UsageError(f"'{spec}' is missing parameters {','.join(missing)}")
-    return out
-
-
-def _parse_knots(args: str, spec: str) -> list[tuple[float, float]]:
-    knots = []
-    for piece in args.split(";"):
-        xy = piece.split(",")
-        if len(xy) != 2:
-            raise UsageError(f"bad knot '{piece}' in '{spec}'")
-        try:
-            knots.append((float(xy[0]), float(xy[1])))
-        except ValueError:
-            raise UsageError(f"bad knot '{piece}' in '{spec}'") from None
-    return knots
-
-
-def parse_map_spec(spec: str) -> maps.MapDescriptor:
-    s = spec.strip()
-    if s.lower().startswith("conj:"):
-        base_str, sep, homeo_str = s[5:].partition("|")
-        if not sep:
-            raise UsageError(f"'{spec}' needs the form conj:<base>|<homeo>")
-        return maps.Conjugated(parse_map_spec(base_str), parse_homeo_spec(homeo_str))
-    name, _, args = s.partition(":")
-    name = name.strip().lower()
-    simple = {
-        "logistic": maps.Logistic,
-        "tent": maps.Tent,
-        "halftent": maps.HalfTent,
-        "quadratic": maps.Quadratic,
-        "doubling": maps.Doubling,
-        "cosine": maps.Cosine,
-        "sinsq": maps.SineSquared,
-    }
-    if name in simple:
-        if args:
-            raise UsageError(f"map '{name}' takes no parameters")
-        return simple[name]()
-    if name == "hyperbola":
-        kv = _parse_kv(args, ["e", "a"], spec)
-        return maps.Hyperbola(e=kv["e"], a=kv["a"])
-    if name == "verhulst":
-        kv = _parse_kv(args, ["m", "n"], spec)
-        return maps.Verhulst(m=kv["m"], n=kv["n"])
-    if name == "pwl":
-        return maps.PiecewiseLinear(_parse_knots(args, spec))
-    raise UsageError(f"unknown map '{spec}'")
-
-
-def _parse_atomic_homeo(spec: str) -> Homeomorphism:
-    s = spec.strip()
-    name, _, args = s.partition(":")
-    name = name.strip().lower()
-    if name == "ulam":
-        return UlamArcsin()
-    if name == "alpha":
-        return AlphaArcsin()
-    if name == "reflect":
-        return Reflect()
-    if name == "affine":
-        kv = _parse_kv(args, ["p", "q"], spec)
-        return Affine(p=kv["p"], q=kv["q"])
-    if name == "power":
-        kv = _parse_kv(args, ["g"], spec)
-        return Power(gamma=kv["g"])
-    if name == "mobius":
-        kv = _parse_kv(args, ["a", "b"], spec)
-        return Mobius(a=kv["a"], b=kv["b"])
-    if name == "pwlh":
-        return PiecewiseLinearHomeo(_parse_knots(args, spec))
-    raise UsageError(f"unknown coordinate change '{spec}'")
-
-
-def parse_homeo_spec(spec: str) -> Homeomorphism:
-    parts = re.split(r"\s+o\s+", spec.strip())
-    h = _parse_atomic_homeo(parts[-1])
-    for outer in reversed(parts[:-1]):
-        h = CompositionH(outer=_parse_atomic_homeo(outer), inner=h)
-    return h
 
 
 # --- configuration -----------------------------------------------------------
@@ -548,6 +452,7 @@ def _run_rng_collapse(p: dict) -> Result:
     if p["exhaustive"]:
         if p["value"] is not None:
             raise UsageError("--value and --exhaustive are mutually exclusive")
+        chaos_rng.FixedPointWord(bits, 0)  # the word width rule, checked before enumerating
         if bits > 24:
             raise UsageError("exhaustive enumeration is capped at 24 bits")
         max_steps, tested = 0, 0
@@ -629,6 +534,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OverflowError as exc:
         print(f"error: value out of binary64 range ({exc})", file=sys.stderr)
         return EXIT_DOMAIN
+    except RecursionError:  # specs and the descriptors they build are walked recursively
+        print("usage error: spec nests too deeply", file=sys.stderr)
+        return EXIT_USAGE
     if config.output:
         try:
             with open(config.output, "w", encoding="utf-8") as handle:

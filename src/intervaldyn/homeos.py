@@ -14,18 +14,77 @@ under doubling.
 Monotone bisection is also how zero-preimage sets pull targets back
 through the branches of a tent-shaped map (analysis.zero_preimage_set),
 except for the tent map itself, whose branches invert exactly.
+
+Each builtin family of maps and coordinate changes declares its spec
+text once, as _spec = (name, keys). _describe writes that text and
+_parse_family reads it back, so every describe() string parses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, UsageError
 from .interval import REALS, UNIT, Interval
 
 _BISECT_TOL = 1e-14
 _BISECT_MAX_ITER = 100
+
+
+def _describe(self) -> str:
+    """The spec text of a builtin family, from its _spec = (name, keys):
+    the bare name when keys is (), name:k=v,... with the keys naming the
+    leading dataclass fields in order, or name:x0,y0;x1,y1;... when keys
+    is "knots"."""
+    name, keys = self._spec
+    if keys == "knots":
+        return f"{name}:" + ";".join(f"{x!r},{y!r}" for x, y in self.knots)
+    if not keys:
+        return name
+    return f"{name}:" + ",".join(f"{k}={getattr(self, f.name)!r}"
+                                 for k, f in zip(keys, fields(self)))
+
+
+def _parse_family(text: str, families: dict, kind: str):
+    """Read the spec text _describe writes, for the class that families
+    (name -> class) holds under its name; kind names the family in errors."""
+    name, _, args = text.strip().partition(":")
+    cls = families.get(name.strip().lower())
+    if cls is None:
+        raise UsageError(f"unknown {kind} '{text}'")
+    name, keys = cls._spec
+    if keys == "knots":
+        knots = []
+        for piece in args.split(";"):
+            try:
+                x, y = map(float, piece.split(","))
+            except ValueError:
+                raise UsageError(f"bad knot '{piece}' in '{text}'") from None
+            knots.append((x, y))
+        return cls(knots)
+    if not keys:
+        if args:
+            raise UsageError(f"{kind} '{name}' takes no parameters")
+        return cls()
+    if not args:
+        raise UsageError(f"'{text}' needs parameters {','.join(keys)}")
+    values: dict[str, float] = {}
+    for part in args.split(","):
+        k, sep, v = part.partition("=")
+        if not sep or k not in keys:
+            raise UsageError(f"bad parameter '{part}' in '{text}'")
+        if k in values:
+            raise UsageError(f"repeated parameter '{k}' in '{text}'")
+        try:
+            values[k] = float(v)
+        except ValueError:
+            raise UsageError(f"bad number '{v}' in '{text}'") from None
+    missing = [k for k in keys if k not in values]
+    if missing:
+        raise UsageError(f"'{text}' is missing parameters {','.join(missing)}")
+    return cls(*(values[k] for k in keys))
 
 
 class Homeomorphism:
@@ -46,8 +105,7 @@ class Homeomorphism:
     def _inv(self, y: float) -> float:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
+    describe = _describe
 
     def __str__(self) -> str:
         return self.describe()
@@ -123,6 +181,7 @@ class UlamArcsin(Homeomorphism):
     """x -> (2/pi) arcsin sqrt(x), conjugating the logistic map to the tent map."""
 
     _domain = _range = UNIT
+    _spec = ("ulam", ())
 
     def _fwd(self, x: float) -> float:
         return 2.0 * (math.asin(math.sqrt(x)) / math.pi)
@@ -131,15 +190,13 @@ class UlamArcsin(Homeomorphism):
         s = math.sin(math.pi * y / 2.0)
         return s * s
 
-    def describe(self) -> str:
-        return "ulam"
-
 
 @dataclass(frozen=True)
 class AlphaArcsin(Homeomorphism):
     """x -> (1/pi) arcsin sqrt(x), bijection [0,1] -> [0,0.5]."""
 
     _domain, _range = UNIT, Interval(0.0, 0.5)
+    _spec = ("alpha", ())
 
     def _fwd(self, x: float) -> float:
         return math.asin(math.sqrt(x)) / math.pi
@@ -148,15 +205,13 @@ class AlphaArcsin(Homeomorphism):
         s = math.sin(math.pi * y)
         return s * s
 
-    def describe(self) -> str:
-        return "alpha"
-
 
 @dataclass(frozen=True)
 class Affine(Homeomorphism):
     p: float
     q: float
     _domain = _range = REALS
+    _spec = ("affine", ("p", "q"))
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and math.isfinite(self.q)) or self.p == 0.0:
@@ -168,9 +223,6 @@ class Affine(Homeomorphism):
     def _inv(self, y: float) -> float:
         return (y - self.q) / self.p
 
-    def describe(self) -> str:
-        return f"affine:p={self.p!r},q={self.q!r}"
-
 
 @dataclass(frozen=True)
 class Power(Homeomorphism):
@@ -178,6 +230,7 @@ class Power(Homeomorphism):
 
     gamma: float
     _domain = _range = UNIT
+    _spec = ("power", ("g",))
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.gamma) or self.gamma <= 0.0:
@@ -188,9 +241,6 @@ class Power(Homeomorphism):
 
     def _inv(self, y: float) -> float:
         return y ** (1.0 / self.gamma)
-
-    def describe(self) -> str:
-        return f"power:g={self.gamma!r}"
 
 
 @dataclass(frozen=True)
@@ -208,6 +258,7 @@ class Mobius(Homeomorphism):
     lo: float = 0.0
     hi: float = 1.0
     _domain = _range = REALS
+    _spec = ("mobius", ("a", "b"))
 
     def __post_init__(self) -> None:
         if abs(self.a * self.b - 1.0) <= 1e-9:
@@ -228,9 +279,6 @@ class Mobius(Homeomorphism):
     def _inv(self, y: float) -> float:
         return self._fwd(y)
 
-    def describe(self) -> str:
-        return f"mobius:a={self.a!r},b={self.b!r}"
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearHomeo(Homeomorphism):
@@ -241,6 +289,7 @@ class PiecewiseLinearHomeo(Homeomorphism):
     """
 
     knots: tuple[tuple[float, float], ...]
+    _spec = ("pwlh", "knots")
 
     def __init__(self, knots) -> None:
         object.__setattr__(self, "knots", _checked_knots(knots))
@@ -259,24 +308,19 @@ class PiecewiseLinearHomeo(Homeomorphism):
     def _inv(self, y: float) -> float:
         return _bisect_monotone(self._fwd, y, self.knots[0][0], self.knots[-1][0])
 
-    def describe(self) -> str:
-        return "pwlh:" + ";".join(f"{x!r},{y!r}" for x, y in self.knots)
-
 
 @dataclass(frozen=True)
 class Reflect(Homeomorphism):
     """x -> 1 - x on [0, 1]; an involution."""
 
     _domain = _range = UNIT
+    _spec = ("reflect", ())
 
     def _fwd(self, x: float) -> float:
         return 1.0 - x
 
     def _inv(self, y: float) -> float:
         return 1.0 - y
-
-    def describe(self) -> str:
-        return "reflect"
 
 
 @dataclass(frozen=True)
@@ -303,3 +347,28 @@ class CompositionH(Homeomorphism):
 
     def describe(self) -> str:
         return f"({self.outer.describe()} o {self.inner.describe()})"
+
+
+_FAMILIES = {cls._spec[0]: cls for cls in Homeomorphism.__subclasses__()
+             if hasattr(cls, "_spec")}
+_COMPOSE_OR_PAREN = re.compile(r"\s+o\s+|[()]")
+
+
+def parse_homeo_spec(spec: str) -> Homeomorphism:
+    """Read a homeo spec: a builtin family, or "outer o inner". The first
+    " o " outside parentheses splits, so "a o b o c" is (a o (b o c));
+    one enclosing pair of parentheses is stripped, so every describe()
+    of a composition reads back with its grouping."""
+    s = spec.strip()
+    depth = 0
+    for token in _COMPOSE_OR_PAREN.finditer(s):
+        if token.group() == "(":
+            depth += 1
+        elif token.group() == ")":
+            depth -= 1
+        elif depth == 0:
+            return CompositionH(outer=parse_homeo_spec(s[:token.start()]),
+                                inner=parse_homeo_spec(s[token.end():]))
+    if s.startswith("(") and s.endswith(")"):
+        return parse_homeo_spec(s[1:-1])
+    return _parse_family(s, _FAMILIES, "coordinate change")

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, ParameterError
-from .homeos import (Homeomorphism, _checked_knots, _interpolate, apply_homeo,
-                     invert_homeo)
+from .errors import DomainError, ParameterError, UsageError
+from .homeos import (Homeomorphism, _checked_knots, _describe, _interpolate, _parse_family,
+                     apply_homeo, invert_homeo, parse_homeo_spec)
 from .interval import REALS, UNIT, UNIT_HALF_OPEN, Interval
 
 
@@ -33,8 +33,7 @@ class MapDescriptor:
         """Evaluate at a point already inside the domain."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
+    describe = _describe
 
     def __str__(self) -> str:
         return self.describe()
@@ -97,8 +96,9 @@ def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[flo
     """Roots of f(x) = x in [lo, hi], found by sign-change scanning.
 
     A 10^4-point grid is scanned for sign changes of f(x) - x, each
-    refined by bisection to width tol. Tangential fixed points (where
-    f - x touches zero without changing sign) are not guaranteed found.
+    refined by bisection to width tol, or to adjacent doubles when tol
+    is below their spacing. Tangential fixed points (where f - x
+    touches zero without changing sign) are not guaranteed found.
     """
     if tol <= 0.0 or not math.isfinite(tol):
         raise ParameterError(f"tolerance must be positive, got {tol!r}")
@@ -124,6 +124,8 @@ def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[flo
             a, b = prev_x, x
             while b - a > tol:
                 mid = 0.5 * (a + b)
+                if not a < mid < b:  # a and b are adjacent doubles
+                    break
                 gm = g(mid)
                 if gm == 0.0:
                     a = b = mid
@@ -158,12 +160,10 @@ class Logistic(MapDescriptor):
     """x -> 4x(1-x) on [0, 1]."""
 
     _domain = UNIT
+    _spec = ("logistic", ())
 
     def _raw(self, x: float) -> float:
         return 4.0 * x * (1.0 - x)
-
-    def describe(self) -> str:
-        return "logistic"
 
 
 @dataclass(frozen=True)
@@ -171,12 +171,10 @@ class Tent(MapDescriptor):
     """x -> 1 - |1 - 2x| on [0, 1]: 2x below the peak, 2 - 2x above."""
 
     _domain = UNIT
+    _spec = ("tent", ())
 
     def _raw(self, x: float) -> float:
         return 2.0 * x if x <= 0.5 else 2.0 - 2.0 * x
-
-    def describe(self) -> str:
-        return "tent"
 
 
 @dataclass(frozen=True)
@@ -184,12 +182,10 @@ class HalfTent(MapDescriptor):
     """The tent shape on [0, 0.5]: 2x on [0, 0.25], 1 - 2x on (0.25, 0.5]."""
 
     _domain = Interval(0.0, 0.5)
+    _spec = ("halftent", ())
 
     def _raw(self, x: float) -> float:
         return 2.0 * x if x <= 0.25 else 1.0 - 2.0 * x
-
-    def describe(self) -> str:
-        return "halftent"
 
 
 @dataclass(frozen=True)
@@ -197,12 +193,10 @@ class Quadratic(MapDescriptor):
     """x -> 2x^2 - 1 on all of R (restricts to a self-map of [-1, 1])."""
 
     _domain = REALS
+    _spec = ("quadratic", ())
 
     def _raw(self, x: float) -> float:
         return 2.0 * x * x - 1.0
-
-    def describe(self) -> str:
-        return "quadratic"
 
 
 @dataclass(frozen=True)
@@ -210,13 +204,11 @@ class Doubling(MapDescriptor):
     """x -> 2x mod 1 on [0, 1); a left shift on binary digits."""
 
     _domain = UNIT_HALF_OPEN
+    _spec = ("doubling", ())
 
     def _raw(self, x: float) -> float:
         y = 2.0 * x
         return y - 1.0 if y >= 1.0 else y
-
-    def describe(self) -> str:
-        return "doubling"
 
 
 @dataclass(frozen=True)
@@ -224,15 +216,13 @@ class Cosine(MapDescriptor):
     """x -> cos x on R."""
 
     _domain = REALS
+    _spec = ("cosine", ())
 
     def _raw(self, x: float) -> float:
         try:
             return math.cos(x)
         except ValueError:  # x is infinite
             raise DomainError(f"cos is undefined at {x!r}") from None
-
-    def describe(self) -> str:
-        return "cosine"
 
 
 @dataclass(frozen=True)
@@ -241,13 +231,11 @@ class SineSquared(MapDescriptor):
     the doubling map onto the logistic map."""
 
     _domain = UNIT
+    _spec = ("sinsq", ())
 
     def _raw(self, x: float) -> float:
         s = math.sin(math.pi * x)
         return s * s
-
-    def describe(self) -> str:
-        return "sinsq"
 
 
 def _hyperbola_e2(e: float, a: float) -> float:
@@ -275,6 +263,7 @@ class Hyperbola(MapDescriptor):
     e: float
     a: float
     _domain = REALS
+    _spec = ("hyperbola", ("e", "a"))
 
     def __post_init__(self) -> None:
         _hyperbola_e2(self.e, self.a)
@@ -284,9 +273,6 @@ class Hyperbola(MapDescriptor):
         if rad < 0.0:
             raise DomainError(f"hyperbola radicand {rad!r} negative at x={x!r}")
         return math.sqrt(rad)
-
-    def describe(self) -> str:
-        return f"hyperbola:e={self.e!r},a={self.a!r}"
 
 
 @dataclass(frozen=True)
@@ -299,6 +285,7 @@ class Verhulst(MapDescriptor):
     m: float
     n: float
     _domain = REALS
+    _spec = ("verhulst", ("m", "n"))
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.m) and math.isfinite(self.n)):
@@ -307,15 +294,13 @@ class Verhulst(MapDescriptor):
     def _raw(self, x: float) -> float:
         return x * (self.m - self.n * x)
 
-    def describe(self) -> str:
-        return f"verhulst:m={self.m!r},n={self.n!r}"
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear(MapDescriptor):
     """Linear interpolation between knots with strictly increasing abscissae."""
 
     knots: tuple[tuple[float, float], ...]
+    _spec = ("pwl", "knots")
 
     def __init__(self, knots) -> None:
         object.__setattr__(self, "knots", _checked_knots(knots))
@@ -324,9 +309,6 @@ class PiecewiseLinear(MapDescriptor):
 
     def _raw(self, x: float) -> float:
         return _interpolate(self.knots, x)
-
-    def describe(self) -> str:
-        return "pwl:" + ";".join(f"{x!r},{y!r}" for x, y in self.knots)
 
 
 _GRID_CHECK_POINTS = 1000
@@ -384,6 +366,23 @@ class Conjugated(MapDescriptor):
 
     def describe(self) -> str:
         return f"conj:{self.base.describe()}|{self.change.describe()}"
+
+
+_FAMILIES = {cls._spec[0]: cls for cls in MapDescriptor.__subclasses__()
+             if hasattr(cls, "_spec")}
+
+
+def parse_map_spec(spec: str) -> MapDescriptor:
+    """Read a map spec: a builtin family, or conj:<base>|<homeo>. It splits
+    at the last "|", which no homeo spec contains, so nested conj: reads
+    back."""
+    s = spec.strip()
+    if s.lower().startswith("conj:"):
+        base, sep, change = s[5:].rpartition("|")
+        if not sep:
+            raise UsageError(f"'{spec}' needs the form conj:<base>|<homeo>")
+        return Conjugated(parse_map_spec(base), parse_homeo_spec(change))
+    return _parse_family(s, _FAMILIES, "map")
 
 
 # --- convenience builders used by tests and the CLI -------------------------

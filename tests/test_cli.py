@@ -6,12 +6,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from intervaldyn import (Hyperbola, ParameterError, fractional_iterate_hyperbola,
-                         hyperbola_iterate)
+                         hyperbola_iterate, homeos, maps)
 from intervaldyn.cli import (SIZE_CAPS, fmt_float, main, parse_args, parse_homeo_spec,
                              parse_map_spec)
 from intervaldyn.errors import RangeError, UsageError
+from intervaldyn.homeos import (Affine, AlphaArcsin, CompositionH, Homeomorphism, Mobius,
+                                PiecewiseLinearHomeo, Power, Reflect, UlamArcsin)
+from intervaldyn.maps import MapDescriptor
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
@@ -205,6 +209,17 @@ def test_rng_collapse_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["--bits", "-1", "--exhaustive"],
+                                  ["--bits", "64", "--exhaustive"],
+                                  ["--bits", "-3", "--value", "0"]])
+def test_rng_collapse_word_width_exits_three(argv, capsys):
+    code, out, err = run_cli(["rng", "collapse"] + argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "word width must be an integer in 1..63" in err
+
+
 def test_rng_generate_stages(capsys):
     code, out, _ = run_cli(["rng", "generate", "--n", "5", "--seed", "0.75",
                             "--stage", "uniform"], capsys)
@@ -288,7 +303,7 @@ def test_map_spec_conjugated():
     assert eval_map(m, 0.1) == pytest.approx(0.2, abs=1e-13)
 
 
-def test_map_spec_errors():
+def test_map_spec_errors(capsys):
     with pytest.raises(UsageError):
         parse_map_spec("tent:k=1")
     with pytest.raises(UsageError):
@@ -297,6 +312,111 @@ def test_map_spec_errors():
         parse_map_spec("pwl:1;2")
     with pytest.raises(UsageError):
         parse_homeo_spec("spiral")
+    # parameterless names take no arguments, keys may not repeat, and
+    # parentheses, compositions and conj: must be complete
+    for spec in ("hyperbola:e=2,e=3,a=1", "conj:logistic|", "conj:logistic|(ulam"):
+        with pytest.raises(UsageError):
+            parse_map_spec(spec)
+        assert run_cli(["iterate", "--map", spec, "--x0", "0.3", "--n", "1"], capsys)[0] == 2
+    for spec in ("ulam:x", "reflect:1", "alpha:1", "(ulam", "ulam o", "ulam o (reflect",
+                 "(ulam o reflect))"):
+        with pytest.raises(UsageError):
+            parse_homeo_spec(spec)
+        code = run_cli(["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--h", spec,
+                        "--samples", "10"], capsys)[0]
+        assert code == 2
+
+
+def test_deeply_nested_specs_exit_two(capsys):
+    for argv in (["conjugacy", "verify", "--f", "tent", "--g", "tent", "--samples", "10",
+                  "--h", " o ".join(["reflect"] * 3000)],
+                 ["iterate", "--x0", "0.3", "--n", "1",
+                  "--map", "conj:" * 3000 + "logistic" + "|reflect" * 3000]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: spec nests too deeply\n"
+
+
+def test_every_family_is_in_the_parser_tables():
+    for module, base, count in ((maps, MapDescriptor, 10), (homeos, Homeomorphism, 7)):
+        declared = [c for c in vars(module).values()
+                    if isinstance(c, type) and issubclass(c, base) and hasattr(c, "_spec")]
+        assert len(declared) == count
+        assert module._FAMILIES == {c._spec[0]: c for c in declared}
+
+
+_FLOATS = st.floats()  # constructors reject what their family does not allow
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ASCENDING = st.lists(_FINITE, min_size=2, max_size=5, unique=True).map(sorted)
+
+
+def _built(cls, *args):
+    try:
+        return cls(*args)
+    except ParameterError:
+        return None
+
+
+def _family(cls, *arg_strategies):
+    return (st.tuples(*arg_strategies).map(lambda args: _built(cls, *args))
+            .filter(lambda value: value is not None))
+
+
+def _knots(cls, monotone):
+    ys = _ASCENDING if monotone else st.lists(_FINITE, min_size=5, max_size=5)
+    pairs = st.tuples(_ASCENDING, ys, st.booleans()).map(
+        lambda t: list(zip(t[0], t[1][::-1] if t[2] else t[1])))
+    return _family(cls, pairs)
+
+
+_HOMEOS = st.recursive(
+    st.one_of([_family(c) for c in (UlamArcsin, AlphaArcsin, Reflect)]
+              + [_family(Affine, _FLOATS, _FLOATS), _family(Power, _FLOATS),
+                 _family(Mobius, _FLOATS, _FLOATS), _knots(PiecewiseLinearHomeo, True)]),
+    lambda inner: st.builds(CompositionH, inner, inner), max_leaves=4)
+_MAPS = st.recursive(
+    st.one_of([_family(c) for c in (maps.Logistic, maps.Tent, maps.HalfTent, maps.Quadratic,
+                                    maps.Doubling, maps.Cosine, maps.SineSquared)]
+              + [_family(maps.Hyperbola, _FLOATS, _FLOATS),
+                 _family(maps.Verhulst, _FLOATS, _FLOATS),
+                 _knots(maps.PiecewiseLinear, False)]),
+    lambda inner: st.builds(maps.Conjugated, inner, _HOMEOS), max_leaves=3)
+
+_NESTED = maps.Conjugated(
+    maps.Conjugated(maps.Logistic(),
+                    CompositionH(UlamArcsin(), CompositionH(Reflect(), Reflect()))),
+    CompositionH(CompositionH(Power(2.0), Reflect()), AlphaArcsin()))
+
+
+@given(_MAPS)
+@example(_NESTED)
+def test_map_specs_round_trip(m):
+    text = m.describe()
+    assert repr(parse_map_spec(text)) == repr(m)
+    assert parse_map_spec(text).describe() == text
+
+
+@given(_HOMEOS)
+@example(CompositionH(UlamArcsin(), CompositionH(Reflect(), Reflect())))
+@example(CompositionH(CompositionH(UlamArcsin(), Reflect()), Reflect()))
+def test_homeo_specs_round_trip(h):
+    text = h.describe()
+    assert repr(parse_homeo_spec(text)) == repr(h)
+    assert parse_homeo_spec(text).describe() == text
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--samples", "100",
+      "--h", "ulam o reflect o reflect"], "h"),
+    (["iterate", "--x0", "0.3", "--n", "5", "--map", "conj:conj:logistic|ulam|reflect"], "map"),
+])
+def test_echoed_spec_reads_back(argv, key, capsys):
+    code, first, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, second, _ = run_cli(argv[:-1] + [json.loads(first)["inputs"][key]], capsys)
+    assert code == 0
+    assert second == first
 
 
 def test_output_file(tmp_path, capsys):
@@ -331,6 +451,11 @@ def test_fixed_points_cli(capsys):
     assert code == 0
     roots = json.loads(out)["result"]["roots"]
     assert roots == pytest.approx([0.75], abs=1e-11)
+    # a tolerance below the float spacing at a root ends at adjacent doubles
+    code, out, _ = run_cli(["fixed-points", "--map", "sinsq", "--lo", "0.1", "--hi", "1",
+                            "--tol", "1e-17"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["count"] == 2
 
 
 def test_parse_args_structure():

@@ -100,6 +100,14 @@ def test_fixed_points_examples():
     assert roots[0] == pytest.approx(0.5 * (lo + hi), abs=1e-8)
 
 
+def test_fixed_points_tolerance_below_float_spacing():
+    # bisection stops at adjacent doubles instead of looping forever
+    roots = fixed_points(SineSquared(), 0.1, 1.0, 1e-300)
+    assert len(roots) == 2
+    for r in roots:
+        assert abs(math.sin(math.pi * r) ** 2 - r) <= 1e-15
+
+
 def test_fixed_points_bad_interval():
     with pytest.raises(DomainError):
         fixed_points(Logistic(), 0.2, 1.7, 1e-9)

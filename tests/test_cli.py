@@ -525,6 +525,63 @@ def test_negative_scientific_arguments(capsys):
     assert run_cli(["iterate", "--map", "tent", "--x0", "-e3", "--n", "1"], capsys)[0] == 2
 
 
+# Which error wins when an argv has several faults: argparse errors,
+# then the svg rule; then every --tol/--threshold check, then --delta,
+# then the size caps; and only then the specs, in --f, --g, --h order.
+_FAULTS = [
+    (["conjugacy", "order", "--map", "pwl:0,1;1,0", "--p-max", "2000", "--tol", "nan"], 3,
+     "error: --tol must be positive and finite, got nan"),
+    (["orbit", "--map", "nosuchmap", "--x0", "0.3", "--n", "2000000"], 3,
+     "error: --n 2000000 exceeds the cap of 1000000"),
+    (["density", "--map", "tent", "--depth", "3", "--threshold", "-1", "--format", "svg"], 2,
+     "usage error: svg output is only available for the cobweb subcommand"),
+    (["orbit", "--map", "nosuch", "--x0", "0.3", "--n", "2000000", "--format", "svg"], 2,
+     "usage error: svg output is only available for the cobweb subcommand"),
+    (["conjugacy", "verify", "--f", "nosuch", "--g", "tent", "--h", "nosuch"], 2,
+     "usage error: unknown map 'nosuch'"),
+    (["conjugacy", "verify", "--f", "logistic", "--g", "nosuchg", "--h", "nosuchh"], 2,
+     "usage error: unknown map 'nosuchg'"),
+    (["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--h", "nosuchh",
+      "--samples", "0"], 2, "usage error: unknown coordinate change 'nosuchh'"),
+    (["sensitivity", "--map", "nosuch", "--x0", "1", "--delta", "inf", "--n", "2000000"], 3,
+     "error: --delta must be finite, got inf"),
+    (["rng", "ks", "--n", "5", "--cdf", "bogus", "--tol", "-1"], 2,
+     "usage error: argument --cdf: invalid choice: 'bogus' "
+     "(choose from 'arcsine', 'uniform', 'square')"),
+    (["conjugacy", "semiverify", "--f", "logistic", "--g", "tent", "--h", "ulam"], 2,
+     "usage error: the following arguments are required: --lo, --hi"),
+    (["conjugacy", "bogus"], 2,
+     "usage error: argument subcommand: invalid choice: 'bogus' "
+     "(choose from 'verify', 'semiverify', 'order', 'propagate')"),
+    (["iterate", "--map", "tent", "--x0", "0.3", "--n", "1", "--bogus", "1"], 2,
+     "usage error: unrecognized arguments: --bogus 1"),
+    (["iterate", "--map", "tent", "--x0", "abc", "--n", "1"], 2,
+     "usage error: argument --x0: invalid float value: 'abc'"),
+    (["bogus"], 2,
+     "usage error: argument command: invalid choice: 'bogus' (choose from 'iterate', "
+     "'orbit', 'fixed-points', 'closed-form', 'conjugacy', 'cobweb', 'density', 'rng', "
+     "'sensitivity')"),
+    ([], 2, "usage error: the following arguments are required: command"),
+    (["conjugacy", "order", "--map", "pwl:0,1;1,0", "--p-max", "2000", "--samples", "2000000"],
+     3, "error: --samples 2000000 exceeds the cap of 1000000"),
+    (["conjugacy", "propagate", "--f", "nosuch", "--g", "tent", "--h", "ulam", "--lo", "0.1",
+      "--hi", "0.2", "--grid", "1000000", "--tol", "0"], 3,
+     "error: --tol must be positive and finite, got 0.0"),
+    (["conjugacy", "propagate", "--f", "nosuch", "--g", "tent", "--h", "ulam", "--lo", "0.1",
+      "--hi", "0.2", "--grid", "1000000"], 3,
+     "error: --grid * (--depth + 1) 7000000 exceeds the cap of 1000000"),
+    (["closed-form", "check", "--formula", "hyperbola", "--lo", "2", "--hi", "3",
+      "--samples", "2000000"], 3, "error: --samples 2000000 exceeds the cap of 1000000"),
+    (["fixed-points", "--map", "nosuch", "--lo", "0", "--hi", "1", "--tol", "inf"], 3,
+     "error: --tol must be positive and finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("argv,code,line", _FAULTS)
+def test_fault_precedence(argv, code, line, capsys):
+    assert run_cli(argv, capsys) == (code, "", line + "\n")
+
+
 @pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
 def test_delta_must_be_finite(delta, capsys):
     code, out, err = run_cli(["sensitivity", "--map", "quadratic", "--x0", "0.5",

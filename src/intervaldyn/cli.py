@@ -32,7 +32,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import analysis, chaos_rng, closed_form, conjugacy, maps
 from .errors import IntervalDynError, ParameterError, RangeError, UsageError
@@ -120,6 +120,64 @@ class RunConfig:
     timing: bool = False
 
 
+class Arg:
+    """One argument of a subcommand: the keywords argparse takes for it,
+    the reader that run() applies when its value is a map or homeo spec,
+    and the check that parse_args makes of its value."""
+
+    def __init__(self, flag: str, spec: Optional[Callable] = None,
+                 check: Optional[Callable[["Arg", dict], None]] = None, **options):
+        self.flag, self.spec, self.check, self.options = flag, spec, check, options
+        self.dest = flag[2:].replace("-", "_")
+
+
+class Command(NamedTuple):
+    """One subcommand: its handler, its help line, and its arguments in the
+    order that --help, argparse's messages and the JSON inputs list them."""
+
+    handler: Callable[[dict], "Result"]
+    help: str
+    args: tuple[Arg, ...]
+
+
+def _positive(arg: Arg, params: dict) -> None:
+    value = params[arg.dest]
+    if value is not None and not 0.0 < value < math.inf:
+        raise ParameterError(f"{arg.flag} must be positive and finite, got {value!r}")
+
+
+def _finite(arg: Arg, params: dict) -> None:
+    if not math.isfinite(params[arg.dest]):
+        raise ParameterError(f"{arg.flag} must be finite, got {params[arg.dest]!r}")
+
+
+@dataclass(frozen=True)
+class _Cap:
+    """A cap on a size that makes a subcommand build a list or a string
+    proportional to it. The size is the argument's own value, unless size
+    names a product of arguments and value_of computes it."""
+
+    limit: int
+    size: Optional[str] = None
+    value_of: Optional[Callable[[dict], int]] = None
+
+    def __call__(self, arg: Arg, params: dict) -> None:
+        value = self.value_of(params) if self.value_of else params[arg.dest]
+        if value > self.limit:
+            raise RangeError(f"{self.size or arg.flag} {value} exceeds the cap of {self.limit}")
+
+
+# Every --n and --samples that declares it, order --p-max, and propagate's
+# grid. cobweb --steps, density --depth and closed-form --n-max are capped
+# by the library itself. README lists every cap.
+_SIZE_CAP = _Cap(10**6)
+_P_MAX_CAP = _Cap(10**3)
+_CELLS_CAP = _Cap(10**6, "--grid * (--depth + 1)", lambda p: p["grid"] * (p["depth"] + 1))
+
+# parse_args makes the checks in this order, whatever the order of the
+# arguments, so that which error wins stays fixed
+_CHECKS = (_positive, _finite, _SIZE_CAP, _P_MAX_CAP, _CELLS_CAP)
+
 # argparse alone takes "--x0 -1e-3" for an unknown option -1e-3
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
 
@@ -133,6 +191,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the help line of each group of two-word subcommands
+_GROUPS = {"closed-form": "closed-form iterate checks", "conjugacy": "conjugacy verification",
+           "rng": "chaotic random-number pipeline"}
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "svg"], default="json")
@@ -141,115 +204,16 @@ def _build_parser() -> _Parser:
 
     p = _Parser(prog="intervaldyn", description="one-dimensional interval-map dynamics toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    for name, text in (("iterate", "n-fold map application"), ("orbit", "iterate sequence")):
-        sp = sub.add_parser(name, parents=[common], help=text)
-        sp.add_argument("--map", required=True)
-        sp.add_argument("--x0", type=float, required=True)
-        sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("fixed-points", parents=[common], help="solutions of f(x) = x")
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--lo", type=float, required=True)
-    sp.add_argument("--hi", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-12)
-
-    sp = sub.add_parser("closed-form", help="closed-form iterate checks")
-    cf = sp.add_subparsers(dest="subcommand", required=True)
-    spc = cf.add_parser("check", parents=[common],
-                        help="cross-check a closed form against brute-force iteration")
-    spc.add_argument("--formula", choices=["boole", "herschel", "hyperbola"], required=True)
-    spc.add_argument("--lo", type=float, required=True)
-    spc.add_argument("--hi", type=float, required=True)
-    spc.add_argument("--n-max", type=int, default=10)
-    spc.add_argument("--samples", type=int, default=1000)
-    spc.add_argument("--e", type=float, default=None, help="hyperbola eccentricity")
-    spc.add_argument("--a", type=float, default=None, help="hyperbola scale")
-    spc.add_argument("--tol", type=float, default=None,
-                     help="default 1e-9 (trig forms) or 1e-6 (power form)")
-
-    sp = sub.add_parser("conjugacy", help="conjugacy verification")
-    cj = sp.add_subparsers(dest="subcommand", required=True)
-    spc = cj.add_parser("verify", parents=[common], help="check h(f(x)) = g(h(x))")
-    spc.add_argument("--f", required=True)
-    spc.add_argument("--g", required=True)
-    spc.add_argument("--h", required=True, help="homeo spec")
-    spc.add_argument("--samples", type=int, default=10000)
-    spc.add_argument("--tol", type=float, default=1e-12)
-    spc = cj.add_parser("semiverify", parents=[common], help="check f(h(x)) = h(g(x))")
-    spc.add_argument("--f", required=True)
-    spc.add_argument("--g", required=True)
-    spc.add_argument("--h", required=True, help="map spec (need not be invertible)")
-    spc.add_argument("--lo", type=float, required=True)
-    spc.add_argument("--hi", type=float, required=True)
-    spc.add_argument("--samples", type=int, default=10000)
-    spc.add_argument("--tol", type=float, default=1e-12)
-    spc = cj.add_parser("order", parents=[common], help="smallest p with f^p = identity")
-    spc.add_argument("--map", required=True)
-    spc.add_argument("--p-max", type=int, default=6)
-    spc.add_argument("--samples", type=int, default=1000)
-    spc.add_argument("--tol", type=float, default=1e-10)
-    spc = cj.add_parser("propagate", parents=[common],
-                        help="extend a seed coordinate change along orbits")
-    spc.add_argument("--f", required=True)
-    spc.add_argument("--g", required=True)
-    spc.add_argument("--h", required=True, help="seed homeo spec")
-    spc.add_argument("--lo", type=float, required=True)
-    spc.add_argument("--hi", type=float, required=True)
-    spc.add_argument("--depth", type=int, default=6)
-    spc.add_argument("--grid", type=int, default=41)
-    spc.add_argument("--tol", type=float, default=1e-3)
-
-    sp = sub.add_parser("cobweb", parents=[common], help="cobweb diagram data or SVG")
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
-
-    sp = sub.add_parser("density", parents=[common], help="zero-preimage density estimate")
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--threshold", type=float, default=0.01)
-
-    sp = sub.add_parser("rng", help="chaotic random-number pipeline")
-    rg = sp.add_subparsers(dest="subcommand", required=True)
-    spc = rg.add_parser("generate", parents=[common], help="generate a sample")
-    spc.add_argument("--n", type=int, required=True)
-    spc.add_argument("--seed", type=float, default=None)
-    spc.add_argument("--stage", choices=["raw", "uniform", "square"], default="raw")
-    spc = rg.add_parser("ks", parents=[common], help="empirical-CDF discrepancy")
-    spc.add_argument("--n", type=int, required=True)
-    spc.add_argument("--seed", type=float, default=None)
-    spc.add_argument("--cdf", choices=["arcsine", "uniform", "square"], required=True)
-    spc.add_argument("--tol", type=float, default=None,
-                     help="when given, exceeding it exits with code 1")
-    spc = rg.add_parser("collapse", parents=[common], help="fixed-point doubling collapse")
-    spc.add_argument("--bits", type=int, required=True)
-    spc.add_argument("--value", type=int, default=None)
-    spc.add_argument("--exhaustive", action="store_true")
-    spc.add_argument("--max-steps", type=int, default=None)
-
-    sp = sub.add_parser("sensitivity", parents=[common], help="orbit separation report")
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--x0", type=float, required=True)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-
+    groups = {}
+    for name, command in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True)
+        sp = groups.get(group, sub).add_parser(leaf, parents=[common], help=command.help)
+        for arg in command.args:
+            sp.add_argument(arg.flag, **arg.options)
     return p
-
-
-# Caps on the size arguments that make a subcommand build a list or a
-# string proportional to them: (subcommands, the size as written on the
-# command line, its value, cap). parse_args checks them before any
-# computation; cobweb --steps, density --depth and closed-form --n-max
-# are capped by the library itself. README lists every cap.
-SIZE_CAPS = (
-    (("orbit", "sensitivity", "rng generate", "rng ks"), "--n", lambda p: p["n"], 10**6),
-    (("closed-form check", "conjugacy verify", "conjugacy semiverify", "conjugacy order"),
-     "--samples", lambda p: p["samples"], 10**6),
-    (("conjugacy order",), "--p-max", lambda p: p["p_max"], 10**3),
-    (("conjugacy propagate",), "--grid * (--depth + 1)",
-     lambda p: p["grid"] * (p["depth"] + 1), 10**6),
-)
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -260,19 +224,14 @@ def parse_args(argv: list[str]) -> RunConfig:
     command = ns.command
     if getattr(ns, "subcommand", None):
         command = f"{command} {ns.subcommand}"
-    params = {k: v for k, v in vars(ns).items()
-              if k not in ("command", "subcommand", "format", "output", "timing")}
     if ns.format == "svg" and command != "cobweb":
         raise UsageError("svg output is only available for the cobweb subcommand")
-    for name in ("tol", "threshold"):
-        value = params.get(name)
-        if value is not None and not 0.0 < value < math.inf:
-            raise ParameterError(f"--{name} must be positive and finite, got {value!r}")
-    if "delta" in params and not math.isfinite(params["delta"]):
-        raise ParameterError(f"--delta must be finite, got {params['delta']!r}")
-    for commands, size, value_of, cap in SIZE_CAPS:
-        if command in commands and value_of(params) > cap:
-            raise RangeError(f"{size} {value_of(params)} exceeds the cap of {cap}")
+    args = COMMANDS[command].args
+    params = {arg.dest: getattr(ns, arg.dest) for arg in args}
+    for check in _CHECKS:
+        for arg in args:
+            if arg.check is check:
+                check(arg, params)
     return RunConfig(command=command, params=params, fmt=ns.format,
                      output=ns.output, timing=ns.timing)
 
@@ -295,34 +254,30 @@ class Result:
     """One subcommand's outcome for every output format. fields is the
     JSON result; the CSV table is csv_header over csv_rows, which view
     data already computed and default to one row of the fields the
-    header names; figure holds the arguments of cobweb_svg."""
+    header names; figure holds the arguments of cobweb_svg. inputs, when
+    given, replaces the parameters that the JSON inputs echo."""
 
     code: int
-    inputs: dict
     fields: object
     csv_header: tuple[str, ...]
     csv_rows: Optional[Iterable] = None
     figure: Optional[tuple] = None
+    inputs: Optional[dict] = None
 
 
 def _run_iterate(p: dict) -> Result:
-    m = parse_map_spec(p["map"])
-    value = maps.iterate(m, p["x0"], p["n"])
-    return Result(EXIT_OK, {**p, "map": m.describe()}, value, ("x",), [(value,)])
+    value = maps.iterate(p["map"], p["x0"], p["n"])
+    return Result(EXIT_OK, value, ("x",), [(value,)])
 
 
 def _run_orbit(p: dict) -> Result:
-    m = parse_map_spec(p["map"])
-    o = maps.orbit(m, p["x0"], p["n"])
-    return Result(EXIT_OK, {**p, "map": m.describe()}, {"seed": o.seed, "values": o.values},
-                  ("k", "x"), enumerate(o.values))
+    o = maps.orbit(p["map"], p["x0"], p["n"])
+    return Result(EXIT_OK, {"seed": o.seed, "values": o.values}, ("k", "x"), enumerate(o.values))
 
 
 def _run_fixed_points(p: dict) -> Result:
-    m = parse_map_spec(p["map"])
-    roots = maps.fixed_points(m, p["lo"], p["hi"], p["tol"])
-    return Result(EXIT_OK, {**p, "map": m.describe()}, {"count": len(roots), "roots": roots},
-                  ("x",), zip(roots))
+    roots = maps.fixed_points(p["map"], p["lo"], p["hi"], p["tol"])
+    return Result(EXIT_OK, {"count": len(roots), "roots": roots}, ("x",), zip(roots))
 
 
 _FORMULA_DEFAULT_TOL = {"boole": 1e-9, "herschel": 1e-6, "hyperbola": 1e-9}
@@ -347,70 +302,55 @@ def _run_closed_form_check(p: dict) -> Result:
               "n_max": p["n_max"], "samples": p["samples"], "tol": tol}
     result = {"max_deviation": report.max_deviation, "argmax_x": report.argmax_x,
               "argmax_n": report.argmax_n, "within_tolerance": code == EXIT_OK}
-    return Result(code, inputs, result, ("max_deviation", "argmax_x", "argmax_n"))
+    return Result(code, result, ("max_deviation", "argmax_x", "argmax_n"), inputs=inputs)
 
 
-def _residual_result(report, p: dict, f, g, h) -> Result:
+def _residual_result(report, p: dict) -> Result:
     code = EXIT_OK if report.max_residual < p["tol"] else EXIT_TOLERANCE
-    inputs = {**p, "f": f.describe(), "g": g.describe(), "h": h.describe()}
     result = {"max_residual": report.max_residual, "argmax": report.argmax,
               "within_tolerance": code == EXIT_OK}
-    return Result(code, inputs, result, ("max_residual", "argmax"))
+    return Result(code, result, ("max_residual", "argmax"))
 
 
 def _run_conjugacy_verify(p: dict) -> Result:
-    f = parse_map_spec(p["f"])
-    g = parse_map_spec(p["g"])
-    h = parse_homeo_spec(p["h"])
-    report = conjugacy.verify_conjugacy(f, g, h, p["samples"])
-    return _residual_result(report, p, f, g, h)
+    report = conjugacy.verify_conjugacy(p["f"], p["g"], p["h"], p["samples"])
+    return _residual_result(report, p)
 
 
 def _run_conjugacy_semiverify(p: dict) -> Result:
-    f = parse_map_spec(p["f"])
-    g = parse_map_spec(p["g"])
-    h = parse_map_spec(p["h"])
-    report = conjugacy.verify_semiconjugacy(f, g, h, p["lo"], p["hi"], p["samples"])
-    return _residual_result(report, p, f, g, h)
+    report = conjugacy.verify_semiconjugacy(p["f"], p["g"], p["h"], p["lo"], p["hi"],
+                                            p["samples"])
+    return _residual_result(report, p)
 
 
 def _run_conjugacy_order(p: dict) -> Result:
-    m = parse_map_spec(p["map"])
-    order = conjugacy.periodicity_order(m, p["p_max"], p["samples"], p["tol"])
-    return Result(EXIT_OK, {**p, "map": m.describe()}, {"order": order}, ("order",))
+    order = conjugacy.periodicity_order(p["map"], p["p_max"], p["samples"], p["tol"])
+    return Result(EXIT_OK, {"order": order}, ("order",))
 
 
 def _run_conjugacy_propagate(p: dict) -> Result:
-    f = parse_map_spec(p["f"])
-    g = parse_map_spec(p["g"])
-    h = parse_homeo_spec(p["h"])
     outcome = conjugacy.propagate_partial_conjugacy(
-        f, g, p["lo"], p["hi"], h, p["depth"], p["grid"], p["tol"])
-    inputs = {**p, "f": f.describe(), "g": g.describe(), "h": h.describe()}
+        p["f"], p["g"], p["lo"], p["hi"], p["h"], p["depth"], p["grid"], p["tol"])
     if isinstance(outcome, conjugacy.Conflict):
         result = {"status": "conflict", "left": outcome.left, "right": outcome.right,
                   "image_gap": outcome.image_gap}
-        return Result(EXIT_TOLERANCE, inputs, result, tuple(result))
+        return Result(EXIT_TOLERANCE, result, tuple(result))
     result = {"status": "consistent", "entries": len(outcome), "table": outcome}
-    return Result(EXIT_OK, inputs, result, ("x", "y"), outcome)
+    return Result(EXIT_OK, result, ("x", "y"), outcome)
 
 
 def _run_cobweb(p: dict) -> Result:
-    m = parse_map_spec(p["map"])
-    path = analysis.cobweb_path(m, p["x0"], p["steps"])
+    path = analysis.cobweb_path(p["map"], p["x0"], p["steps"])
     result = {"points": path.points, "converged": path.converged, "limit": path.limit}
-    return Result(EXIT_OK, {**p, "map": m.describe()}, result, ("x", "y"), path.points,
-                  figure=(m, path))
+    return Result(EXIT_OK, result, ("x", "y"), path.points, figure=(p["map"], path))
 
 
 def _run_density(p: dict) -> Result:
-    m = parse_map_spec(p["map"])
-    pset = analysis.zero_preimage_set(m, p["depth"])
+    pset = analysis.zero_preimage_set(p["map"], p["depth"])
     report = analysis.density_report(pset, p["threshold"])
     result = {"depth": pset.depth, "count": report.count,
               "largest_gap": report.largest_gap, "dense_estimate": report.dense_estimate}
-    return Result(EXIT_OK, {**p, "map": m.describe()}, result,
-                  ("depth", "count", "largest_gap"), pset.levels)
+    return Result(EXIT_OK, result, ("depth", "count", "largest_gap"), pset.levels)
 
 
 def _rng_sample(n: int, seed: float, stage: str) -> Sequence[float]:
@@ -426,8 +366,8 @@ def _rng_sample(n: int, seed: float, stage: str) -> Sequence[float]:
 def _run_rng_generate(p: dict) -> Result:
     seed = p["seed"] if p["seed"] is not None else _default_seed()
     values = _rng_sample(p["n"], seed, p["stage"])
-    return Result(EXIT_OK, {**p, "seed": seed}, {"values": values}, ("k", "x"),
-                  enumerate(values))
+    return Result(EXIT_OK, {"values": values}, ("k", "x"), enumerate(values),
+                  inputs={**p, "seed": seed})
 
 
 # --cdf: the pipeline stage sampled and the CDF it should follow
@@ -443,8 +383,8 @@ def _run_rng_ks(p: dict) -> Result:
     stage, cdf = _KS_TARGETS[p["cdf"]]
     statistic = chaos_rng.ks_distance(_rng_sample(p["n"], seed, stage), cdf)
     exceeded = p["tol"] is not None and statistic >= p["tol"]
-    return Result(EXIT_TOLERANCE if exceeded else EXIT_OK, {**p, "seed": seed},
-                  {"statistic": statistic}, ("statistic",))
+    return Result(EXIT_TOLERANCE if exceeded else EXIT_OK, {"statistic": statistic},
+                  ("statistic",), inputs={**p, "seed": seed})
 
 
 def _run_rng_collapse(p: dict) -> Result:
@@ -462,45 +402,110 @@ def _run_rng_collapse(p: dict) -> Result:
             max_steps = max(max_steps, steps)
             tested += 1
         result = {"max_steps": max_steps, "words_tested": tested}
-        return Result(EXIT_OK, {"bits": bits, "exhaustive": True}, result, tuple(result))
+        return Result(EXIT_OK, result, tuple(result), inputs={"bits": bits, "exhaustive": True})
     if p["value"] is None:
         raise UsageError("rng collapse needs --value or --exhaustive")
     word = chaos_rng.FixedPointWord(bits, p["value"])
     max_steps = p["max_steps"] if p["max_steps"] is not None else bits
     steps = chaos_rng.doubling_collapse(word, max_steps)
     inputs = {"bits": bits, "value": p["value"], "max_steps": max_steps}
-    return Result(EXIT_OK, inputs, {"steps": steps}, ("steps",))
+    return Result(EXIT_OK, {"steps": steps}, ("steps",), inputs=inputs)
 
 
 def _run_sensitivity(p: dict) -> Result:
-    m = parse_map_spec(p["map"])
-    seps = maps.sensitivity_report(m, p["x0"], p["delta"], p["n"])
-    return Result(EXIT_OK, {**p, "map": m.describe()}, {"separations": seps},
-                  ("k", "separation"), enumerate(seps))
+    seps = maps.sensitivity_report(p["map"], p["x0"], p["delta"], p["n"])
+    return Result(EXIT_OK, {"separations": seps}, ("k", "separation"), enumerate(seps))
 
 
-_HANDLERS = {
-    "iterate": _run_iterate,
-    "orbit": _run_orbit,
-    "fixed-points": _run_fixed_points,
-    "closed-form check": _run_closed_form_check,
-    "conjugacy verify": _run_conjugacy_verify,
-    "conjugacy semiverify": _run_conjugacy_semiverify,
-    "conjugacy order": _run_conjugacy_order,
-    "conjugacy propagate": _run_conjugacy_propagate,
-    "cobweb": _run_cobweb,
-    "density": _run_density,
-    "rng generate": _run_rng_generate,
-    "rng ks": _run_rng_ks,
-    "rng collapse": _run_rng_collapse,
-    "sensitivity": _run_sensitivity,
+# --- the subcommand table ----------------------------------------------------
+
+# arguments that several subcommands declare alike
+_MAP = Arg("--map", spec=parse_map_spec, required=True)
+_F = Arg("--f", spec=parse_map_spec, required=True)
+_G = Arg("--g", spec=parse_map_spec, required=True)
+_X0 = Arg("--x0", type=float, required=True)
+_LO = Arg("--lo", type=float, required=True)
+_HI = Arg("--hi", type=float, required=True)
+_N = Arg("--n", check=_SIZE_CAP, type=int, required=True)
+_SEED = Arg("--seed", type=float, default=None)
+_TOL = Arg("--tol", check=_positive, type=float, default=1e-12)
+
+# Every subcommand, in the order --help lists them. A two-word name is a
+# subcommand of the group its first word names.
+COMMANDS = {
+    "iterate": Command(_run_iterate, "n-fold map application",
+                       (_MAP, _X0, Arg("--n", type=int, required=True))),
+    "orbit": Command(_run_orbit, "iterate sequence", (_MAP, _X0, _N)),
+    "fixed-points": Command(_run_fixed_points, "solutions of f(x) = x", (_MAP, _LO, _HI, _TOL)),
+    "closed-form check": Command(
+        _run_closed_form_check, "cross-check a closed form against brute-force iteration", (
+            Arg("--formula", choices=["boole", "herschel", "hyperbola"], required=True),
+            _LO, _HI,
+            Arg("--n-max", type=int, default=10),
+            Arg("--samples", check=_SIZE_CAP, type=int, default=1000),
+            Arg("--e", type=float, default=None, help="hyperbola eccentricity"),
+            Arg("--a", type=float, default=None, help="hyperbola scale"),
+            Arg("--tol", check=_positive, type=float, default=None,
+                help="default 1e-9 (trig forms) or 1e-6 (power form)"))),
+    "conjugacy verify": Command(_run_conjugacy_verify, "check h(f(x)) = g(h(x))", (
+        _F, _G,
+        Arg("--h", spec=parse_homeo_spec, required=True, help="homeo spec"),
+        Arg("--samples", check=_SIZE_CAP, type=int, default=10000),
+        _TOL)),
+    "conjugacy semiverify": Command(_run_conjugacy_semiverify, "check f(h(x)) = h(g(x))", (
+        _F, _G,
+        Arg("--h", spec=parse_map_spec, required=True, help="map spec (need not be invertible)"),
+        _LO, _HI,
+        Arg("--samples", check=_SIZE_CAP, type=int, default=10000),
+        _TOL)),
+    "conjugacy order": Command(_run_conjugacy_order, "smallest p with f^p = identity", (
+        _MAP,
+        Arg("--p-max", check=_P_MAX_CAP, type=int, default=6),
+        Arg("--samples", check=_SIZE_CAP, type=int, default=1000),
+        Arg("--tol", check=_positive, type=float, default=1e-10))),
+    "conjugacy propagate": Command(
+        _run_conjugacy_propagate, "extend a seed coordinate change along orbits", (
+            _F, _G,
+            Arg("--h", spec=parse_homeo_spec, required=True, help="seed homeo spec"),
+            _LO, _HI,
+            Arg("--depth", type=int, default=6),
+            Arg("--grid", check=_CELLS_CAP, type=int, default=41),
+            Arg("--tol", check=_positive, type=float, default=1e-3))),
+    "cobweb": Command(_run_cobweb, "cobweb diagram data or SVG",
+                      (_MAP, _X0, Arg("--steps", type=int, required=True))),
+    "density": Command(_run_density, "zero-preimage density estimate", (
+        _MAP,
+        Arg("--depth", type=int, required=True),
+        Arg("--threshold", check=_positive, type=float, default=0.01))),
+    "rng generate": Command(_run_rng_generate, "generate a sample", (
+        _N, _SEED, Arg("--stage", choices=["raw", "uniform", "square"], default="raw"))),
+    "rng ks": Command(_run_rng_ks, "empirical-CDF discrepancy", (
+        _N, _SEED,
+        Arg("--cdf", choices=["arcsine", "uniform", "square"], required=True),
+        Arg("--tol", check=_positive, type=float, default=None,
+            help="when given, exceeding it exits with code 1"))),
+    "rng collapse": Command(_run_rng_collapse, "fixed-point doubling collapse", (
+        Arg("--bits", type=int, required=True),
+        Arg("--value", type=int, default=None),
+        Arg("--exhaustive", action="store_true"),
+        Arg("--max-steps", type=int, default=None))),
+    "sensitivity": Command(_run_sensitivity, "orbit separation report",
+                           (_MAP, _X0, Arg("--delta", check=_finite, type=float, required=True), _N)),
 }
 
 
 def run(config: RunConfig) -> tuple[int, str]:
-    """Execute a parsed configuration; returns (exit code, output text)."""
+    """Execute a parsed configuration; returns (exit code, output text).
+    Every spec argument is read here, in argument order, and the JSON
+    inputs echo its describe()."""
     started = time.perf_counter()
-    result = _HANDLERS[config.command](config.params)
+    command = COMMANDS[config.command]
+    params, inputs = dict(config.params), dict(config.params)
+    for arg in command.args:
+        if arg.spec:
+            params[arg.dest] = arg.spec(params[arg.dest])
+            inputs[arg.dest] = params[arg.dest].describe()
+    result = command.handler(params)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if config.fmt == "svg":
         return result.code, cobweb_svg(*result.figure)
@@ -511,7 +516,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return result.code, to_csv(result.csv_header, rows)
     document = {
         "subcommand": config.command,
-        "inputs": result.inputs,
+        "inputs": inputs if result.inputs is None else result.inputs,
         "result": result.fields,
         # measured timing is opt-in so that default output is byte-reproducible
         "elapsed_ms": elapsed_ms if config.timing else None,

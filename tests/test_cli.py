@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from intervaldyn import (Hyperbola, ParameterError, fractional_iterate_hyperbola,
                          hyperbola_iterate, homeos, maps)
-from intervaldyn.cli import (SIZE_CAPS, fmt_float, main, parse_args, parse_homeo_spec,
+from intervaldyn.cli import (COMMANDS, _Cap, fmt_float, main, parse_args, parse_homeo_spec,
                              parse_map_spec)
 from intervaldyn.errors import RangeError, UsageError
 from intervaldyn.homeos import (Affine, AlphaArcsin, CompositionH, Homeomorphism, Mobius,
@@ -603,7 +603,7 @@ def test_cobweb_svg_needs_a_finite_window(seed, capsys):
         assert code == 0 and "Infinity" in out
 
 
-# (argv without the size, the capped size as named in SIZE_CAPS, its
+# (argv without the size, the capped size as its error names it, its
 # arguments at the cap, and one above it)
 _CAPPED = [
     (["orbit", "--map", "logistic", "--x0", "0.3"], "--n", ["--n", "1000000"], ["--n", "1000001"]),
@@ -640,7 +640,8 @@ def test_size_caps_reject_before_computing(base, size, at_cap, over_cap, capsys)
 
 
 def test_size_caps_table_is_tested():
-    table = {(command, size) for commands, size, _, _ in SIZE_CAPS for command in commands}
+    table = {(name, arg.check.size or arg.flag) for name, command in COMMANDS.items()
+             for arg in command.args if isinstance(arg.check, _Cap)}
     tested = {(parse_args(base + at_cap).command, size) for base, size, at_cap, _ in _CAPPED}
     assert tested == table
 

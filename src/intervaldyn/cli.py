@@ -32,7 +32,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import analysis, chaos_rng, closed_form, conjugacy, maps
 from .errors import IntervalDynError, ParameterError, RangeError, UsageError
@@ -121,23 +121,14 @@ class RunConfig:
 
 
 class Arg:
-    """One argument of a subcommand: the keywords argparse takes for it,
-    the reader that run() applies when its value is a map or homeo spec,
-    and the check that parse_args makes of its value."""
+    """One argument of a subcommand, in the order that --help, argparse's
+    messages and the JSON inputs list them: the keywords argparse takes,
+    the reader run() applies to a map or homeo spec, and the check that
+    parse_args makes of the value."""
 
-    def __init__(self, flag: str, spec: Optional[Callable] = None,
-                 check: Optional[Callable[["Arg", dict], None]] = None, **options):
+    def __init__(self, flag: str, spec: Optional[Callable] = None, check=None, **options):
         self.flag, self.spec, self.check, self.options = flag, spec, check, options
         self.dest = flag[2:].replace("-", "_")
-
-
-class Command(NamedTuple):
-    """One subcommand: its handler, its help line, and its arguments in the
-    order that --help, argparse's messages and the JSON inputs list them."""
-
-    handler: Callable[[dict], "Result"]
-    help: str
-    args: tuple[Arg, ...]
 
 
 def _positive(arg: Arg, params: dict) -> None:
@@ -205,13 +196,13 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="intervaldyn", description="one-dimensional interval-map dynamics toolkit")
     sub = p.add_subparsers(dest="command", required=True)
     groups = {}
-    for name, command in COMMANDS.items():
+    for name, (_, text, args) in COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group and group not in groups:
             groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
                 dest="subcommand", required=True)
-        sp = groups.get(group, sub).add_parser(leaf, parents=[common], help=command.help)
-        for arg in command.args:
+        sp = groups.get(group, sub).add_parser(leaf, parents=[common], help=text)
+        for arg in args:
             sp.add_argument(arg.flag, **arg.options)
     return p
 
@@ -226,7 +217,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         command = f"{command} {ns.subcommand}"
     if ns.format == "svg" and command != "cobweb":
         raise UsageError("svg output is only available for the cobweb subcommand")
-    args = COMMANDS[command].args
+    _, _, args = COMMANDS[command]
     params = {arg.dest: getattr(ns, arg.dest) for arg in args}
     for check in _CHECKS:
         for arg in args:
@@ -430,14 +421,14 @@ _N = Arg("--n", check=_SIZE_CAP, type=int, required=True)
 _SEED = Arg("--seed", type=float, default=None)
 _TOL = Arg("--tol", check=_positive, type=float, default=1e-12)
 
-# Every subcommand, in the order --help lists them. A two-word name is a
-# subcommand of the group its first word names.
+# name -> (handler, help line, arguments), in the order --help lists them;
+# a two-word name is a subcommand of the group its first word names
 COMMANDS = {
-    "iterate": Command(_run_iterate, "n-fold map application",
-                       (_MAP, _X0, Arg("--n", type=int, required=True))),
-    "orbit": Command(_run_orbit, "iterate sequence", (_MAP, _X0, _N)),
-    "fixed-points": Command(_run_fixed_points, "solutions of f(x) = x", (_MAP, _LO, _HI, _TOL)),
-    "closed-form check": Command(
+    "iterate": (_run_iterate, "n-fold map application", (
+        _MAP, _X0, Arg("--n", type=int, required=True))),
+    "orbit": (_run_orbit, "iterate sequence", (_MAP, _X0, _N)),
+    "fixed-points": (_run_fixed_points, "solutions of f(x) = x", (_MAP, _LO, _HI, _TOL)),
+    "closed-form check": (
         _run_closed_form_check, "cross-check a closed form against brute-force iteration", (
             Arg("--formula", choices=["boole", "herschel", "hyperbola"], required=True),
             _LO, _HI,
@@ -447,23 +438,23 @@ COMMANDS = {
             Arg("--a", type=float, default=None, help="hyperbola scale"),
             Arg("--tol", check=_positive, type=float, default=None,
                 help="default 1e-9 (trig forms) or 1e-6 (power form)"))),
-    "conjugacy verify": Command(_run_conjugacy_verify, "check h(f(x)) = g(h(x))", (
+    "conjugacy verify": (_run_conjugacy_verify, "check h(f(x)) = g(h(x))", (
         _F, _G,
         Arg("--h", spec=parse_homeo_spec, required=True, help="homeo spec"),
         Arg("--samples", check=_SIZE_CAP, type=int, default=10000),
         _TOL)),
-    "conjugacy semiverify": Command(_run_conjugacy_semiverify, "check f(h(x)) = h(g(x))", (
+    "conjugacy semiverify": (_run_conjugacy_semiverify, "check f(h(x)) = h(g(x))", (
         _F, _G,
         Arg("--h", spec=parse_map_spec, required=True, help="map spec (need not be invertible)"),
         _LO, _HI,
         Arg("--samples", check=_SIZE_CAP, type=int, default=10000),
         _TOL)),
-    "conjugacy order": Command(_run_conjugacy_order, "smallest p with f^p = identity", (
+    "conjugacy order": (_run_conjugacy_order, "smallest p with f^p = identity", (
         _MAP,
         Arg("--p-max", check=_P_MAX_CAP, type=int, default=6),
         Arg("--samples", check=_SIZE_CAP, type=int, default=1000),
         Arg("--tol", check=_positive, type=float, default=1e-10))),
-    "conjugacy propagate": Command(
+    "conjugacy propagate": (
         _run_conjugacy_propagate, "extend a seed coordinate change along orbits", (
             _F, _G,
             Arg("--h", spec=parse_homeo_spec, required=True, help="seed homeo spec"),
@@ -471,41 +462,43 @@ COMMANDS = {
             Arg("--depth", type=int, default=6),
             Arg("--grid", check=_CELLS_CAP, type=int, default=41),
             Arg("--tol", check=_positive, type=float, default=1e-3))),
-    "cobweb": Command(_run_cobweb, "cobweb diagram data or SVG",
-                      (_MAP, _X0, Arg("--steps", type=int, required=True))),
-    "density": Command(_run_density, "zero-preimage density estimate", (
+    "cobweb": (_run_cobweb, "cobweb diagram data or SVG", (
+        _MAP, _X0, Arg("--steps", type=int, required=True))),
+    "density": (_run_density, "zero-preimage density estimate", (
         _MAP,
         Arg("--depth", type=int, required=True),
         Arg("--threshold", check=_positive, type=float, default=0.01))),
-    "rng generate": Command(_run_rng_generate, "generate a sample", (
-        _N, _SEED, Arg("--stage", choices=["raw", "uniform", "square"], default="raw"))),
-    "rng ks": Command(_run_rng_ks, "empirical-CDF discrepancy", (
+    "rng generate": (_run_rng_generate, "generate a sample", (
+        _N, _SEED,
+        Arg("--stage", choices=["raw", "uniform", "square"], default="raw"))),
+    "rng ks": (_run_rng_ks, "empirical-CDF discrepancy", (
         _N, _SEED,
         Arg("--cdf", choices=["arcsine", "uniform", "square"], required=True),
         Arg("--tol", check=_positive, type=float, default=None,
             help="when given, exceeding it exits with code 1"))),
-    "rng collapse": Command(_run_rng_collapse, "fixed-point doubling collapse", (
+    "rng collapse": (_run_rng_collapse, "fixed-point doubling collapse", (
         Arg("--bits", type=int, required=True),
         Arg("--value", type=int, default=None),
         Arg("--exhaustive", action="store_true"),
         Arg("--max-steps", type=int, default=None))),
-    "sensitivity": Command(_run_sensitivity, "orbit separation report",
-                           (_MAP, _X0, Arg("--delta", check=_finite, type=float, required=True), _N)),
+    "sensitivity": (_run_sensitivity, "orbit separation report", (
+        _MAP, _X0,
+        Arg("--delta", check=_finite, type=float, required=True),
+        _N)),
 }
 
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute a parsed configuration; returns (exit code, output text).
-    Every spec argument is read here, in argument order, and the JSON
-    inputs echo its describe()."""
+    Spec arguments are read here, and the JSON inputs echo describe()."""
     started = time.perf_counter()
-    command = COMMANDS[config.command]
+    handler, _, args = COMMANDS[config.command]
     params, inputs = dict(config.params), dict(config.params)
-    for arg in command.args:
+    for arg in args:
         if arg.spec:
             params[arg.dest] = arg.spec(params[arg.dest])
             inputs[arg.dest] = params[arg.dest].describe()
-    result = command.handler(params)
+    result = handler(params)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if config.fmt == "svg":
         return result.code, cobweb_svg(*result.figure)

@@ -145,11 +145,12 @@ def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[flo
 
 
 def sensitivity_report(m: MapDescriptor, x0: float, delta: float, n: int) -> list[float]:
-    """Separations |f^k(x0) - f^k(x0 + delta)| for k = 0..n."""
+    """Separations |f^k(x0) - f^k(x0 + delta)| for k = 0..n. Equal values
+    are 0 apart, so two orbits at the same infinity do not separate by NaN."""
     if n < 1 or n != int(n):
         raise ParameterError(f"step count must be a positive integer, got {n!r}")
-    return [abs(a - b) for a, b in zip(trajectory(m, x0, int(n)),
-                                       trajectory(m, x0 + delta, int(n)))]
+    return [0.0 if a == b else abs(a - b) for a, b in zip(trajectory(m, x0, int(n)),
+                                                          trajectory(m, x0 + delta, int(n)))]
 
 
 # --- builtin families ------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intervaldyn import (Hyperbola, ParameterError, fractional_iterate_hyperbola,
                          hyperbola_iterate, homeos, maps)
@@ -591,6 +593,17 @@ def test_delta_must_be_finite(delta, capsys):
     assert len(err.splitlines()) == 1 and "--delta must be finite" in err
 
 
+@pytest.mark.parametrize("map_spec,x0,delta", [("quadratic", "1e200", "1"),
+                                               ("hyperbola:e=2,a=1", "1e300", "0")])
+def test_orbits_at_the_same_infinity_do_not_separate(map_spec, x0, delta, capsys):
+    argv = ["sensitivity", "--map", map_spec, "--x0", x0, "--delta", delta, "--n", "2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["separations"] == [0.0, 0.0, 0.0]
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert out == "k,separation\n0,0\n1,0\n2,0\n"
+
+
 @pytest.mark.parametrize("seed", [["--x0=inf", "--steps", "3"], ["--x0", "3", "--steps", "12"]])
 def test_cobweb_svg_needs_a_finite_window(seed, capsys):
     argv = ["cobweb", "--map", "quadratic"] + seed
@@ -640,10 +653,74 @@ def test_size_caps_reject_before_computing(base, size, at_cap, over_cap, capsys)
 
 
 def test_size_caps_table_is_tested():
-    table = {(name, arg.check.size or arg.flag) for name, command in COMMANDS.items()
-             for arg in command.args if isinstance(arg.check, _Cap)}
+    table = {(name, arg.check.size or arg.flag) for name, (_, _, args) in COMMANDS.items()
+             for arg in args if isinstance(arg.check, _Cap)}
     tested = {(parse_args(base + at_cap).command, size) for base, size, at_cap, _ in _CAPPED}
     assert tested == table
+
+
+# every option but --format, --output and --timing, which all subcommands take
+_OUTPUT_OPTIONS = {"--format", "--output", "--timing"}
+
+
+def test_readme_synopsis_matches_the_table():
+    text = open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8").read()
+    block = text.split("## Command-line interface", 1)[1].split("```\n", 2)[1]
+    synopsis = {}
+    for line in block.splitlines():
+        if not line.startswith(" "):  # an indented line continues the one above
+            name = line.split(" --", 1)[0]
+            synopsis[name] = set()
+        synopsis[name] |= set(re.findall(r"--[a-z][a-z0-9-]*", line)) - _OUTPUT_OPTIONS
+    assert synopsis == {name: {arg.flag for arg in args}
+                        for name, (_, _, args) in COMMANDS.items()}
+
+
+# Argument values for the fuzzer: the floats that broke subcommands before,
+# sizes small enough for a fast test (exhaustive collapse at 12 bits, not
+# 24), and spec typos next to valid specs.
+_FUZZ_FLOATS = ["0.3", "-0.5", "0", "-0", "2", "1e300", "1e-17", "-1e-3", "inf", "-inf", "nan"]
+_FUZZ_SIZES = ["-1", "0", "1", "3", "12", "50"]
+_FUZZ_SPECS = {
+    parse_map_spec: ["logistic", "tent", "quadratic", "cosine", "hyperbola:e=2,a=1",
+                     "pwl:0,0;0.5,1;1,0", "conj:logistic|ulam", "tnet", "pwl:1;2",
+                     "hyperbola:e=2", "conj:logistic|", "logistic:k=1"],
+    parse_homeo_spec: ["ulam", "alpha", "reflect", "affine:p=2,q=0 o alpha", "power:g=0",
+                       "ulm", "(ulam", "ulam o", "mobius:a=1"],
+}
+
+
+def _fuzz_values(arg):
+    if arg.spec:
+        return _FUZZ_SPECS[arg.spec]
+    if "choices" in arg.options:
+        return arg.options["choices"] + ["bogus"]
+    return _FUZZ_SIZES if arg.options.get("type") is int else _FUZZ_FLOATS
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    name = draw(st.sampled_from(list(COMMANDS)))
+    argv = name.split()
+    for arg in COMMANDS[name][2]:
+        if draw(st.integers(0, 5)) == 0:  # dropped, required or not
+            continue
+        argv.append(arg.flag)
+        if arg.options.get("action") != "store_true":
+            argv.append(draw(st.sampled_from(_fuzz_values(arg))))
+    argv += draw(st.sampled_from([[], ["--format", "csv"], ["--format", "svg"], ["--timing"]]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzzed_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("e, a", [

@@ -74,13 +74,13 @@ def ref_orbit(m, x0, n):
 def ref_sensitivity(m, x0, delta, n):
     dom = m.domain()
     a, b = dom.snap(x0), dom.snap(x0 + delta)
-    seps = [abs(a - b)]
+    seps = [0.0 if a == b else abs(a - b)]
     for k in range(n):
         try:
             a, b = dom.snap(m._raw(a)), dom.snap(m._raw(b))
         except DomainError as exc:
             raise DomainError(f"iterate {k + 1} escaped the domain: {exc}") from exc
-        seps.append(abs(a - b))
+        seps.append(0.0 if a == b else abs(a - b))
     return seps
 
 

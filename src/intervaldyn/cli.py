@@ -166,7 +166,7 @@ _P_MAX_CAP = _Cap(10**3)
 _CELLS_CAP = _Cap(10**6, "--grid * (--depth + 1)", lambda p: p["grid"] * (p["depth"] + 1))
 
 # parse_args makes the checks in this order, whatever the order of the
-# arguments, so that which error wins stays fixed
+# arguments, so that which error wins stays fixed; a check must be listed
 _CHECKS = (_positive, _finite, _SIZE_CAP, _P_MAX_CAP, _CELLS_CAP)
 
 # argparse alone takes "--x0 -1e-3" for an unknown option -1e-3
@@ -219,10 +219,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError("svg output is only available for the cobweb subcommand")
     _, _, args = COMMANDS[command]
     params = {arg.dest: getattr(ns, arg.dest) for arg in args}
-    for check in _CHECKS:
-        for arg in args:
-            if arg.check is check:
-                check(arg, params)
+    checked = [arg for arg in args if arg.check]
+    for arg in sorted(checked, key=lambda arg: _CHECKS.index(arg.check)):
+        arg.check(arg, params)
     return RunConfig(command=command, params=params, fmt=ns.format,
                      output=ns.output, timing=ns.timing)
 

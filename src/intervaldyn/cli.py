@@ -158,9 +158,9 @@ class _Cap:
             raise RangeError(f"{self.size or arg.flag} {value} exceeds the cap of {self.limit}")
 
 
-# Every --n and --samples that declares it, order --p-max, and propagate's
-# grid. cobweb --steps, density --depth and closed-form --n-max are capped
-# by the library itself. README lists every cap.
+# The caps that arguments declare; cobweb --steps, density --depth and
+# closed-form --n-max are capped by the library itself. README lists
+# every cap.
 _SIZE_CAP = _Cap(10**6)
 _P_MAX_CAP = _Cap(10**3)
 _CELLS_CAP = _Cap(10**6, "--grid * (--depth + 1)", lambda p: p["grid"] * (p["depth"] + 1))

@@ -576,12 +576,26 @@ _FAULTS = [
       "--samples", "2000000"], 3, "error: --samples 2000000 exceeds the cap of 1000000"),
     (["fixed-points", "--map", "nosuch", "--lo", "0", "--hi", "1", "--tol", "inf"], 3,
      "error: --tol must be positive and finite, got inf"),
+    (["conjugacy", "semiverify", "--f", "logistic", "--g", "doubling", "--h", "sinsq",
+      "--lo", "inf", "--hi", "1", "--samples", "1"], 3, "error: need at least 2 samples, got 1"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,line", _FAULTS)
 def test_fault_precedence(argv, code, line, capsys):
     assert run_cli(argv, capsys) == (code, "", line + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--h", "ulam"],
+    ["conjugacy", "semiverify", "--f", "logistic", "--g", "doubling", "--h", "sinsq",
+     "--lo", "0", "--hi", "1"],
+    ["conjugacy", "order", "--map", "pwl:0,1;1,0"],
+    ["closed-form", "check", "--formula", "boole", "--lo", "-1", "--hi", "1"],
+], ids=["verify", "semiverify", "order", "closed-form"])
+def test_one_sample_is_too_few(argv, capsys):
+    assert run_cli(argv + ["--samples", "1"], capsys) == (
+        3, "", "error: need at least 2 samples, got 1\n")
 
 
 @pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])

@@ -2,10 +2,10 @@
 
 The references are the straightforward loops that the core replaces:
 iterate recomputed from the seed for every n, one hand-written orbit
-loop per caller, and monotone bisection through the tent map's
-branches. The core must reproduce each of them exactly, errors
-included: results are compared by repr, which is bitwise for floats
-and treats NaN as equal to itself.
+loop per caller, one hand-written sample grid per caller, and monotone
+bisection through the tent map's branches. The core must reproduce
+each of them exactly, errors included: results are compared by repr,
+which is bitwise for floats and treats NaN as equal to itself.
 """
 
 import math
@@ -14,10 +14,12 @@ import re
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from intervaldyn import (DomainError, Hyperbola, Logistic, Quadratic, Tent,
-                         UlamArcsin, apply_homeo, boole_iterate, cobweb_path,
-                         crosscheck_closed_form, eval_map, herschel_iterate,
-                         hyperbola_iterate, iterate, orbit, orbit_consistency,
+from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, ParameterError,
+                         PiecewiseLinear, Quadratic, Reflect, Tent, UlamArcsin, Unimodal,
+                         apply_homeo, boole_iterate, check_idempotent_structure,
+                         cobweb_path, crosscheck_closed_form, eval_map, fixed_points,
+                         herschel_iterate, herschel_relation_residual, hyperbola_iterate,
+                         iterate, mobius_involution, orbit, orbit_consistency,
                          sensitivity_report, zero_preimage_set)
 from intervaldyn import analysis
 from intervaldyn.analysis import _dedup_sorted
@@ -157,6 +159,125 @@ def ref_tent_levels(depth):
         yield [p for p in level if UNIT.contains(p)]
 
 
+def ref_fixed_points(m, lo, hi, tol):
+    if tol <= 0.0 or not math.isfinite(tol):
+        raise ParameterError(f"tolerance must be positive, got {tol!r}")
+    dom = m.domain()
+    lo, hi = dom.snap(lo), dom.snap(hi)
+    if lo >= hi:
+        raise DomainError(f"empty scan interval [{lo}, {hi}]")
+
+    def g(x):
+        return eval_map(m, x) - x
+
+    n_grid = 10**4
+    xs = [lo + (hi - lo) * i / (n_grid - 1) for i in range(n_grid)]
+    roots = []
+    prev_x, prev_g = xs[0], g(xs[0])
+    if prev_g == 0.0:
+        roots.append(prev_x)
+    for x in xs[1:]:
+        cur_g = g(x)
+        if cur_g == 0.0:
+            roots.append(x)
+        elif prev_g * cur_g < 0.0:
+            a, b = prev_x, x
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                if not a < mid < b:
+                    break
+                gm = g(mid)
+                if gm == 0.0:
+                    a = b = mid
+                    break
+                if (gm < 0.0) == (prev_g < 0.0):
+                    a = mid
+                else:
+                    b = mid
+            roots.append(0.5 * (a + b))
+        prev_x, prev_g = x, cur_g
+    roots.sort()
+    merged = []
+    for r in roots:
+        if not merged or r - merged[-1] > tol:
+            merged.append(r)
+    return merged
+
+
+def ref_herschel(f_outer, phi, lo, hi, samples):
+    if samples < 2:
+        raise ParameterError(f"need at least 2 samples, got {samples!r}")
+    worst = 0.0
+    for i in range(samples):
+        x = lo + (hi - lo) * i / (samples - 1)
+        px = apply_homeo(phi, x)
+        worst = max(worst, abs(x + px + f_outer(x * px)))
+    return worst
+
+
+def ref_unimodal_checks(v, left, right):
+    """The branch checks of Unimodal, after its turning-point and
+    endpoint checks."""
+    n = 1000
+    prev = eval_map(left, 0.0)
+    for i in range(1, n):
+        cur = eval_map(left, v * i / (n - 1))
+        if cur < prev - 1e-12:
+            raise ParameterError("left branch is not non-decreasing on [0, v]")
+        prev = cur
+    prev = eval_map(right, v)
+    for i in range(1, n):
+        cur = eval_map(right, v + (1.0 - v) * i / (n - 1))
+        if cur > prev + 1e-12:
+            raise ParameterError("right branch is not non-increasing on (v, 1]")
+        prev = cur
+
+
+def ref_distribution_checks(cdf, inverse_cdf):
+    """The grid checks of DistributionSpec, after its endpoint check."""
+    prev = cdf(0.0)
+    for i in range(1, 1000):
+        cur = cdf(i / 999)
+        if cur < prev - 1e-12:
+            raise ParameterError(f"CDF decreases near {i / 999!r}")
+        prev = cur
+    for i in range(1, 1000):
+        u = i / 1000
+        if abs(cdf(inverse_cdf(u)) - u) > 1e-9:
+            raise ParameterError(f"inverse CDF fails the round trip at u={u!r}")
+
+
+def ref_idempotent(m, samples, tol):
+    """is_idempotent, image_lo and image_hi of check_idempotent_structure."""
+    if samples < 2:
+        raise ParameterError(f"need at least 2 samples, got {samples!r}")
+    if tol <= 0.0:
+        raise ParameterError(f"tolerance must be positive, got {tol!r}")
+    dom = m.domain()
+    if not dom.bounded:
+        raise DomainError(f"need a bounded domain, got {dom}")
+    worst, image = 0.0, []
+    for i in range(samples):
+        x = dom.lo + (dom.hi - dom.lo) * i / (samples - 1)
+        y = eval_map(m, x)
+        image.append(y)
+        worst = max(worst, abs(eval_map(m, y) - y))
+    return worst < tol, min(image), max(image)
+
+
+def verdict(fn, *args):
+    """outcome() for checks that also reject with ParameterError."""
+    try:
+        return "ok", repr(fn(*args))
+    except (DomainError, ParameterError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def construct(cls, *args):
+    """None once cls(*args) has passed its checks."""
+    cls(*args)
+
+
 # --- the core equals the references --------------------------------------------
 
 
@@ -253,6 +374,61 @@ def test_tent_pullback_never_bisects(monkeypatch):
     assert zero_preimage_set(Tent(), 12).largest_gap == 2.0**-11
     with pytest.raises(AssertionError):
         zero_preimage_set(Logistic(), 2)
+
+
+@pytest.mark.parametrize("spec,lo,hi,tol", [
+    ("logistic", 0.0, 1.0, 1e-12), ("tent", 0.0, 1.0, 1e-9), ("cosine", -1.0, 2.0, 1e-300),
+    ("quadratic", -1.0, 1.0, 1e-12), ("pwl:0,0.5;1,1.5", 0.0, 1.0, 1e-12),
+    ("hyperbola:e=0.5,a=1", -2.0, 2.0, 1e-12), ("logistic", 0.3, 0.3, 1e-12),
+    ("logistic", 0.0, 1.0, 0.0),
+])
+def test_fixed_points_grid_matches_reference(spec, lo, hi, tol):
+    m = parse_map_spec(spec)
+    assert verdict(fixed_points, m, lo, hi, tol) == verdict(ref_fixed_points, m, lo, hi, tol)
+
+
+def test_herschel_grid_matches_reference():
+    phi = mobius_involution(1.0, 2.0, lo=0.0, hi=3.0)
+    cases = [(lambda t: 1.0 + 2.0 * t, phi, 0.0, 3.0, 1000),
+             (lambda t: 1.0 + 2.0 * t, phi, 0.5, 2.5, 7),
+             (lambda t: 0.0, mobius_involution(0.0, 0.0), -2.0, 2.0, 100),
+             (lambda t: t, Reflect(), 0.0, 1.0, 101),
+             (lambda t: t, Reflect(), 0.0, 1.0, 1)]
+    for case in cases:
+        assert verdict(herschel_relation_residual, *case) == verdict(ref_herschel, *case), case
+
+
+def test_unimodal_and_distribution_grids_match_references():
+    left, right = PiecewiseLinear([(0.0, 0.0), (0.5, 1.0)]), PiecewiseLinear([(0.5, 1.0), (1.0, 0.0)])
+    dip = PiecewiseLinear([(0.0, 0.0), (0.2, 0.8), (0.3, 0.5), (0.5, 1.0)])
+    bump = PiecewiseLinear([(0.5, 1.0), (0.7, 0.2), (0.8, 0.4), (1.0, 0.0)])
+    short = PiecewiseLinear([(0.0, 0.0), (0.4, 1.0)])
+    for branches in ((left, right), (dip, right), (left, bump), (dip, bump), (short, right)):
+        assert (verdict(construct, Unimodal, 0.5, *branches)
+                == verdict(ref_unimodal_checks, 0.5, *branches)), branches
+
+    def smooth(x):
+        return x * x * (3.0 - 2.0 * x)
+
+    def wobble(x):
+        return x + 0.01 * math.sin(40.0 * math.pi * x)
+
+    for cdf, inverse in ((lambda x: x, lambda u: u), (lambda x: x * x, math.sqrt),
+                         (lambda x: x * x, lambda u: u), (wobble, lambda u: u),
+                         (smooth, lambda u: _bisect_monotone(smooth, u, 0.0, 1.0))):
+        assert (verdict(construct, DistributionSpec, cdf, inverse)
+                == verdict(ref_distribution_checks, cdf, inverse))
+
+
+@pytest.mark.parametrize("spec", ["pwl:0,0.25;0.25,0.25;0.75,0.75;1,0.75", "pwl:0,0;1,1",
+                                  "logistic", "tent", "sinsq", "quadratic"])
+def test_idempotent_grid_matches_reference(spec):
+    m = parse_map_spec(spec)
+    for samples, tol in ((2, 1e-12), (11, 1e-12), (1000, 1e-9), (1, 0.0), (5, 0.0)):
+        def fields():
+            r = check_idempotent_structure(m, samples, tol)
+            return r.is_idempotent, r.image_lo, r.image_hi
+        assert verdict(fields) == verdict(ref_idempotent, m, samples, tol), (samples, tol)
 
 
 # --- snap -----------------------------------------------------------------------

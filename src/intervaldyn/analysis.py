@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, ParameterError
-from .interval import UNIT
+from .interval import UNIT, linspace
 from .maps import MapDescriptor, Tent, Unimodal, eval_map, trajectory
 from .homeos import _bisect_monotone
 
@@ -78,33 +78,29 @@ class IdempotentReport:
 
 
 def check_idempotent_structure(m: MapDescriptor, samples: int, tol: float) -> IdempotentReport:
-    """Test phi(phi(x)) = phi(x) on a grid.
+    """Test phi(phi(x)) = phi(x) on a grid of the domain.
 
     An idempotent continuous map retracts its domain onto an interval
-    [a, b] on which it acts as the identity, so identity_on_image must
-    come out true whenever is_idempotent does.
+    [a, b] on which it acts as the identity. identity_on_image tests
+    that on a grid of its own over the sampled image [a, b], so points
+    of [a, b] that are no grid point's image are checked too.
     """
-    if samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {samples!r}")
+    dom = m.domain()
+    grid = linspace(dom.lo, dom.hi, samples)  # first, so its sample-count error wins
     if tol <= 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol!r}")
-    dom = m.domain()
     if not dom.bounded:
         raise DomainError(f"need a bounded domain, got {dom}")
     worst_idem = 0.0
     image = []
-    for i in range(samples):
-        x = dom.lo + (dom.hi - dom.lo) * i / (samples - 1)
+    for x in grid:
         y = eval_map(m, x)
         image.append(y)
         worst_idem = max(worst_idem, abs(eval_map(m, y) - y))
-    worst_identity = max(abs(eval_map(m, y) - y) for y in image)
-    return IdempotentReport(
-        is_idempotent=worst_idem < tol,
-        image_lo=min(image),
-        image_hi=max(image),
-        identity_on_image=worst_identity < tol,
-    )
+    lo, hi = min(image), max(image)
+    worst_identity = max(abs(eval_map(m, y) - y) for y in linspace(lo, hi, samples))
+    return IdempotentReport(is_idempotent=worst_idem < tol, image_lo=lo, image_hi=hi,
+                            identity_on_image=worst_identity < tol)
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,8 @@ def _branch_structure(m: MapDescriptor) -> float:
     if abs(eval_map(m, 0.0)) > 1e-9 or abs(eval_map(m, 1.0)) > 1e-9:
         raise ParameterError("map must vanish at both endpoints of [0, 1]")
     n = 1000
-    vals = [eval_map(m, i / n) for i in range(n + 1)]
+    grid = linspace(0.0, 1.0, n + 1)
+    vals = [eval_map(m, x) for x in grid]
     k = max(range(n + 1), key=lambda i: vals[i])
     if k == 0 or k == n:
         raise ParameterError("no interior maximum; map is not tent-shaped")
@@ -154,7 +151,7 @@ def _branch_structure(m: MapDescriptor) -> float:
         raise ParameterError("map is not non-decreasing left of its maximum")
     if any(vals[i + 1] > vals[i] + 1e-9 for i in range(k, n)):
         raise ParameterError("map is not non-increasing right of its maximum")
-    lo, hi = (k - 1) / n, (k + 1) / n
+    lo, hi = grid[k - 1], grid[k + 1]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)

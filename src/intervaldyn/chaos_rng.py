@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, EmptySampleError, ParameterError
 from .homeos import UlamArcsin, apply_homeo, _bisect_monotone
+from .interval import linspace
 from .maps import Logistic, Orbit, orbit
 
 DEFAULT_SEED = 0.123456789
@@ -73,16 +74,15 @@ class DistributionSpec:
         if inverse_cdf is None:
             inverse_cdf = lambda u: _bisect_monotone(cdf, u, 0.0, 1.0)
         object.__setattr__(self, "inverse_cdf", inverse_cdf)
-        if abs(cdf(0.0)) > 1e-9 or abs(cdf(1.0) - 1.0) > 1e-9:
-            raise ParameterError("CDF must satisfy F(0) = 0 and F(1) = 1")
         prev = cdf(0.0)
-        for i in range(1, 1000):
-            cur = cdf(i / 999)
+        if abs(prev) > 1e-9 or abs(cdf(1.0) - 1.0) > 1e-9:
+            raise ParameterError("CDF must satisfy F(0) = 0 and F(1) = 1")
+        for x in linspace(0.0, 1.0, 1000)[1:]:
+            cur = cdf(x)
             if cur < prev - 1e-12:
-                raise ParameterError(f"CDF decreases near {i / 999!r}")
+                raise ParameterError(f"CDF decreases near {x!r}")
             prev = cur
-        for i in range(1, 1000):
-            u = i / 1000
+        for u in linspace(0.0, 1.0, 1001)[1:-1]:
             if abs(self.cdf(self.inverse_cdf(u)) - u) > 1e-9:
                 raise ParameterError(f"inverse CDF fails the round trip at u={u!r}")
 

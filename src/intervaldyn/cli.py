@@ -163,7 +163,9 @@ class _Cap:
 # every cap.
 _SIZE_CAP = _Cap(10**6)
 _P_MAX_CAP = _Cap(10**3)
-_CELLS_CAP = _Cap(10**6, "--grid * (--depth + 1)", lambda p: p["grid"] * (p["depth"] + 1))
+# a negative factor counts as 0, so that the library names the bad size
+_CELLS_CAP = _Cap(10**6, "--grid * (--depth + 1)",
+                  lambda p: max(p["grid"], 0) * max(p["depth"] + 1, 0))
 
 # parse_args makes the checks in this order, whatever the order of the
 # arguments, so that which error wins stays fixed; a check must be listed
@@ -280,9 +282,10 @@ def _run_closed_form_check(p: dict) -> Result:
     if formula_name == "hyperbola":
         if p["e"] is None or p["a"] is None:
             raise UsageError("--formula hyperbola needs --e and --a")
-        e, a = p["e"], p["a"]
-        m = maps.Hyperbola(e=e, a=a)
-        formula = lambda x, n: closed_form.hyperbola_iterate(e, a, x, n)
+        m = maps.Hyperbola(e=p["e"], a=p["a"])
+        formula = lambda x, n: closed_form.hyperbola_iterate(m.e, m.a, x, n)
+    elif p["e"] is not None or p["a"] is not None:
+        raise UsageError("--e and --a apply only to --formula hyperbola")
     else:
         m, formula = maps.Quadratic(), _QUADRATIC_FORMULAS[formula_name]
     report = closed_form.crosscheck_closed_form(m, formula, p["lo"], p["hi"],
@@ -303,14 +306,12 @@ def _residual_result(report, p: dict) -> Result:
 
 
 def _run_conjugacy_verify(p: dict) -> Result:
-    report = conjugacy.verify_conjugacy(p["f"], p["g"], p["h"], p["samples"])
-    return _residual_result(report, p)
+    return _residual_result(conjugacy.verify_conjugacy(p["f"], p["g"], p["h"], p["samples"]), p)
 
 
 def _run_conjugacy_semiverify(p: dict) -> Result:
-    report = conjugacy.verify_semiconjugacy(p["f"], p["g"], p["h"], p["lo"], p["hi"],
-                                            p["samples"])
-    return _residual_result(report, p)
+    return _residual_result(conjugacy.verify_semiconjugacy(
+        p["f"], p["g"], p["h"], p["lo"], p["hi"], p["samples"]), p)
 
 
 def _run_conjugacy_order(p: dict) -> Result:
@@ -380,18 +381,16 @@ def _run_rng_ks(p: dict) -> Result:
 def _run_rng_collapse(p: dict) -> Result:
     bits = p["bits"]
     if p["exhaustive"]:
-        if p["value"] is not None:
-            raise UsageError("--value and --exhaustive are mutually exclusive")
+        for dest, flag in (("value", "--value"), ("max_steps", "--max-steps")):
+            if p[dest] is not None:
+                raise UsageError(f"{flag} and --exhaustive are mutually exclusive")
         chaos_rng.FixedPointWord(bits, 0)  # the word width rule, checked before enumerating
         if bits > 24:
             raise UsageError("exhaustive enumeration is capped at 24 bits")
-        max_steps, tested = 0, 0
-        for value in range(2**bits):
-            steps = chaos_rng.doubling_collapse(chaos_rng.FixedPointWord(bits, value), bits)
-            assert steps is not None
-            max_steps = max(max_steps, steps)
-            tested += 1
-        result = {"max_steps": max_steps, "words_tested": tested}
+        # every word collapses within bits steps, so no step count is None
+        max_steps = max(chaos_rng.doubling_collapse(chaos_rng.FixedPointWord(bits, value), bits)
+                        for value in range(2**bits))
+        result = {"max_steps": max_steps, "words_tested": 2**bits}
         return Result(EXIT_OK, result, tuple(result), inputs={"bits": bits, "exhaustive": True})
     if p["value"] is None:
         raise UsageError("rng collapse needs --value or --exhaustive")

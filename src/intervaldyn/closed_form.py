@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, ImaginaryResidueError, ParameterError, RangeError
+from .interval import linspace
 from .maps import MapDescriptor, _hyperbola_e2, trajectory
 
 MAX_ITERATIONS = 30  # keeps 2^n exact and the squaring cascade bounded
@@ -203,11 +204,8 @@ def crosscheck_closed_form(
     inclusive sample grid of [lo, hi] and n = 0..n_max. Each sample's
     brute-force iterates come from one walk of its trajectory."""
     n_max = _check_n(n_max)
-    if samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {samples!r}")
     worst, arg_x, arg_n = -1.0, lo, 0
-    for i in range(samples):
-        x = lo + (hi - lo) * i / (samples - 1)
+    for x in linspace(lo, hi, samples):
         n = 0  # the step being checked, also while the walk computes it
         try:
             for brute in trajectory(m, x, n_max):

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomainError, ParameterError
 from .homeos import Homeomorphism, Mobius, apply_homeo
+from .interval import linspace
 from .maps import Conjugated, MapDescriptor, eval_map, iterate, trajectory
 
 
@@ -31,13 +32,25 @@ class ConjugacyReport:
     max_residual: float
     argmax: float
 
-    @classmethod
-    def from_residuals(cls, grid: list[float], residuals: list[float]) -> "ConjugacyReport":
-        worst, arg = -1.0, grid[0]
-        for x, r in zip(grid, residuals):
-            if r > worst:
-                worst, arg = r, x
-        return cls(tuple(grid), tuple(residuals), worst, arg)
+
+def _residual_report(grid: Sequence[float], residual: Callable[[float], float],
+                     what: str) -> ConjugacyReport:
+    """Every residual on the grid, their maximum and the first point that
+    attains it, in one pass. A DomainError, or a NaN residual (which no
+    maximum can rank), fails the check and names the point."""
+    residuals = []
+    worst, arg = -math.inf, None
+    for x in grid:
+        try:
+            r = residual(x)
+        except DomainError as exc:
+            raise DomainError(f"{what} check failed at x={x!r}: {exc}") from exc
+        if r != r:
+            raise DomainError(f"{what} check failed at x={x!r}: the residual is NaN")
+        if r > worst:
+            worst, arg = r, x
+        residuals.append(r)
+    return ConjugacyReport(tuple(grid), tuple(residuals), worst, arg)
 
 
 @dataclass(frozen=True)
@@ -72,16 +85,10 @@ def verify_conjugacy(
     samples: int,
 ) -> ConjugacyReport:
     """Residuals of h(f(x)) = g(h(x)) on an interior grid of f's domain."""
-    if samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {samples!r}")
-    grid = f.domain().interior_grid(samples)
-    residuals = []
-    for x in grid:
-        try:
-            residuals.append(abs(apply_homeo(h, eval_map(f, x)) - eval_map(g, apply_homeo(h, x))))
-        except DomainError as exc:
-            raise DomainError(f"conjugacy check failed at x={x!r}: {exc}") from exc
-    return ConjugacyReport.from_residuals(grid, residuals)
+    return _residual_report(
+        f.domain().interior_grid(samples),
+        lambda x: abs(apply_homeo(h, eval_map(f, x)) - eval_map(g, apply_homeo(h, x))),
+        "conjugacy")
 
 
 def verify_semiconjugacy(
@@ -97,18 +104,14 @@ def verify_semiconjugacy(
     The grid is half-open so that maps defined on [0, 1) can be checked
     up to (but excluding) the right endpoint.
     """
-    if samples < 2:
+    if samples < 2:  # linspace sees samples + 1 points, so it would pass 1
         raise ParameterError(f"need at least 2 samples, got {samples!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DomainError(f"bad check interval [{lo}, {hi})")
-    grid = [lo + (hi - lo) * i / samples for i in range(samples)]
-    residuals = []
-    for x in grid:
-        try:
-            residuals.append(abs(eval_map(f, eval_map(h, x)) - eval_map(h, eval_map(g, x))))
-        except DomainError as exc:
-            raise DomainError(f"semiconjugacy check failed at x={x!r}: {exc}") from exc
-    return ConjugacyReport.from_residuals(grid, residuals)
+    return _residual_report(
+        linspace(lo, hi, samples + 1)[:-1],
+        lambda x: abs(eval_map(f, eval_map(h, x)) - eval_map(h, eval_map(g, x))),
+        "semiconjugacy")
 
 
 def periodicity_order(
@@ -126,16 +129,10 @@ def periodicity_order(
     """
     if p_max < 1 or p_max != int(p_max):
         raise ParameterError(f"p_max must be a positive integer, got {p_max!r}")
-    if samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {samples!r}")
     grid = m.domain().interior_grid(samples)
     for p in range(1, int(p_max) + 1):
-        worst = 0.0
-        for x in grid:
-            worst = max(worst, abs(iterate(m, x, p) - x))
-            if worst >= tol:
-                break
-        if worst < tol:
+        # all() stops at the first point that fails p; iterate never returns NaN
+        if all(abs(iterate(m, x, p) - x) < tol for x in grid):
             return p
     return None
 
@@ -159,14 +156,12 @@ def herschel_relation_residual(
 ) -> float:
     """Max residual of the functional relation x + phi(x) + f(x*phi(x)) = 0
     over an inclusive grid of [lo, hi]."""
-    if samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {samples!r}")
-    worst = 0.0
-    for i in range(samples):
-        x = lo + (hi - lo) * i / (samples - 1)
+
+    def residual(x: float) -> float:
         px = apply_homeo(phi, x)
-        worst = max(worst, abs(x + px + f_outer(x * px)))
-    return worst
+        return abs(x + px + f_outer(x * px))
+
+    return _residual_report(linspace(lo, hi, samples), residual, "Herschel relation").max_residual
 
 
 def orbit_consistency(
@@ -229,8 +224,7 @@ def propagate_partial_conjugacy(
     if tol <= 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol!r}")
     entries: list[tuple[float, float]] = []
-    for i in range(grid):
-        x = seed_lo + (seed_hi - seed_lo) * i / (grid - 1)
+    for x in linspace(seed_lo, seed_hi, grid):
         fx = iterate(f, x, 0)
         gy = apply_homeo(h_seed, x)
         entries.append((fx, gy))

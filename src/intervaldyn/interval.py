@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 
 # Absolute snap tolerance at closed endpoints.
 ENDPOINT_TOL = 1e-12
@@ -67,6 +67,8 @@ class Interval:
 
     def interior_grid(self, samples: int) -> list[float]:
         """Equispaced points offset half a step from both endpoints."""
+        if samples < 2:
+            raise ParameterError(f"need at least 2 samples, got {samples!r}")
         if not self.bounded:
             raise DomainError(f"cannot grid the unbounded interval {self}")
         step = (self.hi - self.lo) / samples
@@ -76,6 +78,13 @@ class Interval:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo}, {self.hi}{right}"
+
+
+def linspace(lo: float, hi: float, samples: int) -> list[float]:
+    """samples equispaced points from lo to hi, both ends included."""
+    if samples < 2:
+        raise ParameterError(f"need at least 2 samples, got {samples!r}")
+    return [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
 
 
 REALS = Interval()

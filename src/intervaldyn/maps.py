@@ -18,7 +18,7 @@ from typing import Iterator
 from .errors import DomainError, ParameterError, UsageError
 from .homeos import (Homeomorphism, _checked_knots, _describe, _interpolate, _parse_family,
                      apply_homeo, invert_homeo, parse_homeo_spec)
-from .interval import REALS, UNIT, UNIT_HALF_OPEN, Interval
+from .interval import REALS, UNIT, UNIT_HALF_OPEN, Interval, linspace
 
 
 class MapDescriptor:
@@ -110,8 +110,7 @@ def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[flo
     def g(x: float) -> float:
         return eval_map(m, x) - x
 
-    n_grid = 10**4
-    xs = [lo + (hi - lo) * i / (n_grid - 1) for i in range(n_grid)]
+    xs = linspace(lo, hi, 10**4)
     roots: list[float] = []
     prev_x, prev_g = xs[0], g(xs[0])
     if prev_g == 0.0:
@@ -332,18 +331,17 @@ class Unimodal(MapDescriptor):
             raise ParameterError("left branch must vanish at 0")
         if abs(eval_map(self.right, 1.0)) > 1e-12:
             raise ParameterError("right branch must vanish at 1")
-        prev = eval_map(self.left, 0.0)
-        for i in range(1, _GRID_CHECK_POINTS):
-            cur = eval_map(self.left, self.v * i / (_GRID_CHECK_POINTS - 1))
-            if cur < prev - 1e-12:
-                raise ParameterError("left branch is not non-decreasing on [0, v]")
-            prev = cur
-        prev = eval_map(self.right, self.v)
-        for i in range(1, _GRID_CHECK_POINTS):
-            cur = eval_map(self.right, self.v + (1.0 - self.v) * i / (_GRID_CHECK_POINTS - 1))
-            if cur > prev + 1e-12:
-                raise ParameterError("right branch is not non-increasing on (v, 1]")
-            prev = cur
+        # sign -1 turns "cur > prev + 1e-12" into this test exactly: negation is exact
+        for branch, lo, hi, sign, shape in (
+                (self.left, 0.0, self.v, 1.0, "left branch is not non-decreasing on [0, v]"),
+                (self.right, self.v, 1.0, -1.0, "right branch is not non-increasing on (v, 1]")):
+            grid = linspace(lo, hi, _GRID_CHECK_POINTS)
+            prev = sign * eval_map(branch, grid[0])
+            for x in grid[1:]:
+                cur = sign * eval_map(branch, x)
+                if cur < prev - 1e-12:
+                    raise ParameterError(shape)
+                prev = cur
 
     def _raw(self, x: float) -> float:
         return eval_map(self.left, x) if x <= self.v else eval_map(self.right, x)

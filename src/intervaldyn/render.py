@@ -14,6 +14,7 @@ import math
 
 from .analysis import CobwebPath
 from .errors import DomainError
+from .interval import linspace
 from .maps import MapDescriptor, eval_map
 
 VIEW = 1000.0
@@ -50,8 +51,7 @@ def cobweb_svg(m: MapDescriptor, path: CobwebPath) -> str:
         return VIEW - (y - lo) / span * VIEW
 
     graph_pts = []
-    for i in range(GRAPH_SAMPLES):
-        x = lo + span * i / (GRAPH_SAMPLES - 1)
+    for x in linspace(lo, hi, GRAPH_SAMPLES):
         try:
             y = eval_map(m, x)
         except DomainError:

@@ -88,6 +88,15 @@ def test_idempotent_logistic_is_not():
     assert not report.is_idempotent
 
 
+def test_identity_on_image_samples_the_image_interval():
+    # idempotent at the images of the 11-point domain grid, but f(0.35) = 0.38
+    m = PiecewiseLinear([(0.0, 0.25), (0.25, 0.25), (0.31, 0.31), (0.35, 0.38), (0.39, 0.39),
+                         (0.75, 0.75), (1.0, 0.75)])
+    report = check_idempotent_structure(m, 11, 1e-12)
+    assert report.is_idempotent
+    assert not report.identity_on_image
+
+
 @pytest.mark.parametrize("m", [_clamp_map(), identity_map()],
                          ids=["clamp", "identity"])
 def test_idempotent_implies_identity_on_image(m):

@@ -211,6 +211,12 @@ def test_rng_collapse_usage_errors(capsys):
     assert code == 2
 
 
+def test_rng_collapse_exhaustive_takes_no_max_steps(capsys):
+    argv = ["rng", "collapse", "--bits", "8", "--exhaustive", "--max-steps", "3"]
+    assert run_cli(argv, capsys) == (
+        2, "", "usage error: --max-steps and --exhaustive are mutually exclusive\n")
+
+
 @pytest.mark.parametrize("argv", [["--bits", "-1", "--exhaustive"],
                                   ["--bits", "64", "--exhaustive"],
                                   ["--bits", "-3", "--value", "0"]])
@@ -266,6 +272,14 @@ def test_closed_form_check_cli(capsys):
     assert code == 2  # missing --e/--a
 
 
+@pytest.mark.parametrize("options", [["--e", "5", "--a", "2"], ["--e", "5"], ["--a", "2"]])
+def test_closed_form_check_rejects_hyperbola_options_elsewhere(options, capsys):
+    argv = ["closed-form", "check", "--formula", "boole", "--lo", "-1", "--hi", "1",
+            "--samples", "10"] + options
+    assert run_cli(argv, capsys) == (
+        2, "", "usage error: --e and --a apply only to --formula hyperbola\n")
+
+
 def test_conjugacy_order_cli(capsys):
     code, out, _ = run_cli(["conjugacy", "order", "--map", "pwl:0,1;1,0"], capsys)
     assert code == 0
@@ -289,6 +303,16 @@ def test_conjugacy_semiverify_cli(capsys):
                             "--lo", "0", "--hi", "10", "--samples", "1000"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["max_residual"] < 1e-12
+
+
+# both sides overflow to inf, so the residual is inf - inf: at every
+# sample of the first window, at all but the first of the second
+@pytest.mark.parametrize("lo,hi,x", [("1e200", "1e201", "1e+200"), ("0", "1e200", "2.5e+199")])
+def test_nan_residual_fails_the_check(lo, hi, x, capsys):
+    argv = ["conjugacy", "semiverify", "--f", "quadratic", "--g", "quadratic", "--h", "quadratic",
+            "--lo", lo, "--hi", hi, "--samples", "4"]
+    assert run_cli(argv, capsys) == (
+        3, "", f"error: semiconjugacy check failed at x={x}: the residual is NaN\n")
 
 
 def test_homeo_composition_spec():
@@ -584,6 +608,12 @@ _FAULTS = [
 @pytest.mark.parametrize("argv,code,line", _FAULTS)
 def test_fault_precedence(argv, code, line, capsys):
     assert run_cli(argv, capsys) == (code, "", line + "\n")
+
+
+def test_negative_propagate_sizes_reach_the_library(capsys):
+    argv = ["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam",
+            "--lo", "0.1", "--hi", "0.2", "--grid", "-2000", "--depth", "-2000"]
+    assert run_cli(argv, capsys) == (3, "", "error: depth must be a positive integer, got -2000\n")
 
 
 @pytest.mark.parametrize("argv", [

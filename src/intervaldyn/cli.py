@@ -381,9 +381,10 @@ def _run_rng_ks(p: dict) -> Result:
 def _run_rng_collapse(p: dict) -> Result:
     bits = p["bits"]
     if p["exhaustive"]:
-        for dest, flag in (("value", "--value"), ("max_steps", "--max-steps")):
-            if p[dest] is not None:
-                raise UsageError(f"{flag} and --exhaustive are mutually exclusive")
+        if p["value"] is not None:
+            raise UsageError("--value and --exhaustive are mutually exclusive")
+        if p["max_steps"] is not None:
+            raise UsageError("--max-steps and --exhaustive are mutually exclusive")
         chaos_rng.FixedPointWord(bits, 0)  # the word width rule, checked before enumerating
         if bits > 24:
             raise UsageError("exhaustive enumeration is capped at 24 bits")

@@ -602,18 +602,16 @@ _FAULTS = [
      "error: --tol must be positive and finite, got inf"),
     (["conjugacy", "semiverify", "--f", "logistic", "--g", "doubling", "--h", "sinsq",
       "--lo", "inf", "--hi", "1", "--samples", "1"], 3, "error: need at least 2 samples, got 1"),
+    # a negative factor counts as 0 in the cap, so the library names the bad size
+    (["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam", "--lo", "0.1",
+      "--hi", "0.2", "--grid", "-2000", "--depth", "-2000"], 3,
+     "error: depth must be a positive integer, got -2000"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,line", _FAULTS)
 def test_fault_precedence(argv, code, line, capsys):
     assert run_cli(argv, capsys) == (code, "", line + "\n")
-
-
-def test_negative_propagate_sizes_reach_the_library(capsys):
-    argv = ["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam",
-            "--lo", "0.1", "--hi", "0.2", "--grid", "-2000", "--depth", "-2000"]
-    assert run_cli(argv, capsys) == (3, "", "error: depth must be a positive integer, got -2000\n")
 
 
 @pytest.mark.parametrize("argv", [

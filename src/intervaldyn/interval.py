@@ -81,7 +81,8 @@ class Interval:
 
 
 def linspace(lo: float, hi: float, samples: int) -> list[float]:
-    """samples equispaced points from lo to hi, both ends included."""
+    """The inclusive grid: lo + (hi - lo) * i / (samples - 1) for i < samples,
+    from lo to hi (the last point is hi up to rounding)."""
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples!r}")
     return [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]

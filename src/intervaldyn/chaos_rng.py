@@ -74,9 +74,9 @@ class DistributionSpec:
         if inverse_cdf is None:
             inverse_cdf = lambda u: _bisect_monotone(cdf, u, 0.0, 1.0)
         object.__setattr__(self, "inverse_cdf", inverse_cdf)
-        prev = cdf(0.0)
-        if abs(prev) > 1e-9 or abs(cdf(1.0) - 1.0) > 1e-9:
+        if abs(cdf(0.0)) > 1e-9 or abs(cdf(1.0) - 1.0) > 1e-9:
             raise ParameterError("CDF must satisfy F(0) = 0 and F(1) = 1")
+        prev = cdf(0.0)
         for x in linspace(0.0, 1.0, 1000)[1:]:
             cur = cdf(x)
             if cur < prev - 1e-12:

@@ -28,6 +28,7 @@ from intervaldyn.closed_form import CrosscheckReport, _check_n, _scaled_deviatio
 from intervaldyn.conjugacy import Conflict
 from intervaldyn.homeos import _bisect_monotone
 from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval
+from intervaldyn.maps import MapDescriptor
 
 # every map family the CLI grammar reaches, plus a map that leaves its domain
 MAP_SPECS = ["logistic", "tent", "halftent", "quadratic", "doubling", "cosine", "sinsq",
@@ -216,8 +217,13 @@ def ref_herschel(f_outer, phi, lo, hi, samples):
 
 
 def ref_unimodal_checks(v, left, right):
-    """The branch checks of Unimodal, after its turning-point and
-    endpoint checks."""
+    """The checks of Unimodal."""
+    if not (0.0 < v < 1.0):
+        raise ParameterError(f"turning point must lie in (0, 1), got {v!r}")
+    if abs(eval_map(left, 0.0)) > 1e-12:
+        raise ParameterError("left branch must vanish at 0")
+    if abs(eval_map(right, 1.0)) > 1e-12:
+        raise ParameterError("right branch must vanish at 1")
     n = 1000
     prev = eval_map(left, 0.0)
     for i in range(1, n):
@@ -234,7 +240,9 @@ def ref_unimodal_checks(v, left, right):
 
 
 def ref_distribution_checks(cdf, inverse_cdf):
-    """The grid checks of DistributionSpec, after its endpoint check."""
+    """The checks of DistributionSpec, given both functions."""
+    if abs(cdf(0.0)) > 1e-9 or abs(cdf(1.0) - 1.0) > 1e-9:
+        raise ParameterError("CDF must satisfy F(0) = 0 and F(1) = 1")
     prev = cdf(0.0)
     for i in range(1, 1000):
         cur = cdf(i / 999)
@@ -276,6 +284,26 @@ def verdict(fn, *args):
 def construct(cls, *args):
     """None once cls(*args) has passed its checks."""
     cls(*args)
+
+
+def recording(f, points):
+    """f, appending every argument it is called with to points."""
+    def wrapped(x):
+        points.append(x)
+        return f(x)
+    return wrapped
+
+
+class Recorded(MapDescriptor):
+    """The map m, recording every point it is evaluated at, so that a
+    test compares the grid points bit for bit, not only the verdicts."""
+
+    def __init__(self, m):
+        self.m, self.points, self._domain = m, [], m.domain()
+
+    def _raw(self, x):
+        self.points.append(x)
+        return self.m._raw(x)
 
 
 # --- the core equals the references --------------------------------------------
@@ -378,24 +406,29 @@ def test_tent_pullback_never_bisects(monkeypatch):
 
 @pytest.mark.parametrize("spec,lo,hi,tol", [
     ("logistic", 0.0, 1.0, 1e-12), ("tent", 0.0, 1.0, 1e-9), ("cosine", -1.0, 2.0, 1e-300),
+    ("cosine", -1.0, 2.0, 0.01), ("logistic", 0.1, 0.9, 0.01),
     ("quadratic", -1.0, 1.0, 1e-12), ("pwl:0,0.5;1,1.5", 0.0, 1.0, 1e-12),
     ("hyperbola:e=0.5,a=1", -2.0, 2.0, 1e-12), ("logistic", 0.3, 0.3, 1e-12),
     ("logistic", 0.0, 1.0, 0.0),
 ])
 def test_fixed_points_grid_matches_reference(spec, lo, hi, tol):
-    m = parse_map_spec(spec)
-    assert verdict(fixed_points, m, lo, hi, tol) == verdict(ref_fixed_points, m, lo, hi, tol)
+    core, ref = Recorded(parse_map_spec(spec)), Recorded(parse_map_spec(spec))
+    assert verdict(fixed_points, core, lo, hi, tol) == verdict(ref_fixed_points, ref, lo, hi, tol)
+    assert repr(core.points) == repr(ref.points)
 
 
 def test_herschel_grid_matches_reference():
     phi = mobius_involution(1.0, 2.0, lo=0.0, hi=3.0)
     cases = [(lambda t: 1.0 + 2.0 * t, phi, 0.0, 3.0, 1000),
-             (lambda t: 1.0 + 2.0 * t, phi, 0.5, 2.5, 7),
+             (lambda t: 1.0 + 2.0 * t, phi, 0.3, 2.9, 7),
              (lambda t: 0.0, mobius_involution(0.0, 0.0), -2.0, 2.0, 100),
-             (lambda t: t, Reflect(), 0.0, 1.0, 101),
+             (lambda t: t, Reflect(), 0.1, 0.8, 101),
              (lambda t: t, Reflect(), 0.0, 1.0, 1)]
-    for case in cases:
-        assert verdict(herschel_relation_residual, *case) == verdict(ref_herschel, *case), case
+    for f_outer, *rest in cases:
+        core, ref = [], []
+        assert (verdict(herschel_relation_residual, recording(f_outer, core), *rest)
+                == verdict(ref_herschel, recording(f_outer, ref), *rest)), rest
+        assert repr(core) == repr(ref), rest
 
 
 def test_unimodal_and_distribution_grids_match_references():
@@ -403,9 +436,12 @@ def test_unimodal_and_distribution_grids_match_references():
     dip = PiecewiseLinear([(0.0, 0.0), (0.2, 0.8), (0.3, 0.5), (0.5, 1.0)])
     bump = PiecewiseLinear([(0.5, 1.0), (0.7, 0.2), (0.8, 0.4), (1.0, 0.0)])
     short = PiecewiseLinear([(0.0, 0.0), (0.4, 1.0)])
-    for branches in ((left, right), (dip, right), (left, bump), (dip, bump), (short, right)):
-        assert (verdict(construct, Unimodal, 0.5, *branches)
-                == verdict(ref_unimodal_checks, 0.5, *branches)), branches
+    wide = (PiecewiseLinear([(0.0, 0.0), (0.3, 1.0)]), PiecewiseLinear([(0.3, 1.0), (1.0, 0.0)]))
+    for v, branches in ((0.5, (left, right)), (0.5, (dip, right)), (0.5, (left, bump)),
+                        (0.5, (dip, bump)), (0.5, (short, right)), (0.3, wide)):
+        core, ref = [Recorded(b) for b in branches], [Recorded(b) for b in branches]
+        assert verdict(construct, Unimodal, v, *core) == verdict(ref_unimodal_checks, v, *ref)
+        assert [repr(b.points) for b in core] == [repr(b.points) for b in ref], branches
 
     def smooth(x):
         return x * x * (3.0 - 2.0 * x)
@@ -416,19 +452,25 @@ def test_unimodal_and_distribution_grids_match_references():
     for cdf, inverse in ((lambda x: x, lambda u: u), (lambda x: x * x, math.sqrt),
                          (lambda x: x * x, lambda u: u), (wobble, lambda u: u),
                          (smooth, lambda u: _bisect_monotone(smooth, u, 0.0, 1.0))):
-        assert (verdict(construct, DistributionSpec, cdf, inverse)
-                == verdict(ref_distribution_checks, cdf, inverse))
+        core, ref = [], []
+        assert (verdict(construct, DistributionSpec, recording(cdf, core), inverse)
+                == verdict(ref_distribution_checks, recording(cdf, ref), inverse))
+        assert repr(core) == repr(ref)
 
 
 @pytest.mark.parametrize("spec", ["pwl:0,0.25;0.25,0.25;0.75,0.75;1,0.75", "pwl:0,0;1,1",
-                                  "logistic", "tent", "sinsq", "quadratic"])
+                                  "pwl:0.1,0.2;0.43,0.61;0.7,0.3", "logistic", "tent", "sinsq",
+                                  "quadratic"])
 def test_idempotent_grid_matches_reference(spec):
-    m = parse_map_spec(spec)
     for samples, tol in ((2, 1e-12), (11, 1e-12), (1000, 1e-9), (1, 0.0), (5, 0.0)):
+        core, ref = Recorded(parse_map_spec(spec)), Recorded(parse_map_spec(spec))
+
         def fields():
-            r = check_idempotent_structure(m, samples, tol)
+            r = check_idempotent_structure(core, samples, tol)
             return r.is_idempotent, r.image_lo, r.image_hi
-        assert verdict(fields) == verdict(ref_idempotent, m, samples, tol), (samples, tol)
+        assert verdict(fields) == verdict(ref_idempotent, ref, samples, tol), (samples, tol)
+        # identity_on_image evaluates its own grid after the points the reference walks
+        assert repr(core.points[:len(ref.points)]) == repr(ref.points), (samples, tol)
 
 
 # --- snap -----------------------------------------------------------------------

@@ -614,6 +614,42 @@ def test_fault_precedence(argv, code, line, capsys):
     assert run_cli(argv, capsys) == (code, "", line + "\n")
 
 
+# the diagnostics of the library's count rules, as the CLI prints them
+_COUNT_ERRORS = [
+    (["iterate", "--map", "logistic", "--x0", "0.3", "--n", "-1"],
+     "iteration count must be a nonnegative integer, got -1"),
+    (["orbit", "--map", "logistic", "--x0", "0.3", "--n", "0"],
+     "orbit length must be a positive integer, got 0"),
+    (["sensitivity", "--map", "logistic", "--x0", "0.3", "--delta", "1e-9", "--n", "0"],
+     "step count must be a positive integer, got 0"),
+    (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "0"],
+     "steps must be a positive integer, got 0"),
+    (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "1000001"],
+     "steps 1000001 exceeds the cap of 1000000"),
+    (["density", "--map", "tent", "--depth", "0"], "depth must be a positive integer, got 0"),
+    (["density", "--map", "tent", "--depth", "21"], "depth 21 exceeds the cap of 20"),
+    (["conjugacy", "order", "--map", "pwl:0,1;1,0", "--p-max", "0"],
+     "p_max must be a positive integer, got 0"),
+    (["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam", "--lo", "0.1",
+      "--hi", "0.2", "--depth", "0"], "depth must be a positive integer, got 0"),
+    (["rng", "collapse", "--bits", "8", "--value", "1", "--max-steps", "-1"],
+     "max_steps must be a nonnegative integer, got -1"),
+    (["closed-form", "check", "--formula", "boole", "--lo", "-1", "--hi", "1", "--n-max", "31"],
+     "iteration count 31 exceeds the cap of 30"),
+]
+
+
+def _argv_id(argv, last=2):
+    """The subcommand and the last arguments, e.g. "rng collapse --max-steps -1"."""
+    words = 2 if argv[0] in ("closed-form", "conjugacy", "rng") else 1
+    return " ".join(argv[:words] + argv[words:][-last:])
+
+
+@pytest.mark.parametrize("argv,line", _COUNT_ERRORS, ids=[_argv_id(a) for a, _ in _COUNT_ERRORS])
+def test_count_errors_keep_their_lines(argv, line, capsys):
+    assert run_cli(argv, capsys) == (3, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--h", "ulam"],
     ["conjugacy", "semiverify", "--f", "logistic", "--g", "doubling", "--h", "sinsq",

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_count, check_positive
 from .interval import UNIT, linspace
 from .maps import MapDescriptor, Tent, Unimodal, eval_map, trajectory
 from .homeos import _bisect_monotone
@@ -52,11 +52,7 @@ def cobweb_path(m: MapDescriptor, x0: float, steps: int) -> CobwebPath:
     """Cobweb with 2*steps + 1 points; convergence is flagged when two
     successive orbit values differ by less than 1e-12 (the full path is
     still produced)."""
-    if steps < 1 or steps != int(steps):
-        raise ParameterError(f"steps must be a positive integer, got {steps!r}")
-    if steps > _MAX_COBWEB_STEPS:
-        raise ParameterError(f"steps {steps} exceeds the cap of {_MAX_COBWEB_STEPS}")
-    walk = trajectory(m, x0, int(steps))
+    walk = trajectory(m, x0, check_count(steps, "steps", cap=_MAX_COBWEB_STEPS))
     cur = next(walk)
     points = [(cur, cur)]
     converged, limit = False, None
@@ -87,8 +83,7 @@ def check_idempotent_structure(m: MapDescriptor, samples: int, tol: float) -> Id
     """
     dom = m.domain()
     grid = linspace(dom.lo, dom.hi, samples)  # first, so its sample-count error wins
-    if tol <= 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol!r}")
+    check_positive(tol, "tolerance")
     if not dom.bounded:
         raise DomainError(f"need a bounded domain, got {dom}")
     worst_idem = 0.0
@@ -214,23 +209,20 @@ def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
     depth-k set is just the k-th pullback of {0}, and one pass records
     every level's count and largest gap.
     """
-    if depth < 1 or depth != int(depth):
-        raise ParameterError(f"depth must be a positive integer, got {depth!r}")
-    if depth > _MAX_PREIMAGE_DEPTH:
-        raise ParameterError(f"depth {depth} exceeds the cap of {_MAX_PREIMAGE_DEPTH}")
+    depth = check_count(depth, "depth", cap=_MAX_PREIMAGE_DEPTH)
     pullback = _pullback(g2)
     level = [0.0]
     points: list[float] = []
     gap = 1.0
     levels = []
-    for k in range(1, int(depth) + 1):
+    for k in range(1, depth + 1):
         if level:  # once a level is empty every deeper one is too
             level = _dedup_sorted([p for t in level for p in pullback(t)])
             points = [p for p in level if UNIT.contains(p)]
             gap = max([points[0] - 0.0] + [b - a for a, b in zip(points, points[1:])]
                       + [1.0 - points[-1]]) if points else 1.0
         levels.append((k, len(points), gap))
-    return PreimageSet(depth=int(depth), points=tuple(points), largest_gap=gap,
+    return PreimageSet(depth=depth, points=tuple(points), largest_gap=gap,
                        levels=tuple(levels))
 
 
@@ -240,8 +232,7 @@ def density_report(pset: PreimageSet, threshold: float) -> DensityReport:
     Purely a finite-depth estimator: a small largest gap suggests (but
     does not prove) that the full preimage set is dense.
     """
-    if threshold <= 0.0:
-        raise ParameterError(f"threshold must be positive, got {threshold!r}")
+    check_positive(threshold, "threshold")
     return DensityReport(
         largest_gap=pset.largest_gap,
         count=len(pset.points),

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError, EmptySampleError, ParameterError
+from .errors import DomainError, EmptySampleError, ParameterError, check_count
 from .homeos import UlamArcsin, apply_homeo, _bisect_monotone
 from .interval import linspace
 from .maps import Logistic, Orbit, orbit
@@ -100,9 +100,7 @@ def logistic_sequence(x0: float, n: int) -> Orbit:
     """Orbit of the logistic map from x0 in (0, 1), length n+1."""
     if math.isnan(x0) or not (0.0 < x0 < 1.0):
         raise DomainError(f"seed must lie strictly inside (0, 1), got {x0!r}")
-    if n < 1 or n != int(n):
-        raise ParameterError(f"need a positive number of steps, got {n!r}")
-    return orbit(Logistic(), x0, int(n))
+    return orbit(Logistic(), x0, check_count(n, "step count"))
 
 
 def uniformize(o: Orbit) -> list[float]:
@@ -151,9 +149,8 @@ def ks_distance(sample: Sequence[float], cdf: Callable[[float], float]) -> float
 def histogram(sample: Sequence[float], bins: int) -> list[int]:
     """Equal-width bin counts on [0, 1]; values equal to 1.0 go in the
     last bin; counts sum to the sample size."""
-    if bins < 1 or bins != int(bins):
-        raise ParameterError(f"need at least one bin, got {bins!r}")
-    counts = [0] * int(bins)
+    bins = check_count(bins, "bin count")
+    counts = [0] * bins
     for v in sample:
         if math.isnan(v) or v < 0.0 or v > 1.0:
             raise DomainError(f"sample value {v!r} outside [0, 1]")
@@ -165,8 +162,7 @@ def doubling_collapse(word: FixedPointWord, max_steps: int) -> Optional[int]:
     """Steps until the exact doubling shift reaches zero, or None past
     max_steps. Any b-bit word collapses within b steps (every doubling
     discards the leading bit), so max_steps >= bits always succeeds."""
-    if max_steps < 0 or max_steps != int(max_steps):
-        raise ParameterError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
+    max_steps = check_count(max_steps, "max_steps", 0)
     modulus = 2**word.bits
     value, steps = word.value, 0
     while value != 0:
@@ -192,14 +188,13 @@ def fixed_precision_logistic(word: FixedPointWord, n: int) -> FixedPrecisionRepo
     """Seed x = sin^2(pi*alpha) from a b-bit alpha and follow the doubling
     word; the reported x-sequence reaches 0 within bits steps and stays
     there, which is the finite-precision failure of the generator."""
-    if n < 1 or n != int(n):
-        raise ParameterError(f"need a positive number of steps, got {n!r}")
+    n = check_count(n, "step count")
     steps = doubling_collapse(word, word.bits)
     assert steps is not None  # collapse within bits steps is structural
     modulus = 2**word.bits
     value = word.value
     alphas, xs = [], []
-    for _ in range(int(n) + 1):
+    for _ in range(n + 1):
         alpha = value / modulus
         s = math.sin(math.pi * alpha)
         alphas.append(alpha)

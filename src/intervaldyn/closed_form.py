@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, ImaginaryResidueError, ParameterError, RangeError
+from .errors import DomainError, ImaginaryResidueError, ParameterError, check_count
 from .interval import linspace
 from .maps import MapDescriptor, _hyperbola_e2, trajectory
 
@@ -47,14 +47,6 @@ def herschel_constant(x: float) -> complex:
     return _characteristic_roots(x)[0]
 
 
-def _check_n(n: int, minimum: int = 0) -> int:
-    if n != int(n) or n < minimum:
-        raise ParameterError(f"iteration count must be an integer >= {minimum}, got {n!r}")
-    if n > MAX_ITERATIONS:
-        raise RangeError(f"iteration count {n} exceeds the cap of {MAX_ITERATIONS}")
-    return int(n)
-
-
 def herschel_iterate(x: float, n: int) -> float:
     """n-th iterate of 2x^2 - 1 via the characteristic-root power form.
 
@@ -63,7 +55,7 @@ def herschel_iterate(x: float, n: int) -> float:
     squaring so the result overflows only when the iterate itself
     leaves binary64 range.
     """
-    n = _check_n(n)
+    n = check_count(n, "iteration count", 0, MAX_ITERATIONS)
     if not math.isfinite(x):
         raise DomainError(f"need a finite argument, got {x!r}")
     c, cm = _characteristic_roots(x)
@@ -90,7 +82,7 @@ def herschel_iterate(x: float, n: int) -> float:
 
 def boole_iterate(t: float, n: int) -> float:
     """n-th iterate of 2x^2 - 1 in trigonometric form: cos(2^n arccos t)."""
-    n = _check_n(n)
+    n = check_count(n, "iteration count", 0, MAX_ITERATIONS)
     if math.isnan(t) or abs(t) > 1.0 + 1e-12:
         raise DomainError(f"need t in [-1, 1], got {t!r}")
     t = min(1.0, max(-1.0, t))
@@ -121,7 +113,7 @@ def hyperbola_iterate(e: float, a: float, x: float, n: int) -> float:
 
         f^n(x) = sqrt((e^2-1)^n x^2 - (e^2-1)/(e^2-2) ((e^2-1)^n - 1) a^2)
     """
-    n = _check_n(n)
+    n = check_count(n, "iteration count", 0, MAX_ITERATIONS)
     e2 = _hyperbola_e2(e, a)
     try:
         power = (e2 - 1.0) ** n
@@ -136,14 +128,13 @@ def fractional_iterate_quadratic(x: float, n: int) -> float:
     Exponent 2^(1/n) applied to both (positive real) characteristic
     roots; n-fold self-composition reproduces one application of the map.
     """
-    if n != int(n) or n < 1:
-        raise ParameterError(f"root order must be a positive integer, got {n!r}")
+    n = check_count(n, "root order")
     if math.isnan(x) or x < 1.0 - 1e-12:
         raise DomainError(f"real fractional branch needs x >= 1, got {x!r}")
     x = max(x, 1.0)
     try:
         s = math.sqrt(x * x - 1.0)
-        expo = 2.0 ** (1.0 / int(n))
+        expo = 2.0 ** (1.0 / n)
         return 0.5 * ((x + s) ** expo + (x - s) ** expo)
     except OverflowError:
         return math.inf
@@ -152,13 +143,12 @@ def fractional_iterate_quadratic(x: float, n: int) -> float:
 def fractional_iterate_hyperbola(e: float, a: float, x: float, n: int) -> float:
     """The 1/n-th iterate of the hyperbola family; needs e^2 > 1 so that
     (e^2-1)^(1/n) has a real principal value."""
-    if n != int(n) or n < 1:
-        raise ParameterError(f"root order must be a positive integer, got {n!r}")
+    n = check_count(n, "root order")
     e2 = _hyperbola_e2(e, a)
     if e2 <= 1.0:
         raise ParameterError(f"fractional exponent needs e^2 > 1, got e^2 = {e2!r}")
     try:
-        power = (e2 - 1.0) ** (1.0 / int(n))
+        power = (e2 - 1.0) ** (1.0 / n)
     except OverflowError:
         power = math.inf
     return _hyperbola_closed_form(e2, a, x, power)
@@ -202,10 +192,14 @@ def crosscheck_closed_form(
 ) -> CrosscheckReport:
     """Max deviation between iterate(m, x, n) and formula(x, n) over an
     inclusive sample grid of [lo, hi] and n = 0..n_max. Each sample's
-    brute-force iterates come from one walk of its trajectory."""
-    n_max = _check_n(n_max)
+    brute-force iterates come from one walk of its trajectory. The ends
+    must be finite with lo < hi."""
+    n_max = check_count(n_max, "iteration count", 0, MAX_ITERATIONS)
+    grid = linspace(lo, hi, samples)  # first, so its sample-count error wins
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise DomainError(f"bad check interval [{lo}, {hi}]")
     worst, arg_x, arg_n = -1.0, lo, 0
-    for x in linspace(lo, hi, samples):
+    for x in grid:
         n = 0  # the step being checked, also while the walk computes it
         try:
             for brute in trajectory(m, x, n_max):

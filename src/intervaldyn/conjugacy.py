@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_count, check_positive
 from .homeos import Homeomorphism, Mobius, apply_homeo
 from .interval import linspace
 from .maps import Conjugated, MapDescriptor, eval_map, iterate, trajectory
@@ -127,10 +127,10 @@ def periodicity_order(
     sense; a map of order p under composition satisfies psi^2 = identity
     whenever it is continuous, so orders above 2 indicate a defect.
     """
-    if p_max < 1 or p_max != int(p_max):
-        raise ParameterError(f"p_max must be a positive integer, got {p_max!r}")
+    p_max = check_count(p_max, "p_max")
     grid = m.domain().interior_grid(samples)
-    for p in range(1, int(p_max) + 1):
+    check_positive(tol, "tolerance")
+    for p in range(1, p_max + 1):
         # all() stops at the first point that fails p; iterate never returns NaN
         if all(abs(iterate(m, x, p) - x) < tol for x in grid):
             return p
@@ -179,17 +179,15 @@ def orbit_consistency(
     side onto the other; the offending step is reported. Returns None
     when no such obstruction shows up.
     """
-    if n < 0 or n != int(n):
-        raise ParameterError(f"step count must be a nonnegative integer, got {n!r}")
-    if tol <= 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol!r}")
+    n = check_count(n, "step count", 0)
+    check_positive(tol, "tolerance")
     f_orbits, g_orbits = [], []
     for a, b in pairs:
-        f_orbits.append(list(trajectory(f, a, int(n))))
-        g_orbits.append(list(trajectory(g, b, int(n))))
+        f_orbits.append(list(trajectory(f, a, n)))
+        g_orbits.append(list(trajectory(g, b, n)))
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
-            for k in range(int(n) + 1):
+            for k in range(n + 1):
                 if abs(f_orbits[i][k] - f_orbits[j][k]) < tol:
                     gap = abs(g_orbits[i][k] - g_orbits[j][k])
                     if gap >= 10.0 * tol:
@@ -217,18 +215,18 @@ def propagate_partial_conjugacy(
     which case the propagation is self-contradictory and the collision
     is returned instead.
     """
-    if depth < 1 or depth != int(depth):
-        raise ParameterError(f"depth must be a positive integer, got {depth!r}")
+    depth = check_count(depth, "depth")
     if grid < 2:
         raise ParameterError(f"need at least 2 seed points, got {grid!r}")
-    if tol <= 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol!r}")
+    check_positive(tol, "tolerance")
+    if math.isinf(seed_lo) or math.isinf(seed_hi):  # the grid would hold NaN points
+        raise DomainError(f"cannot grid the unbounded interval [{seed_lo}, {seed_hi}]")
     entries: list[tuple[float, float]] = []
     for x in linspace(seed_lo, seed_hi, grid):
         fx = iterate(f, x, 0)
         gy = apply_homeo(h_seed, x)
         entries.append((fx, gy))
-        for _ in range(int(depth)):
+        for _ in range(depth):
             fx = eval_map(f, fx)
             gy = eval_map(g, gy)
             entries.append((fx, gy))

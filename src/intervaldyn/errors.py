@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all intervaldyn modules."""
+"""Exception hierarchy shared by all intervaldyn modules, and the one rule
+for the counts and the one for the tolerances that the library takes."""
+
+import math
 
 
 class IntervalDynError(Exception):
@@ -13,7 +16,7 @@ class ParameterError(IntervalDynError):
     """A descriptor or operation was constructed with invalid parameters."""
 
 
-class RangeError(IntervalDynError):
+class RangeError(ParameterError):
     """An iteration count or depth exceeds its documented cap."""
 
 
@@ -27,3 +30,25 @@ class EmptySampleError(IntervalDynError):
 
 class UsageError(IntervalDynError):
     """Bad command-line arguments (exit code 2 in the CLI)."""
+
+
+def check_count(n, what: str, minimum: int = 1, cap=None) -> int:
+    """int(n) for a whole number n >= minimum (0 or 1) and, when a cap is
+    given, n <= cap. NaN, infinities, fractions and non-numbers raise
+    ParameterError; a count above the cap raises RangeError."""
+    try:
+        whole = n == int(n)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, an infinity
+        whole = False
+    if not whole or n < minimum:
+        kind = "positive" if minimum else "nonnegative"
+        raise ParameterError(f"{what} must be a {kind} integer, got {n!r}")
+    if cap is not None and n > cap:
+        raise RangeError(f"{what} {n} exceeds the cap of {cap}")
+    return int(n)
+
+
+def check_positive(x: float, what: str) -> None:
+    """Raise ParameterError unless 0 < x < inf (NaN fails too)."""
+    if not 0.0 < x < math.inf:
+        raise ParameterError(f"{what} must be positive, got {x!r}")

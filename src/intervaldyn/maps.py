@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, ParameterError, UsageError
+from .errors import DomainError, ParameterError, UsageError, check_count, check_positive
 from .homeos import (Homeomorphism, _checked_knots, _describe, _interpolate, _parse_family,
                      apply_homeo, invert_homeo, parse_homeo_spec)
 from .interval import REALS, UNIT, UNIT_HALF_OPEN, Interval, linspace
@@ -68,9 +68,7 @@ def trajectory(m: MapDescriptor, x: float, n: int) -> Iterator[float]:
 
 def iterate(m: MapDescriptor, x: float, n: int) -> float:
     """n-fold application; iterate(m, x, 0) returns x (snapped into the domain)."""
-    if n < 0 or n != int(n):
-        raise ParameterError(f"iteration count must be a nonnegative integer, got {n!r}")
-    for cur in trajectory(m, x, int(n)):
+    for cur in trajectory(m, x, check_count(n, "iteration count", 0)):
         pass
     return cur
 
@@ -86,9 +84,7 @@ class Orbit:
 
 def orbit(m: MapDescriptor, x0: float, n: int) -> Orbit:
     """Orbit of length n+1 starting at x0."""
-    if n < 1 or n != int(n):
-        raise ParameterError(f"orbit length must be a positive integer, got {n!r}")
-    values = tuple(trajectory(m, x0, int(n)))
+    values = tuple(trajectory(m, x0, check_count(n, "orbit length")))
     return Orbit(seed=values[0], values=values, map_id=m.describe())
 
 
@@ -100,12 +96,13 @@ def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[flo
     is below their spacing. Tangential fixed points (where f - x
     touches zero without changing sign) are not guaranteed found.
     """
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise ParameterError(f"tolerance must be positive, got {tol!r}")
+    check_positive(tol, "tolerance")
     dom = m.domain()
     lo, hi = dom.snap(lo), dom.snap(hi)
     if lo >= hi:
         raise DomainError(f"empty scan interval [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):  # the grid would hold NaN points
+        raise DomainError(f"cannot grid the unbounded interval [{lo}, {hi}]")
 
     def g(x: float) -> float:
         return eval_map(m, x) - x
@@ -146,10 +143,9 @@ def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[flo
 def sensitivity_report(m: MapDescriptor, x0: float, delta: float, n: int) -> list[float]:
     """Separations |f^k(x0) - f^k(x0 + delta)| for k = 0..n. Equal values
     are 0 apart, so two orbits at the same infinity do not separate by NaN."""
-    if n < 1 or n != int(n):
-        raise ParameterError(f"step count must be a positive integer, got {n!r}")
-    return [0.0 if a == b else abs(a - b) for a, b in zip(trajectory(m, x0, int(n)),
-                                                          trajectory(m, x0 + delta, int(n)))]
+    n = check_count(n, "step count")
+    return [0.0 if a == b else abs(a - b) for a, b in zip(trajectory(m, x0, n),
+                                                          trajectory(m, x0 + delta, n))]
 
 
 # --- builtin families ------------------------------------------------------
@@ -247,8 +243,7 @@ def _hyperbola_e2(e: float, a: float) -> float:
         raise ParameterError(f"hyperbola needs finite e^2 and a, got e={e!r}, a={a!r}")
     if abs(e2 - 1.0) <= 1e-9 or abs(e2 - 2.0) <= 1e-9:
         raise ParameterError(f"e^2 = {e2!r} too close to 1 or 2; the iterate formula degenerates")
-    if a <= 0.0:
-        raise ParameterError(f"scale a must be positive, got {a!r}")
+    check_positive(a, "scale a")  # a is finite here, so this is a > 0
     return e2
 
 

@@ -1,10 +1,24 @@
 """The library's rules for counts, tolerances and caps, the same in every
-function that takes one."""
+function that takes one: errors.check_count and errors.check_positive."""
+
+import glob
+import math
+import os
+import re
 
 import pytest
 
-from intervaldyn import (Logistic, ParameterError, Tent, density_report, fixed_points,
-                         zero_preimage_set)
+from intervaldyn import (FixedPointWord, Logistic, ParameterError, Quadratic, RangeError, Tent,
+                         UlamArcsin, boole_iterate, check_idempotent_structure, cobweb_path,
+                         crosscheck_closed_form, density_report, doubling_collapse,
+                         fixed_points, fixed_precision_logistic, fractional_iterate_hyperbola,
+                         fractional_iterate_quadratic, herschel_iterate, histogram,
+                         hyperbola_iterate, identity_map, iterate, logistic_sequence, orbit,
+                         orbit_consistency, periodicity_order, propagate_partial_conjugacy,
+                         reflect_map, sensitivity_report, zero_preimage_set)
+from intervaldyn.errors import check_count, check_positive
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_tolerance_and_threshold_messages():
@@ -12,3 +26,110 @@ def test_tolerance_and_threshold_messages():
         fixed_points(Logistic(), 0.0, 1.0, 0.0)
     with pytest.raises(ParameterError, match=r"^threshold must be positive, got -1\.0$"):
         density_report(zero_preimage_set(Tent(), 3), -1.0)
+
+
+def test_check_count():
+    assert check_count(3.0, "n") == 3 and type(check_count(3.0, "n")) is int
+    assert check_count(0, "n", 0) == 0
+    assert check_count(30, "n", 0, 30) == 30
+    for bad in (0, -1, 2.5, math.nan, math.inf, -math.inf, "3", None):
+        with pytest.raises(ParameterError, match=f"^n must be a positive integer, got {re.escape(repr(bad))}$"):
+            check_count(bad, "n")
+    with pytest.raises(ParameterError, match=r"^n must be a nonnegative integer, got -1$"):
+        check_count(-1, "n", 0)
+    with pytest.raises(RangeError, match=r"^n 31 exceeds the cap of 30$"):
+        check_count(31, "n", 0, 30)
+
+
+def test_check_positive():
+    check_positive(1e-300, "tolerance")
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match=f"^tol must be positive, got {re.escape(repr(bad))}$"):
+            check_positive(bad, "tol")
+
+
+def test_a_cap_error_is_a_parameter_error():
+    assert issubclass(RangeError, ParameterError)
+
+
+_WORD = FixedPointWord(8, 1)
+
+# every library function that takes a count, called with that count n
+_COUNTED = {
+    "iterate": lambda n: iterate(Logistic(), 0.3, n),
+    "orbit": lambda n: orbit(Logistic(), 0.3, n),
+    "sensitivity_report": lambda n: sensitivity_report(Logistic(), 0.3, 1e-9, n),
+    "cobweb_path": lambda n: cobweb_path(Logistic(), 0.3, n),
+    "zero_preimage_set": lambda n: zero_preimage_set(Tent(), n),
+    "periodicity_order": lambda n: periodicity_order(reflect_map(), n, 10),
+    "orbit_consistency": lambda n: orbit_consistency(Logistic(), Tent(), [(0.3, 0.4)], n, 1e-9),
+    "propagate_partial_conjugacy": lambda n: propagate_partial_conjugacy(
+        Logistic(), Tent(), 0.1, 0.2, UlamArcsin(), n, 5, 1e-3),
+    "logistic_sequence": lambda n: logistic_sequence(0.3, n),
+    "fixed_precision_logistic": lambda n: fixed_precision_logistic(_WORD, n),
+    "histogram": lambda n: histogram([0.5], n),
+    "doubling_collapse": lambda n: doubling_collapse(_WORD, n),
+    "herschel_iterate": lambda n: herschel_iterate(0.5, n),
+    "boole_iterate": lambda n: boole_iterate(0.5, n),
+    "hyperbola_iterate": lambda n: hyperbola_iterate(2.0, 1.0, 2.0, n),
+    "crosscheck_closed_form": lambda n: crosscheck_closed_form(
+        Quadratic(), boole_iterate, -1.0, 1.0, n, 5),
+    "fractional_iterate_quadratic": lambda n: fractional_iterate_quadratic(2.0, n),
+    "fractional_iterate_hyperbola": lambda n: fractional_iterate_hyperbola(2.0, 1.0, 2.0, n),
+}
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, -1], ids=["nan", "inf", "2.5", "-1"])
+@pytest.mark.parametrize("name", sorted(_COUNTED))
+def test_a_bad_count_is_a_parameter_error(name, n):
+    with pytest.raises(ParameterError, match=f" integer, got {re.escape(repr(n))}$"):
+        _COUNTED[name](n)
+
+
+def test_every_counted_function_accepts_a_whole_float():
+    for call in _COUNTED.values():
+        call(2.0)
+
+
+# every library function that takes a tolerance or threshold, called with it
+_TOLERANCES = {
+    "fixed_points": lambda tol: fixed_points(Logistic(), 0.0, 1.0, tol),
+    "check_idempotent_structure": lambda tol: check_idempotent_structure(identity_map(), 10, tol),
+    "density_report": lambda tol: density_report(zero_preimage_set(Tent(), 3), tol),
+    "orbit_consistency": lambda tol: orbit_consistency(Logistic(), Tent(), [(0.3, 0.4)], 2, tol),
+    "propagate_partial_conjugacy": lambda tol: propagate_partial_conjugacy(
+        Logistic(), Tent(), 0.1, 0.2, UlamArcsin(), 2, 5, tol),
+    "periodicity_order": lambda tol: periodicity_order(reflect_map(), 2, 10, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf], ids=["nan", "0", "inf"])
+@pytest.mark.parametrize("name", sorted(_TOLERANCES))
+def test_a_bad_tolerance_is_a_parameter_error(name, tol):
+    with pytest.raises(ParameterError, match=f" must be positive, got {re.escape(repr(tol))}$"):
+        _TOLERANCES[name](tol)
+
+
+def test_histogram_takes_a_whole_float_bin_count():
+    assert histogram([1.0, 0.2], 3.0) == [1, 0, 1]
+
+
+def test_library_caps_raise_range_error():
+    with pytest.raises(RangeError, match=r"^depth 21 exceeds the cap of 20$"):
+        zero_preimage_set(Tent(), 21)
+    with pytest.raises(RangeError, match=r"^steps 1000001 exceeds the cap of 1000000$"):
+        cobweb_path(Logistic(), 0.3, 10**6 + 1)
+
+
+def test_the_argument_messages_are_built_only_in_errors():
+    phrases = ("must be a positive integer", "must be a nonnegative integer",
+               "must be positive, got")
+    paths = glob.glob(os.path.join(SRC, "intervaldyn", "*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        if os.path.basename(path) == "errors.py":
+            continue
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        for phrase in phrases:
+            assert phrase not in text, f"{os.path.basename(path)} spells out '{phrase}'"

@@ -650,6 +650,39 @@ def test_count_errors_keep_their_lines(argv, line, capsys):
     assert run_cli(argv, capsys) == (3, "", f"error: {line}\n")
 
 
+_PROPAGATE = ["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam"]
+_BOOLE_CHECK = ["closed-form", "check", "--formula", "boole"]
+
+# each count speaks the one rule; a check interval must be finite and
+# nonempty; an infinite end is named, not reported as NaN
+_ARGUMENT_LINES = [
+    (["rng", "generate", "--n", "0"], "step count must be a positive integer, got 0"),
+    (["rng", "ks", "--cdf", "uniform", "--n", "0"], "step count must be a positive integer, got 0"),
+    (_BOOLE_CHECK + ["--lo", "-1", "--hi", "1", "--n-max", "-1"],
+     "iteration count must be a nonnegative integer, got -1"),
+    (_BOOLE_CHECK + ["--lo", "0.5", "--hi", "0.5"], "bad check interval [0.5, 0.5]"),
+    (_BOOLE_CHECK + ["--lo", "1", "--hi", "-1"], "bad check interval [1.0, -1.0]"),
+    (_BOOLE_CHECK + ["--lo", "-inf", "--hi", "1"], "bad check interval [-inf, 1.0]"),
+    (["fixed-points", "--map", "quadratic", "--lo", "-inf", "--hi", "1"],
+     "cannot grid the unbounded interval [-inf, 1.0]"),
+    (_PROPAGATE + ["--lo", "-inf", "--hi", "0.2"], "cannot grid the unbounded interval [-inf, 0.2]"),
+]
+
+
+@pytest.mark.parametrize("argv,line", _ARGUMENT_LINES,
+                         ids=[_argv_id(a, 4) for a, _ in _ARGUMENT_LINES])
+def test_argument_errors_name_the_argument(argv, line, capsys):
+    assert run_cli(argv, capsys) == (3, "", f"error: {line}\n")
+
+
+def test_closed_form_check_errors_keep_their_order(capsys):
+    # the n_max and the samples errors still win over the interval's
+    assert run_cli(_BOOLE_CHECK + ["--lo", "1", "--hi", "-1", "--n-max", "31"], capsys) == (
+        3, "", "error: iteration count 31 exceeds the cap of 30\n")
+    assert run_cli(_BOOLE_CHECK + ["--lo", "1", "--hi", "-1", "--samples", "1"], capsys) == (
+        3, "", "error: need at least 2 samples, got 1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--h", "ulam"],
     ["conjugacy", "semiverify", "--f", "logistic", "--g", "doubling", "--h", "sinsq",

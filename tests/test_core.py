@@ -24,8 +24,9 @@ from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, Par
 from intervaldyn import analysis
 from intervaldyn.analysis import _dedup_sorted
 from intervaldyn.cli import parse_map_spec
-from intervaldyn.closed_form import CrosscheckReport, _check_n, _scaled_deviation
+from intervaldyn.closed_form import MAX_ITERATIONS, CrosscheckReport, _scaled_deviation
 from intervaldyn.conjugacy import Conflict
+from intervaldyn.errors import check_count
 from intervaldyn.homeos import _bisect_monotone
 from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval
 from intervaldyn.maps import MapDescriptor
@@ -106,7 +107,7 @@ def ref_cobweb(m, x0, steps):
 
 
 def ref_crosscheck(m, formula, lo, hi, n_max, samples):
-    n_max = _check_n(n_max)
+    n_max = check_count(n_max, "iteration count", 0, MAX_ITERATIONS)
     worst, arg_x, arg_n = -1.0, lo, 0
     for i in range(samples):
         x = lo + (hi - lo) * i / (samples - 1)

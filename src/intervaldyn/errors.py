@@ -2,6 +2,7 @@
 for the counts and the one for the tolerances that the library takes."""
 
 import math
+from typing import Optional
 
 
 class IntervalDynError(Exception):
@@ -32,7 +33,7 @@ class UsageError(IntervalDynError):
     """Bad command-line arguments (exit code 2 in the CLI)."""
 
 
-def check_count(n, what: str, minimum: int = 1, cap=None) -> int:
+def check_count(n, what: str, minimum: int = 1, cap: Optional[int] = None) -> int:
     """int(n) for a whole number n >= minimum (0 or 1) and, when a cap is
     given, n <= cap. NaN, infinities, fractions and non-numbers raise
     ParameterError; a count above the cap raises RangeError."""

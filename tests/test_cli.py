@@ -606,6 +606,11 @@ _FAULTS = [
     (["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam", "--lo", "0.1",
       "--hi", "0.2", "--grid", "-2000", "--depth", "-2000"], 3,
      "error: depth must be a positive integer, got -2000"),
+    # the n_max and the samples errors win over a bad check interval
+    (["closed-form", "check", "--formula", "boole", "--lo", "1", "--hi", "-1", "--n-max", "31"],
+     3, "error: iteration count 31 exceeds the cap of 30"),
+    (["closed-form", "check", "--formula", "boole", "--lo", "1", "--hi", "-1", "--samples", "1"],
+     3, "error: need at least 2 samples, got 1"),
 ]
 
 
@@ -665,7 +670,8 @@ _ARGUMENT_LINES = [
     (_BOOLE_CHECK + ["--lo", "-inf", "--hi", "1"], "bad check interval [-inf, 1.0]"),
     (["fixed-points", "--map", "quadratic", "--lo", "-inf", "--hi", "1"],
      "cannot grid the unbounded interval [-inf, 1.0]"),
-    (_PROPAGATE + ["--lo", "-inf", "--hi", "0.2"], "cannot grid the unbounded interval [-inf, 0.2]"),
+    (_PROPAGATE + ["--lo", "-inf", "--hi", "0.2"],
+     "cannot grid the unbounded interval [-inf, 0.2]"),
 ]
 
 
@@ -673,14 +679,6 @@ _ARGUMENT_LINES = [
                          ids=[_argv_id(a, 4) for a, _ in _ARGUMENT_LINES])
 def test_argument_errors_name_the_argument(argv, line, capsys):
     assert run_cli(argv, capsys) == (3, "", f"error: {line}\n")
-
-
-def test_closed_form_check_errors_keep_their_order(capsys):
-    # the n_max and the samples errors still win over the interval's
-    assert run_cli(_BOOLE_CHECK + ["--lo", "1", "--hi", "-1", "--n-max", "31"], capsys) == (
-        3, "", "error: iteration count 31 exceeds the cap of 30\n")
-    assert run_cli(_BOOLE_CHECK + ["--lo", "1", "--hi", "-1", "--samples", "1"], capsys) == (
-        3, "", "error: need at least 2 samples, got 1\n")
 
 
 @pytest.mark.parametrize("argv", [

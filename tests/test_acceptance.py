@@ -339,6 +339,16 @@ _GOLDEN_EDGE_CASES = [
     ["rng", "generate", "--n", "20", "--seed", "0.123456789", "--stage", "uniform"],
     ["rng", "generate", "--n", "20", "--seed", "0.123456789", "--stage", "square"],
     ["fixed-points", "--map", "tent", "--lo", "0.6", "--hi", "0.62"],
+    # orbits that land on 1.0 and 0.0, so the orbit loop snaps and the
+    # arcsine CDF evaluates at the endpoints
+    ["orbit", "--map", "tent", "--x0", "0.5", "--n", "3"],
+    ["rng", "generate", "--n", "5", "--seed", "0.5"],
+    ["rng", "generate", "--n", "5", "--seed", "0.5", "--stage", "uniform"],
+    ["rng", "ks", "--n", "20", "--seed", "0.5", "--cdf", "arcsine"],
+    # Infinity and -0 in a list of floats
+    ["orbit", "--map", "quadratic", "--x0", "1e200", "--n", "3"],
+    ["orbit", "--map", "verhulst:m=1,n=1", "--x0", "-0.0", "--n", "2"],
+    ["cobweb", "--map", "tent", "--x0", "0.5", "--steps", "3"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

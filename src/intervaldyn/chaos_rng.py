@@ -34,8 +34,9 @@ _ULAM = UlamArcsin()
 
 
 def arcsine_cdf(x: float) -> float:
-    """CDF of the logistic map's invariant measure: apply_homeo(UlamArcsin, x)."""
-    return apply_homeo(_ULAM, x)
+    """CDF of the logistic map's invariant measure: apply_homeo(UlamArcsin, x).
+    Interior points skip the snap, which would return them as they are."""
+    return _ULAM._fwd(x) if 0.0 < x < 1.0 else apply_homeo(_ULAM, x)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,8 @@ def uniformize(o: Orbit) -> list[float]:
     the arcsine CDF pointwise."""
     if o.map_id != "logistic":
         raise ParameterError(f"expected a logistic orbit, got one from {o.map_id!r}")
-    return [apply_homeo(_ULAM, v) for v in o.values]
+    fwd = _ULAM._fwd  # arcsine_cdf, inlined: one call per point
+    return [fwd(v) if 0.0 < v < 1.0 else apply_homeo(_ULAM, v) for v in o.values]
 
 
 def transform_to(values: Sequence[float], dist: DistributionSpec) -> list[float]:

@@ -86,6 +86,10 @@ def to_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if all(type(v) is float for v in value):  # orbits and samples: one format per value
+            # v - v is 0.0 for a finite v, and NaN for NaN and the infinities
+            items = [format(v, ".17g") if v - v == 0.0 else fmt_float(v) for v in value]
+            return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
         items = [f"{inner}{to_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -144,9 +148,10 @@ def _finite(arg: Arg, params: dict) -> None:
 
 @dataclass(frozen=True)
 class _Cap:
-    """A cap on a size that makes a subcommand build a list or a string
-    proportional to it. The size is the argument's own value, unless size
-    names a product of arguments and value_of computes it."""
+    """A cap on a size that makes a subcommand build a list or a string,
+    or run a loop, proportional to it. The size is the argument's own
+    value, unless size names a product of arguments and value_of
+    computes it."""
 
     limit: int
     size: Optional[str] = None
@@ -162,6 +167,7 @@ class _Cap:
 # closed-form --n-max are capped by the library itself. README lists
 # every cap.
 _SIZE_CAP = _Cap(10**6)
+_ITERATE_CAP = _Cap(10**8)  # iterate builds no list; 10^8 logistic steps take about 20 s
 _P_MAX_CAP = _Cap(10**3)
 # a negative factor counts as 0, so that the library names the bad size
 _CELLS_CAP = _Cap(10**6, "--grid * (--depth + 1)",
@@ -169,7 +175,7 @@ _CELLS_CAP = _Cap(10**6, "--grid * (--depth + 1)",
 
 # parse_args makes the checks in this order, whatever the order of the
 # arguments, so that which error wins stays fixed; a check must be listed
-_CHECKS = (_positive, _finite, _SIZE_CAP, _P_MAX_CAP, _CELLS_CAP)
+_CHECKS = (_positive, _finite, _SIZE_CAP, _ITERATE_CAP, _P_MAX_CAP, _CELLS_CAP)
 
 # argparse alone takes "--x0 -1e-3" for an unknown option -1e-3
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
@@ -424,7 +430,7 @@ _TOL = Arg("--tol", check=_positive, type=float, default=1e-12)
 # a two-word name is a subcommand of the group its first word names
 COMMANDS = {
     "iterate": (_run_iterate, "n-fold map application", (
-        _MAP, _X0, Arg("--n", type=int, required=True))),
+        _MAP, _X0, Arg("--n", check=_ITERATE_CAP, type=int, required=True))),
     "orbit": (_run_orbit, "iterate sequence", (_MAP, _X0, _N)),
     "fixed-points": (_run_fixed_points, "solutions of f(x) = x", (_MAP, _LO, _HI, _TOL)),
     "closed-form check": (

@@ -221,6 +221,8 @@ def propagate_partial_conjugacy(
     check_positive(tol, "tolerance")
     if math.isinf(seed_lo) or math.isinf(seed_hi):  # the grid would hold NaN points
         raise DomainError(f"cannot grid the unbounded interval [{seed_lo}, {seed_hi}]")
+    if seed_lo >= seed_hi:
+        raise DomainError(f"empty seed interval [{seed_lo}, {seed_hi}]")
     entries: list[tuple[float, float]] = []
     for x in linspace(seed_lo, seed_hi, grid):
         fx = iterate(f, x, 0)

@@ -56,11 +56,14 @@ def trajectory(m: MapDescriptor, x: float, n: int) -> Iterator[float]:
     that walks an orbit (iterate, orbit, sensitivities, cobweb paths,
     the closed-form and orbit-consistency checks) walks it here."""
     dom = m.domain()
-    cur = dom.snap(x)
+    raw, snap, lo, hi = m._raw, dom.snap, dom.lo, dom.hi
+    cur = snap(x)
     yield cur
     for k in range(1, n + 1):
         try:
-            cur = dom.snap(m._raw(cur))
+            cur = raw(cur)
+            if not lo < cur < hi:  # snap returns interior points as they are
+                cur = snap(cur)
         except DomainError as exc:
             raise DomainError(f"iterate {k} escaped the domain: {exc}") from exc
         yield cur

@@ -21,10 +21,6 @@ VIEW = 1000.0
 GRAPH_SAMPLES = 1000
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".4f")
-
-
 def _window(m: MapDescriptor, path: CobwebPath) -> tuple[float, float]:
     data = [c for p in path.points for c in p]
     dom = m.domain()
@@ -43,24 +39,21 @@ def cobweb_svg(m: MapDescriptor, path: CobwebPath) -> str:
     """Render a cobweb path over the map's graph as an SVG document."""
     lo, hi = _window(m, path)
     span = hi - lo
-
-    def px(x: float) -> float:
-        return (x - lo) / span * VIEW
-
-    def py(y: float) -> float:
-        return VIEW - (y - lo) / span * VIEW
-
     graph_pts = []
     for x in linspace(lo, hi, GRAPH_SAMPLES):
         try:
             y = eval_map(m, x)
         except DomainError:
             continue
-        if math.isfinite(py(y)):  # an overflowing value is left out like a raising one
+        # an overflowing value is left out like a raising one
+        if math.isfinite(VIEW - (y - lo) / span * VIEW):
             graph_pts.append((x, y))
 
     def polyline(points, stroke: str, width: str, cls: str) -> str:
-        coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in points)
+        # view coordinates (x - lo) / span * VIEW and VIEW - (y - lo) / span * VIEW;
+        # precomputing VIEW / span would change last bits, and so .4f digits
+        coords = " ".join([f"{(x - lo) / span * VIEW:.4f},{VIEW - (y - lo) / span * VIEW:.4f}"
+                           for x, y in points])
         return (f'<polyline class="{cls}" fill="none" stroke="{stroke}" '
                 f'stroke-width="{width}" points="{coords}"/>')
 

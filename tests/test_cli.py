@@ -611,6 +611,14 @@ _FAULTS = [
      3, "error: iteration count 31 exceeds the cap of 30"),
     (["closed-form", "check", "--formula", "boole", "--lo", "1", "--hi", "-1", "--samples", "1"],
      3, "error: need at least 2 samples, got 1"),
+    # iterate --n builds no list, but its loop is capped; the cap wins over the spec
+    (["iterate", "--map", "nosuch", "--x0", "0.3", "--n", "100000000000"], 3,
+     "error: --n 100000000000 exceeds the cap of 100000000"),
+    # an empty or reversed seed interval has no grid to propagate
+    (["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam", "--lo", "0.5",
+      "--hi", "0.5", "--depth", "1", "--grid", "3"], 3, "error: empty seed interval [0.5, 0.5]"),
+    (["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam", "--lo", "0.2",
+      "--hi", "0.1"], 3, "error: empty seed interval [0.2, 0.1]"),
 ]
 
 
@@ -728,6 +736,8 @@ def test_cobweb_svg_needs_a_finite_window(seed, capsys):
 # (argv without the size, the capped size as its error names it, its
 # arguments at the cap, and one above it)
 _CAPPED = [
+    (["iterate", "--map", "logistic", "--x0", "0.3"], "--n",
+     ["--n", "100000000"], ["--n", "100000001"]),
     (["orbit", "--map", "logistic", "--x0", "0.3"], "--n", ["--n", "1000000"], ["--n", "1000001"]),
     (["sensitivity", "--map", "logistic", "--x0", "0.3", "--delta", "1e-9"], "--n",
      ["--n", "1000000"], ["--n", "1000001"]),

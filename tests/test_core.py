@@ -23,13 +23,15 @@ from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, Par
                          sensitivity_report, zero_preimage_set)
 from intervaldyn import analysis
 from intervaldyn.analysis import _dedup_sorted
-from intervaldyn.cli import parse_map_spec
+from intervaldyn.chaos_rng import arcsine_cdf, uniformize
+from intervaldyn.cli import parse_map_spec, to_json
 from intervaldyn.closed_form import MAX_ITERATIONS, CrosscheckReport, _scaled_deviation
 from intervaldyn.conjugacy import Conflict
 from intervaldyn.errors import check_count
 from intervaldyn.homeos import _bisect_monotone
-from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval
-from intervaldyn.maps import MapDescriptor
+from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval, linspace
+from intervaldyn.maps import MapDescriptor, Orbit
+from intervaldyn.render import VIEW, _window, cobweb_svg
 
 # every map family the CLI grammar reaches, plus a map that leaves its domain
 MAP_SPECS = ["logistic", "tent", "halftent", "quadratic", "doubling", "cosine", "sinsq",
@@ -38,6 +40,9 @@ MAP_SPECS = ["logistic", "tent", "halftent", "quadratic", "doubling", "cosine", 
              "conj:logistic|alpha", "conj:tent|pwlh:0,0;0.3,0.6;1,1"]
 SEEDS = [0.123456789, 0.3, 0.7, 0.999, 1.0 + 1e-13, 1.5, -0.5, 3.0,
          math.inf, -math.inf, math.nan]
+# seeds on the domain ends, or whose orbits reach them later: tent and
+# logistic send 0.5 to 1.0 and then to 0.0
+END_SEEDS = [0.0, -0.0, 1.0, 0.25, 0.5, 0.75, 5e-324]
 
 
 def outcome(fn, *args):
@@ -73,6 +78,37 @@ def ref_orbit(m, x0, n):
             raise DomainError(f"iterate {k + 1} escaped the domain: {exc}") from exc
         values.append(cur)
     return tuple(values)
+
+
+def ref_polylines(m, path):
+    """The points attributes of the graph and cobweb polylines, each
+    coordinate mapped to the view by its own function and printed by .4f."""
+    lo, hi = _window(m, path)
+    span = hi - lo
+
+    def px(x):
+        return (x - lo) / span * VIEW
+
+    def py(y):
+        return VIEW - (y - lo) / span * VIEW
+
+    graph = []
+    for x in linspace(lo, hi, 1000):
+        try:
+            y = eval_map(m, x)
+        except DomainError:
+            continue
+        if math.isfinite(py(y)):
+            graph.append((x, y))
+    return [" ".join(f"{format(px(x), '.4f')},{format(py(y), '.4f')}" for x, y in pts)
+            for pts in (graph, path.points)]
+
+
+def ref_float_list(values, indent):
+    """to_json's rendering of a list element by element."""
+    inner = "  " * (indent + 1)
+    items = [f"{inner}{to_json(v, indent + 1)}" for v in values]
+    return "[\n" + ",\n".join(items) + f"\n{'  ' * indent}]"
 
 
 def ref_sensitivity(m, x0, delta, n):
@@ -313,13 +349,36 @@ class Recorded(MapDescriptor):
 @pytest.mark.parametrize("spec", MAP_SPECS)
 def test_orbit_loops_match_references(spec):
     m = parse_map_spec(spec)
-    for x0 in SEEDS:
+    for x0 in SEEDS + END_SEEDS:
         for n in (0, 1, 7, 200):
             assert outcome(iterate, m, x0, n) == outcome(ref_iterate, m, x0, n), (x0, n)
         assert outcome(lambda: orbit(m, x0, 200).values) == outcome(ref_orbit, m, x0, 200), x0
         for delta in (1e-9, -0.25, 0.0):
             assert (outcome(sensitivity_report, m, x0, delta, 60)
                     == outcome(ref_sensitivity, m, x0, delta, 60)), (x0, delta)
+
+
+class Overshoot(MapDescriptor):
+    """A map on [0, 1] whose iterates land just outside an end (snapped
+    back), on an end, beyond the snap tolerance, at NaN, or that raises."""
+
+    _domain = UNIT
+    _NEXT = {0.1: 1.0 + 1e-13, 1.0: -1e-13, 0.0: 0.5, 0.5: 1.0 + 1e-9, 0.3: math.nan,
+             0.2: 0.0, 0.7: None}
+
+    def _raw(self, x):
+        nxt = self._NEXT[x]
+        if nxt is None:
+            raise DomainError(f"no image of {x!r}")
+        return nxt
+
+
+@pytest.mark.parametrize("x0", [0.1, 0.2, 0.3, 0.7, 1.0 + 1e-13, -1e-13])
+def test_orbits_off_the_open_interior_match_references(x0):
+    m = Overshoot()
+    for n in range(6):
+        assert outcome(iterate, m, x0, n) == outcome(ref_iterate, m, x0, n), n
+    assert outcome(lambda: orbit(m, x0, 5).values) == outcome(ref_orbit, m, x0, 5)
 
 
 def cobweb_fields(m, x0, steps):
@@ -337,6 +396,52 @@ def test_cobweb_matches_reference(spec):
         text = re.sub(r"^cobweb escaped the domain at step (\d+)", r"iterate \1 escaped the domain",
                       text)
         assert path == (kind, text), x0
+
+
+def cobweb_polylines(m, x0, steps):
+    svg = cobweb_svg(m, cobweb_path(m, x0, steps))
+    return re.findall(r' points="([^"]*)"', svg)
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS)
+def test_cobweb_polylines_match_reference(spec):
+    m = parse_map_spec(spec)
+    for x0 in SEEDS + END_SEEDS:
+        assert (outcome(cobweb_polylines, m, x0, 30)
+                == outcome(lambda: ref_polylines(m, cobweb_path(m, x0, 30)))), x0
+
+
+# points of [0, 1], points up to 2e-12 outside it (snapped, or rejected
+# beyond 1e-12), and the values snap rejects
+ULAM_POINTS = st.one_of(
+    st.floats(min_value=-2e-12, max_value=1.0 + 2e-12),
+    st.sampled_from([0.0, -0.0, 1.0, -1e-12, 1.0 + 1e-12, -1.1e-12, 1.0 + 1.1e-12, 5e-324,
+                     math.nan, math.inf, -math.inf]))
+
+
+@given(ULAM_POINTS)
+def test_arcsine_cdf_is_the_ulam_homeo(v):
+    assert outcome(arcsine_cdf, v) == outcome(apply_homeo, UlamArcsin(), v)
+
+
+@given(st.lists(ULAM_POINTS, min_size=1, max_size=20))
+def test_uniformize_is_the_ulam_homeo_pointwise(values):
+    o = Orbit(seed=values[0], values=tuple(values), map_id="logistic")
+    assert (outcome(uniformize, o)
+            == outcome(lambda: [apply_homeo(UlamArcsin(), v) for v in values]))
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=30), st.integers(0, 2))
+def test_float_lists_render_element_by_element(values, indent):
+    values += [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072009e-308]
+    assert to_json(values, indent) == ref_float_list(values, indent)
+    assert to_json(tuple(values), indent) == ref_float_list(values, indent)
+
+
+def test_mixed_lists_render_each_element_by_its_type():
+    mixed = [0.5, True, 10**20, -0.0, 3]
+    assert to_json(mixed) == ref_float_list(mixed, 0) == (
+        "[\n  0.5,\n  true,\n  100000000000000000000,\n  -0,\n  3\n]")
 
 
 def _failing_after(n_bad, formula):

@@ -2,10 +2,12 @@
 
 The references are the straightforward loops that the core replaces:
 iterate recomputed from the seed for every n, one hand-written orbit
-loop per caller, one hand-written sample grid per caller, and monotone
-bisection through the tent map's branches. The core must reproduce
-each of them exactly, errors included: results are compared by repr,
-which is bitwise for floats and treats NaN as equal to itself.
+loop per caller, one hand-written sample grid per caller, monotone
+bisection through the tent map's branches, and the per-point calls
+(apply_homeo, the JSON writer per element, the SVG coordinate
+functions) that the orbit-stream fast paths inline. The core must
+reproduce each of them exactly, errors included: results are compared
+by repr, which is bitwise for floats and treats NaN as equal to itself.
 """
 
 import math

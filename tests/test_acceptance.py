@@ -349,6 +349,11 @@ _GOLDEN_EDGE_CASES = [
     ["orbit", "--map", "quadratic", "--x0", "1e200", "--n", "3"],
     ["orbit", "--map", "verhulst:m=1,n=1", "--x0", "-0.0", "--n", "2"],
     ["cobweb", "--map", "tent", "--x0", "0.5", "--steps", "3"],
+    # piecewise-linear solves: pullback brackets that cross knots, and
+    # pwlh inverses with increasing and with decreasing ordinates
+    ["density", "--map", "pwl:0,0;0.2,0.5;0.45,1;0.7,0.6;1,0", "--depth", "8"],
+    ["conjugacy", "order", "--map", "conj:pwl:0,1;1,0|pwlh:0,0;0.3,0.6;1,1", "--samples", "200"],
+    ["orbit", "--map", "conj:tent|pwlh:0,1;0.25,0.8;0.6,0.3;1,0", "--x0", "0.3", "--n", "6"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

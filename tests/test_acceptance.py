@@ -374,3 +374,17 @@ def test_cli_golden_bytes(capsys):
     for case in golden:
         code = main(case["argv"])
         assert (code, capsys.readouterr().out) == (case["code"], case["stdout"]), case["argv"]
+
+
+def test_golden_check_mode_names_every_drifted_case(capsys):
+    from make_golden_cli import check
+    cases = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert check(cases) == 0
+    for k in (3, 40):
+        cases[k]["stdout"] += " "
+    cases[50]["code"] += 1
+    assert check(cases) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("differs: ")] == [
+        "differs: " + " ".join(cases[k]["argv"]) for k in (3, 40, 50)]
+    assert check(cases[:-1]) == 1

@@ -151,7 +151,9 @@ def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
 
 
 def _checked_knots(knots) -> tuple[tuple[float, float], ...]:
-    """Knots as float pairs: at least two, finite, abscissae strictly increasing."""
+    """Knots as float pairs: at least two, finite, abscissae strictly
+    increasing, and each segment's (x1 - x0) * (y1 - y0) finite, so that
+    no step of the interpolation formula overflows."""
     out = tuple((float(x), float(y)) for x, y in knots)
     if len(out) < 2:
         raise ParameterError("need at least two knots")
@@ -159,6 +161,10 @@ def _checked_knots(knots) -> tuple[tuple[float, float], ...]:
         raise ParameterError("knots must be finite")
     if any(b[0] <= a[0] for a, b in zip(out, out[1:])):
         raise ParameterError("knot abscissae must be strictly increasing")
+    for a, b in zip(out, out[1:]):
+        if not math.isfinite((b[0] - a[0]) * (b[1] - a[1])):
+            raise ParameterError(f"knot segment from {a!r} to {b!r} overflows: "
+                                 "(x1 - x0) * (y1 - y0) is not finite")
     return out
 
 

@@ -619,6 +619,19 @@ _FAULTS = [
       "--hi", "0.5", "--depth", "1", "--grid", "3"], 3, "error: empty seed interval [0.5, 0.5]"),
     (["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam", "--lo", "0.2",
       "--hi", "0.1"], 3, "error: empty seed interval [0.2, 0.1]"),
+    # a knot segment whose (x1 - x0) * (y1 - y0) overflows is a bad spec, not a wrong answer
+    (["iterate", "--map", "pwl:-1e308,0;1e308,1", "--x0", "0", "--n", "1"], 3,
+     "error: knot segment from (-1e+308, 0.0) to (1e+308, 1.0) overflows: "
+     "(x1 - x0) * (y1 - y0) is not finite"),
+    (["fixed-points", "--map", "pwl:-1e308,-1e308;1e308,1e308", "--lo", "-1", "--hi", "1"], 3,
+     "error: knot segment from (-1e+308, -1e+308) to (1e+308, 1e+308) overflows: "
+     "(x1 - x0) * (y1 - y0) is not finite"),
+    (["iterate", "--map", "pwl:0,0;1e200,1e200", "--x0", "1e199", "--n", "1"], 3,
+     "error: knot segment from (0.0, 0.0) to (1e+200, 1e+200) overflows: "
+     "(x1 - x0) * (y1 - y0) is not finite"),
+    (["iterate", "--map", "conj:tent|pwlh:-1e308,0;1e308,1", "--x0", "0.5", "--n", "1"], 3,
+     "error: knot segment from (-1e+308, 0.0) to (1e+308, 1.0) overflows: "
+     "(x1 - x0) * (y1 - y0) is not finite"),
 ]
 
 

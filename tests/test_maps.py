@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -8,7 +9,8 @@ from intervaldyn import (Conjugated, Cosine, DomainError, Doubling,
                          Unimodal, Verhulst, affine_map, eval_map, fixed_points,
                          identity_map, iterate, orbit, reflect_map,
                          sensitivity_report)
-from intervaldyn.homeos import AlphaArcsin, Reflect, UlamArcsin, invert_homeo
+from intervaldyn.homeos import (AlphaArcsin, PiecewiseLinearHomeo, Reflect, UlamArcsin,
+                               invert_homeo)
 
 
 def test_eval_examples():
@@ -170,6 +172,30 @@ def test_piecewise_linear():
         PiecewiseLinear([(0.0, 0.0)])
     with pytest.raises(ParameterError):
         PiecewiseLinear([(0.0, 0.0), (0.0, 1.0)])  # duplicate abscissa
+
+
+@pytest.mark.parametrize("knots", [
+    [(-1e308, 0.0), (1e308, 1.0)],  # x1 - x0 overflows
+    [(0.0, -1e308), (1.0, 1e308)],  # y1 - y0 overflows
+    [(0.0, 0.0), (1e200, 1e200)],  # each span is finite, their product is not
+    [(0.0, 0.0), (1.0, 1.0), (1e200, -1e200), (2e200, 0.0)],
+])
+def test_knot_segments_whose_span_overflows_are_rejected(knots):
+    i = next(i for i, (a, b) in enumerate(zip(knots, knots[1:]))
+             if not math.isfinite((b[0] - a[0]) * (b[1] - a[1])))
+    message = (f"^knot segment from {re.escape(repr(knots[i]))} to "
+               f"{re.escape(repr(knots[i + 1]))} overflows: ")
+    with pytest.raises(ParameterError, match=message):
+        PiecewiseLinear(knots)
+    if all(b[1] > a[1] for a, b in zip(knots, knots[1:])):
+        with pytest.raises(ParameterError, match=message):
+            PiecewiseLinearHomeo(knots)
+
+
+def test_knot_segments_at_the_overflow_edge_interpolate():
+    m = PiecewiseLinear([(0.0, 0.0), (1e154, 1e154)])
+    assert eval_map(m, 1e153) == 1e153
+    assert eval_map(PiecewiseLinear([(-1e300, 0.0), (1e300, 1.0)]), 0.0) == 0.5
 
 
 def test_unimodal_construction_and_eval():

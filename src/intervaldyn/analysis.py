@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import DomainError, ParameterError, check_count, check_positive
 from .interval import UNIT, linspace
-from .maps import MapDescriptor, Tent, Unimodal, eval_map, trajectory
-from .homeos import _bisect_monotone
+from .maps import MapDescriptor, PiecewiseLinear, Tent, Unimodal, eval_map, trajectory
+from .homeos import _bisect_monotone, _bisect_pl
 
 _CONVERGENCE_TOL = 1e-12
 _MAX_COBWEB_STEPS = 10**6
@@ -180,24 +181,29 @@ def _pullback(g2: MapDescriptor) -> Callable[[float], list[float]]:
     values bisection reaches for the dyadic targets a pullback of 0
     produces. Any other map is located by _branch_structure and each
     branch is inverted by monotone bisection whenever t lies in its
-    range.
+    range. A piecewise-linear map's branches are solved by
+    homeos._bisect_pl, which returns what _bisect_monotone returns on
+    eval_map bit for bit: the brackets lie within the knots' abscissae
+    [0, 1], where eval_map snaps nothing and only interpolates.
     """
     if isinstance(g2, Tent):
         return lambda t: [0.5 * t, 1.0 - 0.5 * t]
     v = _branch_structure(g2)
+    if isinstance(g2, PiecewiseLinear):
+        solve = partial(_bisect_pl, g2.knots)
+    else:
+        solve = partial(_bisect_monotone, partial(eval_map, g2))
+    branches = []
+    for lo, hi in ((0.0, v), (v, 1.0)):
+        flo, fhi = eval_map(g2, lo), eval_map(g2, hi)
+        branches.append((lo, hi, min(flo, fhi), max(flo, fhi)))
 
-    def fwd(x: float) -> float:
-        return eval_map(g2, x)
+    def pullback(t: float) -> list[float]:
+        # each branch's range, with a roundoff allowance at the rim
+        return [solve(min(max(t, rlo), rhi), lo, hi) for lo, hi, rlo, rhi in branches
+                if not (t < rlo - _DEDUP_TOL or t > rhi + _DEDUP_TOL)]
 
-    def branch(t: float, lo: float, hi: float) -> Optional[float]:
-        # branch range with a roundoff allowance at the rim
-        flo, fhi = fwd(lo), fwd(hi)
-        rlo, rhi = min(flo, fhi), max(flo, fhi)
-        if t < rlo - _DEDUP_TOL or t > rhi + _DEDUP_TOL:
-            return None
-        return _bisect_monotone(fwd, min(max(t, rlo), rhi), lo, hi)
-
-    return lambda t: [p for p in (branch(t, 0.0, v), branch(t, v, 1.0)) if p is not None]
+    return pullback
 
 
 def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:

@@ -168,18 +168,78 @@ def _checked_knots(knots) -> tuple[tuple[float, float], ...]:
     return out
 
 
-def _interpolate(knots: tuple[tuple[float, float], ...], x: float) -> float:
-    """Linear interpolation between the knots bracketing x, found by
-    binary search; x must lie within the knots' abscissae."""
-    lo, hi = 0, len(knots) - 1
+def _segment(knots: tuple[tuple[float, float], ...], x: float, lo: int, hi: int) -> int:
+    """The index i, lo <= i < hi, of the knot segment from knots[i] to
+    knots[i + 1] that holds x, by binary search over knots[lo..hi].
+    Over all the knots (lo = 0, hi = len(knots) - 1) this is the segment
+    the interpolation uses. If a <= b have the segments i <= j, the
+    search over knots[i..j + 1] finds that same segment for every x in
+    [a, b]."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if x < knots[mid][0]:
             hi = mid
         else:
             lo = mid
-    (x0, y0), (x1, y1) = knots[lo], knots[hi]
+    return lo
+
+
+def _interpolate(knots: tuple[tuple[float, float], ...], x: float) -> float:
+    """Linear interpolation between the knots bracketing x; x must lie
+    within the knots' abscissae."""
+    i = _segment(knots, x, 0, len(knots) - 1)
+    (x0, y0), (x1, y1) = knots[i], knots[i + 1]
     return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+
+def _bisect_pl(knots: tuple[tuple[float, float], ...], target: float,
+               lo: float, hi: float) -> float:
+    """_bisect_monotone(partial(_interpolate, knots), target, lo, hi),
+    step for step and bit for bit, errors included, for lo <= hi within
+    the knots' abscissae that either span all the knots or have 2 * lo
+    and 2 * hi finite.
+
+    It keeps the segments i of lo and j of hi. Each midpoint lies in
+    [lo, hi], so its segment is searched in knots[i..j + 1] only, and
+    once i == j it costs the interpolation formula alone. (A midpoint
+    overflows to an infinity only while the bracket still ends on the
+    first or last knot, whose segment is the one that infinity's search
+    finds.) The formula is _interpolate's in its operation order:
+    keeping a segment's y1 - y0 and x1 - x0 changes no bit, a
+    precomputed slope would.
+    """
+    last = len(knots) - 1
+    i, j = _segment(knots, lo, 0, last), _segment(knots, hi, 0, last)
+    (x0, y0), (x1, y1) = knots[i], knots[i + 1]
+    flo = y0 + (lo - x0) * (y1 - y0) / (x1 - x0)
+    (x0, y0), (x1, y1) = knots[j], knots[j + 1]
+    dy, dx = y1 - y0, x1 - x0
+    fhi = y0 + (hi - x0) * dy / dx
+    if flo == target:
+        return lo
+    if fhi == target:
+        return hi
+    increasing = fhi > flo
+    a, b = (flo, fhi) if increasing else (fhi, flo)
+    if not (a <= target <= b):
+        raise DomainError(f"target {target!r} outside branch range [{a}, {b}]")
+    k = j  # once i == j, k == i == j and the segment's knots stay loaded
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if i != j:
+            k = _segment(knots, mid, i, j + 1)
+            (x0, y0), (x1, y1) = knots[k], knots[k + 1]
+            dy, dx = y1 - y0, x1 - x0
+        fm = y0 + (mid - x0) * dy / dx
+        if fm == target:
+            return mid
+        if (fm < target) == increasing:
+            lo, i = mid, k
+        else:
+            hi, j = mid, k
+        if hi - lo <= _BISECT_TOL:
+            break
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -312,7 +372,7 @@ class PiecewiseLinearHomeo(Homeomorphism):
         return _interpolate(self.knots, x)
 
     def _inv(self, y: float) -> float:
-        return _bisect_monotone(self._fwd, y, self.knots[0][0], self.knots[-1][0])
+        return _bisect_pl(self.knots, y, self.knots[0][0], self.knots[-1][0])
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,22 @@
 The references are the straightforward loops that the core replaces:
 iterate recomputed from the seed for every n, one hand-written orbit
 loop per caller, one hand-written sample grid per caller, monotone
-bisection through the tent map's branches, and the per-point calls
-(apply_homeo, the JSON writer per element, the SVG coordinate
-functions) that the orbit-stream fast paths inline. The core must
-reproduce each of them exactly, errors included: results are compared
-by repr, which is bitwise for floats and treats NaN as equal to itself.
+bisection on eval_map through the branches of the tent map and of
+piecewise-linear maps, monotone bisection on _interpolate for the
+knot-window solver (_bisect_pl) that inverts pwlh and pulls back pwl
+maps, and the per-point calls (apply_homeo, the JSON writer per
+element, the SVG coordinate functions) that the orbit-stream fast paths
+inline. The core must reproduce each of them exactly, errors included:
+results are compared by repr, which is bitwise for floats and treats
+NaN as equal to itself.
 """
 
 import math
 import re
+from functools import partial
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, ParameterError,
                          PiecewiseLinear, Quadratic, Reflect, Tent, UlamArcsin, Unimodal,
@@ -30,7 +34,9 @@ from intervaldyn.cli import parse_map_spec, to_json
 from intervaldyn.closed_form import MAX_ITERATIONS, CrosscheckReport, _scaled_deviation
 from intervaldyn.conjugacy import Conflict
 from intervaldyn.errors import check_count
-from intervaldyn.homeos import _bisect_monotone
+from intervaldyn import homeos
+from intervaldyn.homeos import (PiecewiseLinearHomeo, _bisect_monotone, _bisect_pl, _interpolate,
+                                invert_homeo)
 from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval, linspace
 from intervaldyn.maps import MapDescriptor, Orbit
 from intervaldyn.render import VIEW, _window, cobweb_svg
@@ -176,13 +182,13 @@ def ref_orbit_consistency(f, g, pairs, n, tol):
     return None
 
 
-def ref_tent_levels(depth):
-    """Pull {0} back through the tent's branches by monotone bisection;
-    yields the points of [0, 1] at every depth 1..depth."""
-    tent = Tent()
+def ref_levels(m, v, depth):
+    """Pull {0} back through m's branches on [0, v] and [v, 1] by
+    monotone bisection on eval_map; yields the points of [0, 1] at every
+    depth 1..depth."""
 
     def fwd(x):
-        return eval_map(tent, x)
+        return eval_map(m, x)
 
     def pullback(t, lo, hi):
         flo, fhi = fwd(lo), fwd(hi)
@@ -193,7 +199,7 @@ def ref_tent_levels(depth):
 
     level = [0.0]
     for _ in range(depth):
-        nxt = [p for t in level for p in (pullback(t, 0.0, 0.5), pullback(t, 0.5, 1.0))
+        nxt = [p for t in level for p in (pullback(t, 0.0, v), pullback(t, v, 1.0))
                if p is not None]
         level = _dedup_sorted(nxt)
         yield [p for p in level if UNIT.contains(p)]
@@ -493,12 +499,15 @@ def test_orbit_consistency_matches_per_n_iterate():
         assert outcome(orbit_consistency, *case) == outcome(ref_orbit_consistency, *case), case
 
 
+def largest_gap(points):
+    return max([points[0]] + [b - a for a, b in zip(points, points[1:])] + [1.0 - points[-1]])
+
+
 def test_exact_tent_pullback_matches_bisection():
-    for k, ref_points in enumerate(ref_tent_levels(16), 1):
+    for k, ref_points in enumerate(ref_levels(Tent(), 0.5, 16), 1):
         pset = zero_preimage_set(Tent(), k)
         assert pset.points == tuple(ref_points), k
-        gap = max([ref_points[0]] + [b - a for a, b in zip(ref_points, ref_points[1:])]
-                  + [1.0 - ref_points[-1]])
+        gap = largest_gap(ref_points)
         assert pset.levels[-1] == (k, len(ref_points), gap)
         assert pset.largest_gap == gap
 
@@ -510,6 +519,87 @@ def test_tent_pullback_never_bisects(monkeypatch):
     assert zero_preimage_set(Tent(), 12).largest_gap == 2.0**-11
     with pytest.raises(AssertionError):
         zero_preimage_set(Logistic(), 2)
+
+
+# a turning point on a knot and off one, a dyadic and a flat-topped map,
+# the golden density map with brackets that cross knots, and a map of
+# eight knots with uneven slopes
+PL_DENSITY_SPECS = ["pwl:0,0;0.4123,1;1,0", "pwl:0,0;0.5,1;1,0", "pwl:0,0;0.25,0.5;0.5,1;1,0",
+                    "pwl:0,0;0.3,1;0.6,1;1,0", "pwl:0,0;0.2,0.5;0.45,1;0.7,0.6;1,0",
+                    "pwl:0,0;0.1,0.3;0.2,0.35;0.35,0.9;0.5,1;0.6,0.95;0.9,0.1;1,0"]
+
+
+@pytest.mark.parametrize("spec", PL_DENSITY_SPECS)
+def test_pl_pullback_matches_bisection(spec):
+    m = parse_map_spec(spec)
+    depth = 9
+    pset = zero_preimage_set(m, depth)
+    v = analysis._branch_structure(m)
+    for k, ref_points in enumerate(ref_levels(m, v, depth), 1):
+        assert pset.levels[k - 1] == (k, len(ref_points), largest_gap(ref_points)), k
+    assert repr(pset.points) == repr(tuple(ref_points))
+
+
+def test_pl_solves_never_call_bisect_monotone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("piecewise-linear solves run in _bisect_pl")
+    monkeypatch.setattr(analysis, "_bisect_monotone", refuse)
+    monkeypatch.setattr(homeos, "_bisect_monotone", refuse)
+    zero_preimage_set(parse_map_spec(PL_DENSITY_SPECS[4]), 6)
+    invert_homeo(PiecewiseLinearHomeo([(0.0, 1.0), (0.25, 0.8), (0.6, 0.3), (1.0, 0.0)]), 0.5)
+    iterate(parse_map_spec("conj:tent|pwlh:0,0;0.3,0.6;1,1"), 0.3, 20)
+    with pytest.raises(AssertionError):
+        zero_preimage_set(Logistic(), 2)
+
+
+# piecewise-linear solves: coarse dyadic knots, so that midpoints hit
+# knots and targets exactly, or fine ones; ordinates increasing,
+# decreasing or in any order (a pwl map's branch may be flat or dip)
+_DYADIC = st.integers(0, 16).map(lambda k: k / 16)
+_FINE = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def pl_solves(draw):
+    coord = draw(st.sampled_from([_DYADIC, _FINE]))
+    n = draw(st.integers(2, 12))
+    xs = sorted(draw(st.lists(coord, min_size=2, max_size=n, unique=True)))
+    ys = draw(st.lists(coord, min_size=len(xs), max_size=len(xs)))
+    ys = draw(st.sampled_from([sorted(ys), sorted(ys, reverse=True), ys]))
+    knots = tuple(zip(xs, ys))
+    end = st.one_of(st.sampled_from(xs), st.floats(xs[0], xs[-1]))
+    lo, hi = sorted((draw(end), draw(end)))
+    # the value at a midpoint that bisection reaches after a few steps,
+    # so that an exact hit there depends on the formula's last bit
+    a, b = lo, hi
+    for left in draw(st.lists(st.booleans(), max_size=8)):
+        if left:
+            b = 0.5 * (a + b)
+        else:
+            a = 0.5 * (a + b)
+    target = draw(st.one_of(
+        st.sampled_from(ys + [_interpolate(knots, lo), _interpolate(knots, hi)]),
+        st.just(_interpolate(knots, 0.5 * (a + b))),
+        st.floats(min(ys) - 1.0, max(ys) + 1.0),
+        st.sampled_from([math.nan, math.inf, -math.inf])))
+    return knots, target, lo, hi
+
+
+@settings(max_examples=500, deadline=None)
+@given(pl_solves())
+@example((((0.0, 0.0), (0.25, 0.5), (0.5, 0.75), (1.0, 1.0)), 0.6, 0.25, 1.0))
+@example((((0.0, 1.0), (0.3, 0.7), (0.6, 0.2), (1.0, 0.0)), 0.45, 0.0, 0.6))
+@example((((-1.0, 0.0), (0.1, 0.3), (0.2, 0.9), (3.0, 1.0)), 0.3000000000000001, -1.0, 3.0))
+@example((((0.0, 0.0), (1.0, 1.0)), 2.0, 0.0, 1.0))
+# midpoints of brackets over all the knots that overflow to an infinity
+@example((((1e308, 0.0), (1.2e308, 1.0), (1.4e308, 2.0), (1.6e308, 3.0)), 2.5, 1e308, 1.6e308))
+@example((((1e308, 3.0), (1.2e308, 2.0), (1.4e308, 1.0), (1.6e308, 0.0)), 0.5, 1e308, 1.6e308))
+@example((((-1.6e308, 0.0), (-1.4e308, 1.0), (-1.2e308, 2.0), (-1e308, 3.0)), 0.5, -1.6e308,
+          -1e308))
+def test_knot_window_bisection_is_bisection_on_interpolate(case):
+    knots, target, lo, hi = case
+    assert (outcome(_bisect_pl, knots, target, lo, hi)
+            == outcome(_bisect_monotone, partial(_interpolate, knots), target, lo, hi))
 
 
 @pytest.mark.parametrize("spec,lo,hi,tol", [

@@ -148,6 +148,15 @@ def test_float_formatting_17_digits():
         assert float(fmt_float(v)) == v  # lossless round trip
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(1.7976931348623157e308)
+def test_fmt_float_round_trips_every_finite_float(v):
+    assert repr(float(fmt_float(v))) == repr(v)
+
+
 def test_cobweb_svg_contract(capsys):
     code, out, _ = run_cli(["cobweb", "--map", "cosine", "--x0", "1.0",
                             "--steps", "200", "--format", "svg"], capsys)

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from intervaldyn import (Affine, AlphaArcsin, Conflict, Cosine, DomainError,
                          HalfTent, Logistic, ParameterError, Power, Quadratic,
@@ -117,6 +118,36 @@ def test_mobius_involution_examples():
 
     with pytest.raises(ParameterError):
         mobius_involution(0.5, 2.0)
+
+
+def _round_trip_error_bound(a, b, x):
+    """A first-order bound, times 4, on the rounding error of phi(phi(x))
+    for phi(x) = -(a + x)/(1 + b x) in binary64: y = phi(x) carries a
+    relative error r1 from its three operations, and the second
+    application divides a + y and 1 + b y, each carrying y's error, where
+    the true values are x (ab - 1)/(1 + b x) and (1 - ab)/(1 + b x)."""
+    eps = 2.0**-53
+    y = -(a + x) / (1.0 + b * x)
+    r1 = 3.0 * eps + 2.0 * eps * (1.0 + abs(b * x)) / abs(1.0 + b * x)
+    d2 = abs(1.0 + b * y)
+    d2_error = abs(b * y) * r1 + 2.0 * eps * (1.0 + abs(b * y))
+    return 4.0 * ((abs(y) * r1 + eps * abs(a + y)) / d2 + abs(x) * (d2_error / d2 + eps))
+
+
+_COEFFICIENT = st.floats(-4.0, 4.0)
+
+
+@given(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT, st.floats(1e-3, 4.0), st.floats(0.0, 1.0))
+def test_mobius_involution_is_an_involution_on_its_interval(a, b, lo, width, t):
+    hi = lo + width
+    try:
+        phi = mobius_involution(a, b, lo=lo, hi=hi)
+    except ParameterError:  # a*b too close to 1, or the pole in [lo, hi]
+        assume(False)
+    x = min(lo + t * width, hi)
+    bound = _round_trip_error_bound(a, b, x)
+    assume(math.isfinite(bound))  # phi(x) overflows next to the pole
+    assert abs(apply_homeo(phi, apply_homeo(phi, x)) - x) <= bound
 
 
 def test_herschel_relation_residual_examples():

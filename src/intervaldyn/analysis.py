@@ -10,7 +10,9 @@ densely is the operative criterion for g being conjugate to the tent
 map itself; here only the finite-depth gap statistic is computed, and
 the density verdict is a caller-thresholded heuristic, not a theorem.
 The tent map's preimages are computed exactly (t/2 and 1 - t/2); every
-other map's branches are inverted by monotone bisection.
+other map's branches are inverted by monotone bisection, a
+piecewise-linear map's by the knot-window bisection homeos._bisect_pl,
+which returns the same bits.
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@
 
 A Homeomorphism evaluates forward and backward exactly where a closed
 form exists; otherwise the inverse falls back to monotone bisection
-(1e-14 interval width, 100 iterations). The two arcsine changes fix
-both endpoints of [0, 1]:
+(1e-14 interval width, 100 iterations). A piecewise-linear change
+(pwlh) bisects in _bisect_pl, which takes the same steps and returns
+the same bits as _bisect_monotone on _interpolate, but searches each
+midpoint's knot segment only between the segments of the bracket ends.
+The two arcsine changes fix both endpoints of [0, 1]:
 
     ulam(x)  = (2/pi) * arcsin(sqrt(x))      [0,1] -> [0,1]
     alpha(x) = (1/pi) * arcsin(sqrt(x))      [0,1] -> [0,0.5]
@@ -13,7 +16,8 @@ under doubling.
 
 Monotone bisection is also how zero-preimage sets pull targets back
 through the branches of a tent-shaped map (analysis.zero_preimage_set),
-except for the tent map itself, whose branches invert exactly.
+by _bisect_pl for a piecewise-linear map, except for the tent map
+itself, whose branches invert exactly.
 
 Each builtin family of maps and coordinate changes declares its spec
 text once, as _spec = (name, keys). _describe writes that text and
@@ -351,7 +355,8 @@ class PiecewiseLinearHomeo(Homeomorphism):
     """Strictly monotone piecewise-linear change given by knots.
 
     Knot abscissae must be strictly increasing and ordinates strictly
-    monotone. The inverse is computed by monotone bisection.
+    monotone. The inverse is computed by the knot-window bisection
+    _bisect_pl, bit for bit what monotone bisection on _fwd returns.
     """
 
     knots: tuple[tuple[float, float], ...]

@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .errors import DomainError, ParameterError, check_count, check_positive
-from .interval import UNIT, linspace
+from .interval import linspace
 from .maps import MapDescriptor, PiecewiseLinear, Tent, Unimodal, eval_map, trajectory
 from .homeos import _bisect_monotone, _bisect_pl
 
@@ -226,7 +226,7 @@ def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
     for k in range(1, depth + 1):
         if level:  # once a level is empty every deeper one is too
             level = _dedup_sorted([p for t in level for p in pullback(t)])
-            points = [p for p in level if UNIT.contains(p)]
+            points = [p for p in level if 0.0 <= p <= 1.0]  # UNIT.contains(p)
             gap = max([points[0] - 0.0] + [b - a for a, b in zip(points, points[1:])]
                       + [1.0 - points[-1]]) if points else 1.0
         levels.append((k, len(points), gap))

@@ -226,7 +226,7 @@ def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
     for k in range(1, depth + 1):
         if level:  # once a level is empty every deeper one is too
             level = _dedup_sorted([p for t in level for p in pullback(t)])
-            points = [p for p in level if 0.0 <= p <= 1.0]  # UNIT.contains(p)
+            points = [p for p in level if p >= 0.0 and p <= 1.0]  # UNIT.contains(p)
             gap = max([points[0] - 0.0] + [b - a for a, b in zip(points, points[1:])]
                       + [1.0 - points[-1]]) if points else 1.0
         levels.append((k, len(points), gap))

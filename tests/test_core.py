@@ -27,14 +27,13 @@ from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, Par
                          herschel_iterate, herschel_relation_residual, hyperbola_iterate,
                          iterate, mobius_involution, orbit, orbit_consistency,
                          sensitivity_report, zero_preimage_set)
-from intervaldyn import analysis
+from intervaldyn import analysis, homeos
 from intervaldyn.analysis import _dedup_sorted
 from intervaldyn.chaos_rng import arcsine_cdf, uniformize
 from intervaldyn.cli import parse_map_spec, to_json
 from intervaldyn.closed_form import MAX_ITERATIONS, CrosscheckReport, _scaled_deviation
 from intervaldyn.conjugacy import Conflict
 from intervaldyn.errors import check_count
-from intervaldyn import homeos
 from intervaldyn.homeos import (PiecewiseLinearHomeo, _bisect_monotone, _bisect_pl, _interpolate,
                                 invert_homeo)
 from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval, linspace

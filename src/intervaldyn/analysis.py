@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .errors import DomainError, ParameterError, check_count, check_positive
+from .errors import ParameterError, check_count, check_interval, check_positive, check_samples
 from .interval import linspace
 from .maps import MapDescriptor, PiecewiseLinear, Tent, Unimodal, eval_map, trajectory
 from .homeos import _bisect_monotone, _bisect_pl
@@ -85,13 +85,12 @@ def check_idempotent_structure(m: MapDescriptor, samples: int, tol: float) -> Id
     of [a, b] that are no grid point's image are checked too.
     """
     dom = m.domain()
-    grid = linspace(dom.lo, dom.hi, samples)  # first, so its sample-count error wins
+    samples = check_samples(samples)
     check_positive(tol, "tolerance")
-    if not dom.bounded:
-        raise DomainError(f"need a bounded domain, got {dom}")
+    check_interval(dom.lo, dom.hi)
     worst_idem = 0.0
     image = []
-    for x in grid:
+    for x in linspace(dom.lo, dom.hi, samples):
         y = eval_map(m, x)
         image.append(y)
         worst_idem = max(worst_idem, abs(eval_map(m, y) - y))

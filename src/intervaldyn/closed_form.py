@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, ImaginaryResidueError, ParameterError, check_count
+from .errors import (DomainError, ImaginaryResidueError, ParameterError, check_count,
+                     check_interval, check_samples)
 from .interval import linspace
 from .maps import MapDescriptor, _hyperbola_e2, trajectory
 
@@ -62,18 +63,11 @@ def herschel_iterate(x: float, n: int) -> float:
     if n == 0:
         v = (c + cm) / 2.0
     else:
-        overflow = False
         for _ in range(n - 1):
             c, cm = c * c, cm * cm
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)
-                    and math.isfinite(cm.real) and math.isfinite(cm.imag)):
-                overflow = True
-                break
-        if not overflow:
-            v = (0.5 * c) * c + (0.5 * cm) * cm
-            overflow = not (math.isfinite(v.real) and math.isfinite(v.imag))
-        if overflow:
-            # even powers of a real root with |root| > 1 diverge to +inf
+        v = (0.5 * c) * c + (0.5 * cm) * cm
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            # a non-finite square stays non-finite; even powers diverge to +inf
             return math.inf
     if abs(v.imag) > 1e-6 * max(1.0, abs(v.real)):
         raise ImaginaryResidueError(f"imaginary residue {v.imag!r} at x={x!r}, n={n}")
@@ -192,14 +186,12 @@ def crosscheck_closed_form(
 ) -> CrosscheckReport:
     """Max deviation between iterate(m, x, n) and formula(x, n) over an
     inclusive sample grid of [lo, hi] and n = 0..n_max. Each sample's
-    brute-force iterates come from one walk of its trajectory. The ends
-    must be finite with lo < hi."""
+    brute-force iterates come from one walk of its trajectory."""
     n_max = check_count(n_max, "iteration count", 0, MAX_ITERATIONS)
-    grid = linspace(lo, hi, samples)  # first, so its sample-count error wins
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise DomainError(f"bad check interval [{lo}, {hi}]")
+    samples = check_samples(samples)
+    check_interval(lo, hi)
     worst, arg_x, arg_n = -1.0, lo, 0
-    for x in grid:
+    for x in linspace(lo, hi, samples):
         n = 0  # the step being checked, also while the walk computes it
         try:
             for brute in trajectory(m, x, n_max):

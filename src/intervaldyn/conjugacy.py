@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import DomainError, ParameterError, check_count, check_positive
+from .errors import DomainError, check_count, check_interval, check_positive, check_samples
 from .homeos import Homeomorphism, Mobius, apply_homeo
 from .interval import linspace
 from .maps import Conjugated, MapDescriptor, eval_map, iterate, trajectory
@@ -104,10 +104,8 @@ def verify_semiconjugacy(
     The grid is half-open so that maps defined on [0, 1) can be checked
     up to (but excluding) the right endpoint.
     """
-    if samples < 2:  # linspace sees samples + 1 points, so it would pass 1
-        raise ParameterError(f"need at least 2 samples, got {samples!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise DomainError(f"bad check interval [{lo}, {hi})")
+    samples = check_samples(samples)  # linspace sees samples + 1 points, so it would pass 1
+    check_interval(lo, hi)
     return _residual_report(
         linspace(lo, hi, samples + 1)[:-1],
         lambda x: abs(eval_map(f, eval_map(h, x)) - eval_map(h, eval_map(g, x))),
@@ -156,12 +154,14 @@ def herschel_relation_residual(
 ) -> float:
     """Max residual of the functional relation x + phi(x) + f(x*phi(x)) = 0
     over an inclusive grid of [lo, hi]."""
+    grid = linspace(lo, hi, samples)  # first, so its sample-count error wins
+    check_interval(lo, hi)
 
     def residual(x: float) -> float:
         px = apply_homeo(phi, x)
         return abs(x + px + f_outer(x * px))
 
-    return _residual_report(linspace(lo, hi, samples), residual, "Herschel relation").max_residual
+    return _residual_report(grid, residual, "Herschel relation").max_residual
 
 
 def orbit_consistency(
@@ -213,25 +213,15 @@ def propagate_partial_conjugacy(
     coordinate, unless two entries collide within tol on the first
     coordinate while standing more than 10*tol apart on the second, in
     which case the propagation is self-contradictory and the collision
-    is returned instead.
+    is returned instead. An orbit that leaves its domain raises DomainError.
     """
     depth = check_count(depth, "depth")
-    if grid < 2:
-        raise ParameterError(f"need at least 2 seed points, got {grid!r}")
+    grid = check_samples(grid, "seed points")
     check_positive(tol, "tolerance")
-    if math.isinf(seed_lo) or math.isinf(seed_hi):  # the grid would hold NaN points
-        raise DomainError(f"cannot grid the unbounded interval [{seed_lo}, {seed_hi}]")
-    if seed_lo >= seed_hi:
-        raise DomainError(f"empty seed interval [{seed_lo}, {seed_hi}]")
+    check_interval(seed_lo, seed_hi)
     entries: list[tuple[float, float]] = []
     for x in linspace(seed_lo, seed_hi, grid):
-        fx = iterate(f, x, 0)
-        gy = apply_homeo(h_seed, x)
-        entries.append((fx, gy))
-        for _ in range(depth):
-            fx = eval_map(f, fx)
-            gy = eval_map(g, gy)
-            entries.append((fx, gy))
+        entries.extend(zip(trajectory(f, x, depth), trajectory(g, apply_homeo(h_seed, x), depth)))
     entries.sort()
     for i in range(len(entries)):
         j = i + 1

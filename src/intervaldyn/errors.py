@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all intervaldyn modules, and the one rule
-for the counts and the one for the tolerances that the library takes."""
+"""Exception hierarchy shared by all intervaldyn modules, and the four
+argument rules: check_count (counts and caps), check_positive
+(tolerances), check_samples (grid sizes) and check_interval (grid ends)."""
 
 import math
 from typing import Optional
@@ -33,15 +34,18 @@ class UsageError(IntervalDynError):
     """Bad command-line arguments (exit code 2 in the CLI)."""
 
 
+def _whole(n) -> bool:
+    try:
+        return n == int(n)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, an infinity
+        return False
+
+
 def check_count(n, what: str, minimum: int = 1, cap: Optional[int] = None) -> int:
     """int(n) for a whole number n >= minimum (0 or 1) and, when a cap is
     given, n <= cap. NaN, infinities, fractions and non-numbers raise
     ParameterError; a count above the cap raises RangeError."""
-    try:
-        whole = n == int(n)
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN, an infinity
-        whole = False
-    if not whole or n < minimum:
+    if not _whole(n) or n < minimum:
         kind = "positive" if minimum else "nonnegative"
         raise ParameterError(f"{what} must be a {kind} integer, got {n!r}")
     if cap is not None and n > cap:
@@ -53,3 +57,18 @@ def check_positive(x: float, what: str) -> None:
     """Raise ParameterError unless 0 < x < inf (NaN fails too)."""
     if not 0.0 < x < math.inf:
         raise ParameterError(f"{what} must be positive, got {x!r}")
+
+
+def check_samples(n, what: str = "samples") -> int:
+    """int(n) for a whole number n >= 2 of grid points. A smaller whole number
+    raises ParameterError naming it; anything else, check_count's."""
+    if _whole(n) and n < 2:
+        raise ParameterError(f"need at least 2 {what}, got {n!r}")
+    return check_count(n, what)
+
+
+def check_interval(lo: float, hi: float) -> None:
+    """Raise DomainError unless lo < hi and hi - lo is finite, so that no
+    point of a grid of [lo, hi] is NaN or infinite."""
+    if not (lo < hi and hi - lo < math.inf):
+        raise DomainError(f"cannot grid [{lo}, {hi}]: need lo < hi and a finite hi - lo")

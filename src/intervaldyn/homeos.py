@@ -142,6 +142,8 @@ def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
         raise DomainError(f"target {target!r} outside branch range [{a}, {b}]")
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
+        if not math.isfinite(mid):  # lo + hi overflowed; their halves cannot
+            mid = 0.5 * lo + 0.5 * hi
         fm = f(mid)
         if fm == target:
             return mid
@@ -151,7 +153,8 @@ def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
             hi = mid
         if hi - lo <= _BISECT_TOL:
             break
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
 def _checked_knots(knots) -> tuple[tuple[float, float], ...]:
@@ -200,15 +203,12 @@ def _bisect_pl(knots: tuple[tuple[float, float], ...], target: float,
                lo: float, hi: float) -> float:
     """_bisect_monotone(partial(_interpolate, knots), target, lo, hi),
     step for step and bit for bit, errors included, for lo <= hi within
-    the knots' abscissae that either span all the knots or have 2 * lo
-    and 2 * hi finite.
+    the knots' abscissae.
 
     It keeps the segments i of lo and j of hi. Each midpoint lies in
     [lo, hi], so its segment is searched in knots[i..j + 1] only, and
-    once i == j it costs the interpolation formula alone. (A midpoint
-    overflows to an infinity only while the bracket still ends on the
-    first or last knot, whose segment is the one that infinity's search
-    finds.) The formula is _interpolate's in its operation order:
+    once i == j it costs the interpolation formula alone. The formula
+    is _interpolate's in its operation order:
     keeping a segment's y1 - y0 and x1 - x0 changes no bit, a
     precomputed slope would.
     """
@@ -230,6 +230,8 @@ def _bisect_pl(knots: tuple[tuple[float, float], ...], target: float,
     k = j  # once i == j, k == i == j and the segment's knots stay loaded
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
+        if not math.isfinite(mid):  # lo + hi overflowed; their halves cannot
+            mid = 0.5 * lo + 0.5 * hi
         if i != j:
             k = _segment(knots, mid, i, j + 1)
             (x0, y0), (x1, y1) = knots[k], knots[k + 1]
@@ -243,7 +245,8 @@ def _bisect_pl(knots: tuple[tuple[float, float], ...], target: float,
             hi, j = mid, k
         if hi - lo <= _BISECT_TOL:
             break
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
 @dataclass(frozen=True)
@@ -333,7 +336,7 @@ class Mobius(Homeomorphism):
     def __post_init__(self) -> None:
         if abs(self.a * self.b - 1.0) <= 1e-9:
             raise ParameterError(f"a*b = {self.a * self.b!r} too close to 1; map degenerates")
-        if self.lo >= self.hi:
+        if not self.lo < self.hi:  # NaN ends fail too
             raise ParameterError(f"bad declared interval [{self.lo}, {self.hi}]")
         if self.b != 0.0:
             pole = -1.0 / self.b

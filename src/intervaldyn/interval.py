@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, check_interval, check_samples
 
 # Absolute snap tolerance at closed endpoints.
 ENDPOINT_TOL = 1e-12
@@ -67,10 +67,8 @@ class Interval:
 
     def interior_grid(self, samples: int) -> list[float]:
         """Equispaced points offset half a step from both endpoints."""
-        if samples < 2:
-            raise ParameterError(f"need at least 2 samples, got {samples!r}")
-        if not self.bounded:
-            raise DomainError(f"cannot grid the unbounded interval {self}")
+        samples = check_samples(samples)
+        check_interval(self.lo, self.hi)
         step = (self.hi - self.lo) / samples
         return [self.lo + (i + 0.5) * step for i in range(samples)]
 
@@ -82,9 +80,9 @@ class Interval:
 
 def linspace(lo: float, hi: float, samples: int) -> list[float]:
     """The inclusive grid: lo + (hi - lo) * i / (samples - 1) for i < samples,
-    from lo to hi (the last point is hi up to rounding)."""
-    if samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {samples!r}")
+    from lo to hi (the last point is hi up to rounding). Only the sample
+    count is checked, so lo == hi gives that point samples times."""
+    samples = check_samples(samples)
     return [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
 
 

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, ParameterError, UsageError, check_count, check_positive
+from .errors import (DomainError, ParameterError, UsageError, check_count, check_interval,
+                     check_positive)
 from .homeos import (Homeomorphism, _checked_knots, _describe, _interpolate, _parse_family,
                      apply_homeo, invert_homeo, parse_homeo_spec)
 from .interval import REALS, UNIT, UNIT_HALF_OPEN, Interval, linspace
@@ -54,7 +55,8 @@ def trajectory(m: MapDescriptor, x: float, n: int) -> Iterator[float]:
     """Yield x snapped into the domain, then its first n iterates, each
     snapped back into the domain. This is the one orbit loop: everything
     that walks an orbit (iterate, orbit, sensitivities, cobweb paths,
-    the closed-form and orbit-consistency checks) walks it here."""
+    propagate, and the closed-form and orbit-consistency checks) walks
+    it here."""
     dom = m.domain()
     raw, snap, lo, hi = m._raw, dom.snap, dom.lo, dom.hi
     cur = snap(x)
@@ -102,10 +104,7 @@ def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[flo
     check_positive(tol, "tolerance")
     dom = m.domain()
     lo, hi = dom.snap(lo), dom.snap(hi)
-    if lo >= hi:
-        raise DomainError(f"empty scan interval [{lo}, {hi}]")
-    if not math.isfinite(hi - lo):  # the grid would hold NaN points
-        raise DomainError(f"cannot grid the unbounded interval [{lo}, {hi}]")
+    check_interval(lo, hi)
 
     def g(x: float) -> float:
         return eval_map(m, x) - x
@@ -396,6 +395,4 @@ def identity_map(lo: float = 0.0, hi: float = 1.0) -> PiecewiseLinear:
 
 def affine_map(p: float, q: float, lo: float, hi: float) -> PiecewiseLinear:
     """x -> p x + q restricted to [lo, hi], realized exactly on two knots."""
-    if lo >= hi:
-        raise ParameterError(f"bad interval [{lo}, {hi}]")
     return PiecewiseLinear([(lo, p * lo + q), (hi, p * hi + q)])

@@ -1,5 +1,7 @@
-"""The library's rules for counts, tolerances and caps, the same in every
-function that takes one: errors.check_count and errors.check_positive."""
+"""The library's rules for counts, tolerances, caps, sample counts and
+gridded intervals, the same in every function that takes one:
+errors.check_count, errors.check_positive, errors.check_samples and
+errors.check_interval."""
 
 import glob
 import math
@@ -8,15 +10,20 @@ import re
 
 import pytest
 
-from intervaldyn import (FixedPointWord, Logistic, ParameterError, Quadratic, RangeError, Tent,
-                         UlamArcsin, boole_iterate, check_idempotent_structure, cobweb_path,
-                         crosscheck_closed_form, density_report, doubling_collapse,
-                         fixed_points, fixed_precision_logistic, fractional_iterate_hyperbola,
-                         fractional_iterate_quadratic, herschel_iterate, histogram,
-                         hyperbola_iterate, identity_map, iterate, logistic_sequence, orbit,
+from intervaldyn import (DomainError, Doubling, FixedPointWord, Interval, Logistic,
+                         MapDescriptor, ParameterError, PiecewiseLinear, Quadratic,
+                         RangeError, Reflect, SineSquared, Tent, UlamArcsin, boole_iterate,
+                         check_idempotent_structure, cobweb_path, crosscheck_closed_form,
+                         density_report, doubling_collapse, fixed_points,
+                         fixed_precision_logistic, fractional_iterate_hyperbola,
+                         fractional_iterate_quadratic, herschel_iterate,
+                         herschel_relation_residual, histogram, hyperbola_iterate,
+                         identity_map, iterate, logistic_sequence, mobius_involution, orbit,
                          orbit_consistency, periodicity_order, propagate_partial_conjugacy,
-                         reflect_map, sensitivity_report, zero_preimage_set)
-from intervaldyn.errors import check_count
+                         reflect_map, sensitivity_report, verify_conjugacy,
+                         verify_semiconjugacy, zero_preimage_set)
+from intervaldyn.errors import check_count, check_interval, check_samples
+from intervaldyn.interval import UNIT, linspace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -112,9 +119,137 @@ def test_library_caps_raise_range_error():
         cobweb_path(Logistic(), 0.3, 10**6 + 1)
 
 
+def test_check_samples():
+    assert check_samples(3.0) == 3 and type(check_samples(3.0)) is int
+    assert check_samples(2) == 2
+    for bad in (1, 0, -1, 1.0):
+        with pytest.raises(ParameterError, match=f"^need at least 2 samples, got {bad!r}$"):
+            check_samples(bad)
+    with pytest.raises(ParameterError, match=r"^need at least 2 seed points, got 1$"):
+        check_samples(1, "seed points")
+    for bad in (2.5, math.nan, math.inf, -math.inf, "3", None):
+        message = f"^samples must be a positive integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ParameterError, match=message):
+            check_samples(bad)
+
+
+# every library function that takes a sample count, called with that count n
+_SAMPLED = {
+    "linspace": lambda n: linspace(0.0, 1.0, n),
+    "interior_grid": lambda n: UNIT.interior_grid(n),
+    "verify_conjugacy": lambda n: verify_conjugacy(Logistic(), Tent(), UlamArcsin(), n),
+    "verify_semiconjugacy": lambda n: verify_semiconjugacy(
+        Logistic(), Doubling(), SineSquared(), 0.0, 1.0, n),
+    "periodicity_order": lambda n: periodicity_order(reflect_map(), 2, n),
+    "crosscheck_closed_form": lambda n: crosscheck_closed_form(
+        Quadratic(), boole_iterate, -1.0, 1.0, 2, n),
+    "check_idempotent_structure": lambda n: check_idempotent_structure(identity_map(), n, 1e-9),
+    "herschel_relation_residual": lambda n: herschel_relation_residual(
+        lambda t: 1.0 + 2.0 * t, mobius_involution(1.0, 2.0, 0.0, 3.0), 0.0, 3.0, n),
+    "propagate_partial_conjugacy": lambda n: propagate_partial_conjugacy(
+        Logistic(), Tent(), 0.1, 0.2, UlamArcsin(), 2, n, 1e-3),
+}
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, 2.5], ids=["nan", "inf", "2.5"])
+@pytest.mark.parametrize("name", sorted(_SAMPLED))
+def test_a_bad_sample_count_is_a_parameter_error(name, n):
+    message = f" must be a positive integer, got {re.escape(repr(n))}$"
+    with pytest.raises(ParameterError, match=message):
+        _SAMPLED[name](n)
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLED))
+def test_one_grid_point_is_too_few(name):
+    what = "seed points" if name == "propagate_partial_conjugacy" else "samples"
+    with pytest.raises(ParameterError, match=f"^need at least 2 {what}, got 1$"):
+        _SAMPLED[name](1)
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLED))
+def test_a_whole_float_sample_count_grids_like_the_int(name):
+    assert repr(_SAMPLED[name](3.0)) == repr(_SAMPLED[name](3))
+
+
+_BAD_INTERVALS = [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
+                  (-math.inf, math.inf), (0.5, 0.5), (1.0, 0.0), (-1e308, 1e308)]
+
+
+def _cannot_grid(lo, hi):
+    return f"^{re.escape(f'cannot grid [{lo}, {hi}]: need lo < hi and a finite hi - lo')}$"
+
+
+def test_check_interval():
+    check_interval(0.0, 1.0)
+    check_interval(-1e308, 0.0)
+    for lo, hi in _BAD_INTERVALS:
+        with pytest.raises(DomainError, match=_cannot_grid(lo, hi)):
+            check_interval(lo, hi)
+
+
+# every library function that grids an interval [lo, hi] it is given
+_GRIDDED = {
+    "fixed_points": lambda lo, hi: fixed_points(Quadratic(), lo, hi, 1e-9),
+    "verify_semiconjugacy": lambda lo, hi: verify_semiconjugacy(
+        Quadratic(), Quadratic(), Quadratic(), lo, hi, 5),
+    "crosscheck_closed_form": lambda lo, hi: crosscheck_closed_form(
+        Quadratic(), herschel_iterate, lo, hi, 2, 5),
+    "herschel_relation_residual": lambda lo, hi: herschel_relation_residual(
+        lambda t: 0.0, Reflect(), lo, hi, 5),
+    "propagate_partial_conjugacy": lambda lo, hi: propagate_partial_conjugacy(
+        Quadratic(), Quadratic(), lo, hi, mobius_involution(0.0, 0.0), 2, 5, 1e-3),
+}
+
+
+@pytest.mark.parametrize("lo,hi", _BAD_INTERVALS,
+                         ids=[f"{lo},{hi}" for lo, hi in _BAD_INTERVALS])
+@pytest.mark.parametrize("name", sorted(_GRIDDED))
+def test_a_bad_interval_cannot_be_gridded(name, lo, hi):
+    message = _cannot_grid(lo, hi)
+    if name == "fixed_points" and (math.isnan(lo) or math.isnan(hi)):  # snapped first
+        message = r"^NaN is not a point of \[-inf, inf\]$"
+    with pytest.raises(DomainError, match=message):
+        _GRIDDED[name](lo, hi)
+
+
+class _Identity(MapDescriptor):
+    """x -> x on a given domain."""
+
+    def __init__(self, lo, hi):
+        self._domain = Interval(lo, hi)
+
+    def _raw(self, x):
+        return x
+
+
+# every library function that grids a map's domain, called with the map
+_DOMAIN_GRIDDED = {
+    "interior_grid": lambda m: m.domain().interior_grid(5),
+    "verify_conjugacy": lambda m: verify_conjugacy(m, m, mobius_involution(0.0, 0.0), 5),
+    "periodicity_order": lambda m: periodicity_order(m, 2, 5),
+    "check_idempotent_structure": lambda m: check_idempotent_structure(m, 5, 1e-9),
+}
+_UNGRIDDABLE_DOMAINS = [(-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)]
+
+
+@pytest.mark.parametrize("lo,hi", _UNGRIDDABLE_DOMAINS,
+                         ids=[f"{lo},{hi}" for lo, hi in _UNGRIDDABLE_DOMAINS])
+@pytest.mark.parametrize("name", sorted(_DOMAIN_GRIDDED))
+def test_an_unbounded_or_too_wide_domain_cannot_be_gridded(name, lo, hi):
+    with pytest.raises(DomainError, match=_cannot_grid(lo, hi)):
+        _DOMAIN_GRIDDED[name](_Identity(lo, hi))
+
+
+def test_linspace_grids_a_point():
+    # the image of a constant map is one point, which the idempotence check grids
+    assert linspace(0.3, 0.3, 3) == [0.3, 0.3, 0.3]
+    report = check_idempotent_structure(PiecewiseLinear([(0.0, 0.3), (1.0, 0.3)]), 4, 1e-9)
+    assert report.is_idempotent and report.identity_on_image
+
+
 def test_the_argument_messages_are_built_only_in_errors():
     phrases = ("must be a positive integer", "must be a nonnegative integer",
-               "must be positive, got")
+               "must be positive, got", "need at least 2", "cannot grid")
     paths = glob.glob(os.path.join(SRC, "intervaldyn", "*.py"))
     assert len(paths) > 10
     for path in paths:

@@ -625,9 +625,10 @@ _FAULTS = [
      "error: --n 100000000000 exceeds the cap of 100000000"),
     # an empty or reversed seed interval has no grid to propagate
     (["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam", "--lo", "0.5",
-      "--hi", "0.5", "--depth", "1", "--grid", "3"], 3, "error: empty seed interval [0.5, 0.5]"),
+      "--hi", "0.5", "--depth", "1", "--grid", "3"], 3,
+     "error: cannot grid [0.5, 0.5]: need lo < hi and a finite hi - lo"),
     (["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam", "--lo", "0.2",
-      "--hi", "0.1"], 3, "error: empty seed interval [0.2, 0.1]"),
+      "--hi", "0.1"], 3, "error: cannot grid [0.2, 0.1]: need lo < hi and a finite hi - lo"),
     # a knot segment whose (x1 - x0) * (y1 - y0) overflows is a bad spec, not a wrong answer
     (["iterate", "--map", "pwl:-1e308,0;1e308,1", "--x0", "0", "--n", "1"], 3,
      "error: knot segment from (-1e+308, 0.0) to (1e+308, 1.0) overflows: "
@@ -641,6 +642,10 @@ _FAULTS = [
     (["iterate", "--map", "conj:tent|pwlh:-1e308,0;1e308,1", "--x0", "0.5", "--n", "1"], 3,
      "error: knot segment from (-1e+308, 0.0) to (1e+308, 1.0) overflows: "
      "(x1 - x0) * (y1 - y0) is not finite"),
+    # propagate walks both orbits with maps.trajectory, so leaving the domain fails at depth 1
+    (["conjugacy", "propagate", "--f", "pwl:0,0;1,2", "--g", "tent", "--h", "ulam", "--lo", "0.6",
+      "--hi", "0.7", "--depth", "1", "--grid", "3"], 3,
+     "error: iterate 1 escaped the domain: 1.2 lies outside [0.0, 1.0]"),
 ]
 
 
@@ -688,20 +693,34 @@ def test_count_errors_keep_their_lines(argv, line, capsys):
 _PROPAGATE = ["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam"]
 _BOOLE_CHECK = ["closed-form", "check", "--formula", "boole"]
 
-# each count speaks the one rule; a check interval must be finite and
-# nonempty; an infinite end is named, not reported as NaN
+# each count speaks the one rule; every gridded interval speaks the one
+# interval rule; an infinite end is named, not reported as NaN
 _ARGUMENT_LINES = [
     (["rng", "generate", "--n", "0"], "step count must be a positive integer, got 0"),
     (["rng", "ks", "--cdf", "uniform", "--n", "0"], "step count must be a positive integer, got 0"),
     (_BOOLE_CHECK + ["--lo", "-1", "--hi", "1", "--n-max", "-1"],
      "iteration count must be a nonnegative integer, got -1"),
-    (_BOOLE_CHECK + ["--lo", "0.5", "--hi", "0.5"], "bad check interval [0.5, 0.5]"),
-    (_BOOLE_CHECK + ["--lo", "1", "--hi", "-1"], "bad check interval [1.0, -1.0]"),
-    (_BOOLE_CHECK + ["--lo", "-inf", "--hi", "1"], "bad check interval [-inf, 1.0]"),
+    (_BOOLE_CHECK + ["--lo", "0.5", "--hi", "0.5"],
+     "cannot grid [0.5, 0.5]: need lo < hi and a finite hi - lo"),
+    (_BOOLE_CHECK + ["--lo", "1", "--hi", "-1"],
+     "cannot grid [1.0, -1.0]: need lo < hi and a finite hi - lo"),
+    (_BOOLE_CHECK + ["--lo", "-inf", "--hi", "1"],
+     "cannot grid [-inf, 1.0]: need lo < hi and a finite hi - lo"),
     (["fixed-points", "--map", "quadratic", "--lo", "-inf", "--hi", "1"],
-     "cannot grid the unbounded interval [-inf, 1.0]"),
+     "cannot grid [-inf, 1.0]: need lo < hi and a finite hi - lo"),
     (_PROPAGATE + ["--lo", "-inf", "--hi", "0.2"],
-     "cannot grid the unbounded interval [-inf, 0.2]"),
+     "cannot grid [-inf, 0.2]: need lo < hi and a finite hi - lo"),
+    # a NaN seed end names the seed interval, not f's domain
+    (_PROPAGATE + ["--lo", "nan", "--hi", "0.2"],
+     "cannot grid [nan, 0.2]: need lo < hi and a finite hi - lo"),
+    # a width that overflows is named, not reported as a NaN grid point
+    (["closed-form", "check", "--formula", "herschel", "--lo", "-1e308", "--hi", "1e308"],
+     "cannot grid [-1e+308, 1e+308]: need lo < hi and a finite hi - lo"),
+    (["conjugacy", "semiverify", "--f", "logistic", "--g", "doubling", "--h", "sinsq",
+      "--lo", "-1e308", "--hi", "1e308"],
+     "cannot grid [-1e+308, 1e+308]: need lo < hi and a finite hi - lo"),
+    (_PROPAGATE + ["--lo", "-1e308", "--hi", "1e308"],
+     "cannot grid [-1e+308, 1e+308]: need lo < hi and a finite hi - lo"),
 ]
 
 

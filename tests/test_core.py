@@ -210,7 +210,7 @@ def ref_fixed_points(m, lo, hi, tol):
     dom = m.domain()
     lo, hi = dom.snap(lo), dom.snap(hi)
     if lo >= hi:
-        raise DomainError(f"empty scan interval [{lo}, {hi}]")
+        raise DomainError(f"cannot grid [{lo}, {hi}]: need lo < hi and a finite hi - lo")
 
     def g(x):
         return eval_map(m, x) - x
@@ -307,7 +307,7 @@ def ref_idempotent(m, samples, tol):
         raise ParameterError(f"tolerance must be positive, got {tol!r}")
     dom = m.domain()
     if not dom.bounded:
-        raise DomainError(f"need a bounded domain, got {dom}")
+        raise DomainError(f"cannot grid [{dom.lo}, {dom.hi}]: need lo < hi and a finite hi - lo")
     worst, image = 0.0, []
     for i in range(samples):
         x = dom.lo + (dom.hi - dom.lo) * i / (samples - 1)
@@ -590,15 +590,24 @@ def pl_solves(draw):
 @example((((0.0, 1.0), (0.3, 0.7), (0.6, 0.2), (1.0, 0.0)), 0.45, 0.0, 0.6))
 @example((((-1.0, 0.0), (0.1, 0.3), (0.2, 0.9), (3.0, 1.0)), 0.3000000000000001, -1.0, 3.0))
 @example((((0.0, 0.0), (1.0, 1.0)), 2.0, 0.0, 1.0))
-# midpoints of brackets over all the knots that overflow to an infinity
+# brackets whose sum lo + hi overflows, over all the knots and inside them
 @example((((1e308, 0.0), (1.2e308, 1.0), (1.4e308, 2.0), (1.6e308, 3.0)), 2.5, 1e308, 1.6e308))
 @example((((1e308, 3.0), (1.2e308, 2.0), (1.4e308, 1.0), (1.6e308, 0.0)), 0.5, 1e308, 1.6e308))
 @example((((-1.6e308, 0.0), (-1.4e308, 1.0), (-1.2e308, 2.0), (-1e308, 3.0)), 0.5, -1.6e308,
           -1e308))
+@example((((1e308, 0.0), (1.2e308, 1.0), (1.4e308, 2.0), (1.6e308, 3.0)), 1.7, 1.1e308, 1.5e308))
+@example((((0.0, 0.0), (1.5e308, 1.0), (1.7e308, 2.0)), 1.9, 1e308, 1.7e308))
 def test_knot_window_bisection_is_bisection_on_interpolate(case):
     knots, target, lo, hi = case
     assert (outcome(_bisect_pl, knots, target, lo, hi)
             == outcome(_bisect_monotone, partial(_interpolate, knots), target, lo, hi))
+
+
+def test_bisection_midpoints_do_not_overflow():
+    # 0.5 * (lo + hi) is infinite here; 0.5 * lo + 0.5 * hi is not
+    h = PiecewiseLinearHomeo([(1e308, 0.0), (1.2e308, 1.0), (1.4e308, 2.0), (1.6e308, 3.0)])
+    assert invert_homeo(h, 2.5) == 1.5e308
+    assert _bisect_monotone(lambda x: x, 1.5e308, 1e308, 1.6e308) == 1.5e308
 
 
 @pytest.mark.parametrize("spec,lo,hi,tol", [

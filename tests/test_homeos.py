@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from intervaldyn import (Affine, AlphaArcsin, CompositionH, DomainError,
@@ -88,6 +90,9 @@ def test_mobius_validation():
         Mobius(a=1.0, b=-2.0, lo=0.0, hi=3.0)  # pole at 0.5
     with pytest.raises(DomainError, match="pole"):
         apply_homeo(Mobius(a=1.0, b=2.0, lo=0.0, hi=3.0), -0.5)
+    for lo, hi in ((1.0, 0.0), (0.5, 0.5), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ParameterError, match="^bad declared interval"):
+            Mobius(a=0.5, b=0.5, lo=lo, hi=hi)
 
 
 def test_mobius_reduces_to_negation():

@@ -113,6 +113,9 @@ def test_fixed_points_tolerance_below_float_spacing():
 def test_fixed_points_bad_interval():
     with pytest.raises(DomainError):
         fixed_points(Logistic(), 0.2, 1.7, 1e-9)
+    # an end outside the domain is named by the snap, before the grid rule
+    with pytest.raises(DomainError, match=r"^-inf lies outside \[0\.0, 1\.0\]$"):
+        fixed_points(Logistic(), -math.inf, 1.0, 1e-9)
     with pytest.raises(ParameterError):
         fixed_points(Logistic(), 0.1, 0.9, -1.0)
 
@@ -247,6 +250,13 @@ def test_convenience_builders():
     assert eval_map(reflect_map(), 0.3) == 0.7
     assert eval_map(identity_map(), 0.42) == 0.42
     assert eval_map(affine_map(2.0, 0.0, 0.0, 10.0), 3.25) == 6.5
+    # the knots reject an empty or reversed interval and a NaN end
+    for lo, hi in ((1.0, 0.0), (0.5, 0.5)):
+        with pytest.raises(ParameterError, match="^knot abscissae must be strictly increasing$"):
+            affine_map(2.0, 0.0, lo, hi)
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ParameterError, match="^knots must be finite$"):
+            affine_map(2.0, 0.0, lo, hi)
     r = reflect_map()
     # 1 - (1 - x) is not bit-exact for x without an exact complement
     assert eval_map(r, eval_map(r, 0.3)) == pytest.approx(0.3, abs=1e-15)

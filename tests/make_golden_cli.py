@@ -1,35 +1,30 @@
-"""Write tests/golden_cli.json: the exact stdout and exit code of every
-golden CLI case, produced by the intervaldyn on the import path.
+"""Write tests/golden_cli.json: the exact exit code, stdout and stderr of
+every golden CLI case (help screens and usage errors included), produced
+by the intervaldyn on the import path.
 
     PYTHONPATH=src python3 tests/make_golden_cli.py
     PYTHONPATH=src python3 tests/make_golden_cli.py --check
 
 Regenerate only for an intended output change, and review the diff.
-With --check nothing is written: every argv whose exit code or stdout
-differs from the stored file is printed, and the exit status is 1 if
+With --check nothing is written: every argv whose exit code, stdout or
+stderr differs from the stored file is printed, and the exit status is 1 if
 any does (or if the stored argv list differs), 0 otherwise.
 """
 
-import contextlib
-import io
 import json
 import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from test_acceptance import GOLDEN_PATH, golden_argvs  # noqa: E402
-
-from intervaldyn.cli import main  # noqa: E402
+from test_acceptance import GOLDEN_PATH, golden_argvs, run_golden  # noqa: E402
 
 
 def generate() -> list[dict]:
     cases = []
     for argv in golden_argvs():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-        cases.append({"argv": argv, "code": code, "stdout": out.getvalue()})
+        code, stdout, stderr = run_golden(argv)
+        cases.append({"argv": argv, "code": code, "stdout": stdout, "stderr": stderr})
     return cases
 
 
@@ -39,7 +34,8 @@ def check(cases: list[dict]) -> int:
         print(f"the argv list differs from {GOLDEN_PATH}")
         return 1
     drifted = [new["argv"] for old, new in zip(stored, cases)
-               if (old["code"], old["stdout"]) != (new["code"], new["stdout"])]
+               if (old["code"], old["stdout"], old["stderr"])
+               != (new["code"], new["stdout"], new["stderr"])]
     for argv in drifted:
         print("differs: " + " ".join(argv))
     print(f"{len(drifted)} of {len(cases)} cases differ from {GOLDEN_PATH}")

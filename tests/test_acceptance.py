@@ -4,8 +4,11 @@ Each criterion prints one PASS/FAIL line (written past pytest's capture
 so the lines always appear in the run log) and then asserts.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
 import pathlib
 import random
 import sys
@@ -29,7 +32,7 @@ from intervaldyn import (Affine, AlphaArcsin, CompositionH, Conflict, Cosine,
                          uniformize, verify_conjugacy, verify_semiconjugacy,
                          zero_preimage_set)
 from intervaldyn.chaos_rng import DEFAULT_SEED
-from intervaldyn.cli import main
+from intervaldyn.cli import COMMANDS, main
 from intervaldyn.homeos import PiecewiseLinearHomeo
 
 SQRT3 = math.sqrt(3.0)
@@ -358,22 +361,65 @@ _GOLDEN_EDGE_CASES = [
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")
 
+# argparse wraps help text to the terminal width; the goldens are made and
+# replayed at this width, which is also what a process without a terminal gets
+GOLDEN_COLUMNS = "80"
+
+# every help screen (the top level, each group, each subcommand), and usage
+# errors: an unknown subcommand, no subcommand, a group without a leaf, an
+# unknown leaf, an unknown option, a bad choice, a missing argument, a bad
+# spec, and argvs with several faults, where the tolerance check wins over
+# the size cap, and the size cap over the spec
+_GOLDEN_USAGE_CASES = (
+    [["--help"]]
+    + [[group, "--help"] for group in dict.fromkeys(n.split()[0] for n in COMMANDS if " " in n)]
+    + [name.split() + ["--help"] for name in COMMANDS]
+    + [["bogus"], [], ["rng"], ["conjugacy", "nope"],
+       ["iterate", "--map", "logistic", "--x0", "0.3", "--n", "1", "--bogus"],
+       ["rng", "ks", "--n", "5", "--cdf", "bogus"],
+       ["rng", "ks", "--n", "5"],
+       ["conjugacy", "verify", "--f", "nosuch", "--g", "tent", "--h", "ulam", "--tol", "-1",
+        "--samples", "2000000"],
+       ["conjugacy", "verify", "--f", "nosuch", "--g", "tent", "--h", "ulam",
+        "--samples", "2000000"],
+       ["iterate", "--map", "nosuchmap", "--x0", "0.3", "--n", "1"]])
+
 
 def golden_argvs() -> list[list[str]]:
     """Every C15 and edge case in each output format (svg is a usage
-    error except for cobweb)."""
+    error except for cobweb), then the help screens and usage errors."""
     return [argv + ["--format", fmt] for argv in _CLI_DETERMINISM_CASES + _GOLDEN_EDGE_CASES
-            for fmt in ("json", "csv", "svg")]
+            for fmt in ("json", "csv", "svg")] + [list(argv) for argv in _GOLDEN_USAGE_CASES]
 
 
-def test_cli_golden_bytes(capsys):
-    # stored stdout and exit code of every golden case; regenerate with
-    # tests/make_golden_cli.py only for an intended output change
+def run_golden(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of main(argv) at GOLDEN_COLUMNS columns;
+    a help screen exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = GOLDEN_COLUMNS
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_golden_bytes():
+    # stored exit code, stdout and stderr of every golden case; regenerate
+    # with tests/make_golden_cli.py only for an intended output change
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert [case["argv"] for case in golden] == golden_argvs()
     for case in golden:
-        code = main(case["argv"])
-        assert (code, capsys.readouterr().out) == (case["code"], case["stdout"]), case["argv"]
+        assert run_golden(case["argv"]) == (case["code"], case["stdout"], case["stderr"]), \
+            case["argv"]
 
 
 def test_golden_check_mode_names_every_drifted_case(capsys):
@@ -383,8 +429,9 @@ def test_golden_check_mode_names_every_drifted_case(capsys):
     for k in (3, 40):
         cases[k]["stdout"] += " "
     cases[50]["code"] += 1
+    cases[-1]["stderr"] += " "
     assert check(cases) == 1
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith("differs: ")] == [
-        "differs: " + " ".join(cases[k]["argv"]) for k in (3, 40, 50)]
+        "differs: " + " ".join(cases[k]["argv"]) for k in (3, 40, 50, len(cases) - 1)]
     assert check(cases[:-1]) == 1

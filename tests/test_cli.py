@@ -116,7 +116,10 @@ assert any(case["argv"][:2] == ["rng", "ks"] for case in golden)
 for case in golden:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(case["argv"])
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:  # a help screen
+            code = exc.code
     assert (code, out.getvalue()) == (case["code"], case["stdout"]), case["argv"]
 """
 

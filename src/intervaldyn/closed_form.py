@@ -62,6 +62,8 @@ def herschel_iterate(x: float, n: int) -> float:
     c, cm = _characteristic_roots(x)
     if n == 0:
         v = (c + cm) / 2.0
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            return x  # both roots are infinite for |x| above about 1.34e154
     else:
         for _ in range(n - 1):
             c, cm = c * c, cm * cm

@@ -357,6 +357,9 @@ _GOLDEN_EDGE_CASES = [
     ["density", "--map", "pwl:0,0;0.2,0.5;0.45,1;0.7,0.6;1,0", "--depth", "8"],
     ["conjugacy", "order", "--map", "conj:pwl:0,1;1,0|pwlh:0,0;0.3,0.6;1,1", "--samples", "200"],
     ["orbit", "--map", "conj:tent|pwlh:0,1;0.25,0.8;0.6,0.3;1,0", "--x0", "0.3", "--n", "6"],
+    # the 0th iterate where both characteristic roots are infinite
+    ["closed-form", "check", "--formula", "herschel", "--lo", "1e200", "--hi", "2e200",
+     "--n-max", "0", "--samples", "3"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

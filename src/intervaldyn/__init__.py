@@ -7,34 +7,54 @@ cross-checks; construction and verification of topological
 logistic and tent maps; cobweb diagrams; zero-preimage density
 estimation; and the chaotic random-number pipeline together with its
 finite-precision collapse.
+
+The public names below are served from their modules on first access
+(PEP 562): importing the package loads none of its modules, and a CLI
+process loads only the modules its subcommand runs.
 """
 
-from .analysis import (CobwebPath, DensityReport, IdempotentReport, PreimageSet,
-                       check_idempotent_structure, cobweb_path, density_report,
-                       zero_preimage_set)
-from .chaos_rng import (DEFAULT_SEED, DistributionSpec, FixedPointWord,
-                        FixedPrecisionReport, arcsine_cdf, doubling_collapse,
-                        fixed_precision_logistic, histogram, ks_distance,
-                        logistic_sequence, square_distribution, transform_to,
-                        uniform_distribution, uniformize)
-from .closed_form import (CrosscheckReport, boole_iterate, crosscheck_closed_form,
-                          fractional_iterate_hyperbola, fractional_iterate_quadratic,
-                          herschel_constant, herschel_iterate, hyperbola_iterate)
-from .conjugacy import (Conflict, ConjugacyReport, conjugate_map,
-                        herschel_relation_residual, mobius_involution,
-                        orbit_consistency, periodicity_order,
-                        propagate_partial_conjugacy, verify_conjugacy,
-                        verify_semiconjugacy)
-from .errors import (DomainError, EmptySampleError, ImaginaryResidueError,
-                     IntervalDynError, ParameterError, RangeError, UsageError)
-from .homeos import (Affine, AlphaArcsin, CompositionH, Homeomorphism, Mobius,
-                     PiecewiseLinearHomeo, Power, Reflect, UlamArcsin, apply_homeo,
-                     invert_homeo)
-from .interval import Interval
-from .maps import (Conjugated, Cosine, Doubling, HalfTent, Hyperbola,
-                   Logistic, MapDescriptor, Orbit, PiecewiseLinear, Quadratic,
-                   SineSquared, Tent, Unimodal, Verhulst, affine_map, eval_map,
-                   fixed_points, identity_map, iterate, orbit, reflect_map,
-                   sensitivity_report)
+import importlib
 
+# module -> the public names the package serves from it
+_EXPORTS = {
+    "analysis": ("CobwebPath", "DensityReport", "IdempotentReport", "PreimageSet",
+                 "check_idempotent_structure", "cobweb_path", "density_report",
+                 "zero_preimage_set"),
+    "chaos_rng": ("DEFAULT_SEED", "DistributionSpec", "FixedPointWord", "FixedPrecisionReport",
+                  "arcsine_cdf", "doubling_collapse", "fixed_precision_logistic", "histogram",
+                  "ks_distance", "logistic_sequence", "square_distribution", "transform_to",
+                  "uniform_distribution", "uniformize"),
+    "closed_form": ("CrosscheckReport", "boole_iterate", "crosscheck_closed_form",
+                    "fractional_iterate_hyperbola", "fractional_iterate_quadratic",
+                    "herschel_constant", "herschel_iterate", "hyperbola_iterate"),
+    "conjugacy": ("Conflict", "ConjugacyReport", "conjugate_map", "herschel_relation_residual",
+                  "mobius_involution", "orbit_consistency", "periodicity_order",
+                  "propagate_partial_conjugacy", "verify_conjugacy", "verify_semiconjugacy"),
+    "errors": ("DomainError", "EmptySampleError", "ImaginaryResidueError", "IntervalDynError",
+               "ParameterError", "RangeError", "UsageError"),
+    "homeos": ("Affine", "AlphaArcsin", "CompositionH", "Homeomorphism", "Mobius",
+               "PiecewiseLinearHomeo", "Power", "Reflect", "UlamArcsin", "apply_homeo",
+               "invert_homeo"),
+    "interval": ("Interval",),
+    "maps": ("Conjugated", "Cosine", "Doubling", "HalfTent", "Hyperbola", "Logistic",
+             "MapDescriptor", "Orbit", "PiecewiseLinear", "Quadratic", "SineSquared", "Tent",
+             "Unimodal", "Verhulst", "affine_map", "eval_map", "fixed_points", "identity_map",
+             "iterate", "orbit", "reflect_map", "sensitivity_report"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later accesses skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -18,11 +18,11 @@ which returns the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
 from .errors import ParameterError, check_count, check_interval, check_positive, check_samples
+from .frozen import Frozen
 from .interval import linspace
 from .maps import MapDescriptor, PiecewiseLinear, Tent, Unimodal, eval_map, trajectory
 from .homeos import _bisect_monotone, _bisect_pl
@@ -33,8 +33,7 @@ _MAX_PREIMAGE_DEPTH = 20  # the set grows like 2^depth
 _DEDUP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CobwebPath:
+class CobwebPath(Frozen):
     """Alternating vertical/horizontal polyline between graph and diagonal.
 
     points[0] is (seed, seed); every second point lies on the map's
@@ -68,8 +67,7 @@ def cobweb_path(m: MapDescriptor, x0: float, steps: int) -> CobwebPath:
     return CobwebPath(points=tuple(points), seed=points[0][0], converged=converged, limit=limit)
 
 
-@dataclass(frozen=True)
-class IdempotentReport:
+class IdempotentReport(Frozen):
     is_idempotent: bool
     image_lo: float
     image_hi: float
@@ -100,8 +98,7 @@ def check_idempotent_structure(m: MapDescriptor, samples: int, tol: float) -> Id
                             identity_on_image=worst_identity < tol)
 
 
-@dataclass(frozen=True)
-class PreimageSet:
+class PreimageSet(Frozen):
     """Sorted points of [0, 1] that reach 0 within `depth` steps.
 
     levels holds (k, count, largest_gap) for every depth k = 1..depth;
@@ -114,8 +111,7 @@ class PreimageSet:
     levels: tuple[tuple[int, int, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Frozen):
     largest_gap: float
     count: int
     dense_estimate: bool

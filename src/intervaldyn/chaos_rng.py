@@ -20,10 +20,10 @@ for sampling purposes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, EmptySampleError, ParameterError, check_count
+from .frozen import Frozen
 from .homeos import UlamArcsin, apply_homeo, _bisect_monotone
 from .interval import linspace
 from .maps import Logistic, Orbit, orbit
@@ -39,8 +39,7 @@ def arcsine_cdf(x: float) -> float:
     return _ULAM._fwd(x) if 0.0 < x < 1.0 else apply_homeo(_ULAM, x)
 
 
-@dataclass(frozen=True)
-class FixedPointWord:
+class FixedPointWord(Frozen):
     """A b-bit binary fraction value / 2^bits in [0, 1); doubling it is the
     exact shift value -> (2*value) mod 2^bits."""
 
@@ -57,8 +56,7 @@ class FixedPointWord:
         return self.value / 2.0**self.bits
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(Frozen):
     """A target distribution on [0, 1] given by its CDF.
 
     The CDF must be non-decreasing with F(0) = 0 and F(1) = 1 (checked
@@ -175,8 +173,7 @@ def doubling_collapse(word: FixedPointWord, max_steps: int) -> Optional[int]:
     return steps
 
 
-@dataclass(frozen=True)
-class FixedPrecisionReport:
+class FixedPrecisionReport(Frozen):
     """The x-side view of a collapsing fixed-point alpha-orbit."""
 
     bits: int

@@ -31,14 +31,10 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import analysis, chaos_rng, closed_form, conjugacy, maps
 from .errors import IntervalDynError, ParameterError, RangeError, UsageError
-from .homeos import parse_homeo_spec
-from .maps import parse_map_spec
-from .render import cobweb_svg
+from .frozen import Frozen
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -113,12 +109,11 @@ def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 # --- configuration -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """A fully parsed invocation: one subcommand plus its parameters."""
 
     command: str
-    params: dict = field(default_factory=dict)
+    params: dict
     fmt: str = "json"
     output: Optional[str] = None
     timing: bool = False
@@ -146,8 +141,7 @@ def _finite(arg: Arg, params: dict) -> None:
         raise ParameterError(f"{arg.flag} must be finite, got {params[arg.dest]!r}")
 
 
-@dataclass(frozen=True)
-class _Cap:
+class _Cap(Frozen):
     """A cap on a size that makes a subcommand build a list or a string,
     or run a loop, proportional to it. The size is the argument's own
     value, unless size names a product of arguments and value_of
@@ -195,7 +189,10 @@ _GROUPS = {"closed-form": "closed-form iterate checks", "conjugacy": "conjugacy 
            "rng": "chaotic random-number pipeline"}
 
 
-def _build_parser() -> _Parser:
+def _build_parser(only: Optional[str] = None) -> _Parser:
+    """The parser of every subcommand, or, when only names one, of that
+    subcommand alone (and its group): the same parser for every argv
+    that names it, since no other subcommand can match."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "svg"], default="json")
     common.add_argument("--output", default=None, help="output path (default: stdout)")
@@ -205,6 +202,8 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
     groups = {}
     for name, (_, text, args) in COMMANDS.items():
+        if only is not None and name != only:
+            continue
         group, _, leaf = name.rpartition(" ")
         if group and group not in groups:
             groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
@@ -215,11 +214,24 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _named_command(argv: list[str]) -> Optional[str]:
+    """The subcommand that argv's first words name exactly, unless argv
+    asks for help; None otherwise, and then parse_args builds every
+    parser, so that help screens and usage errors list all subcommands."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    for words in (argv[:1], argv[:2]):
+        name = " ".join(words)
+        if name in COMMANDS and name.split(" ") == words:
+            return name
+    return None
+
+
 def parse_args(argv: list[str]) -> RunConfig:
     """Validate argv into a RunConfig; raises UsageError on bad input,
     ParameterError on a tolerance or threshold not positive and finite
     or a non-finite --delta, and RangeError on a size above its cap."""
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser(_named_command(argv)).parse_args(argv)
     command = ns.command
     if getattr(ns, "subcommand", None):
         command = f"{command} {ns.subcommand}"
@@ -244,11 +256,11 @@ def _default_seed() -> float:
             return float(env)
         except ValueError:
             raise UsageError(f"bad {SEED_ENV_VAR} value '{env}'") from None
-    return chaos_rng.DEFAULT_SEED
+    from .chaos_rng import DEFAULT_SEED
+    return DEFAULT_SEED
 
 
-@dataclass(frozen=True)
-class Result:
+class Result(Frozen):
     """One subcommand's outcome for every output format. fields is the
     JSON result; the CSV table is csv_header over csv_rows, which view
     data already computed and default to one row of the fields the
@@ -263,26 +275,33 @@ class Result:
     inputs: Optional[dict] = None
 
 
+# Each handler imports the library module it runs when it runs, so that a
+# process loads only the modules of its one subcommand.
+
+
 def _run_iterate(p: dict) -> Result:
+    from . import maps
     value = maps.iterate(p["map"], p["x0"], p["n"])
     return Result(EXIT_OK, value, ("x",), [(value,)])
 
 
 def _run_orbit(p: dict) -> Result:
+    from . import maps
     o = maps.orbit(p["map"], p["x0"], p["n"])
     return Result(EXIT_OK, {"seed": o.seed, "values": o.values}, ("k", "x"), enumerate(o.values))
 
 
 def _run_fixed_points(p: dict) -> Result:
+    from . import maps
     roots = maps.fixed_points(p["map"], p["lo"], p["hi"], p["tol"])
     return Result(EXIT_OK, {"count": len(roots), "roots": roots}, ("x",), zip(roots))
 
 
 _FORMULA_DEFAULT_TOL = {"boole": 1e-9, "herschel": 1e-6, "hyperbola": 1e-9}
-_QUADRATIC_FORMULAS = {"boole": closed_form.boole_iterate, "herschel": closed_form.herschel_iterate}
 
 
 def _run_closed_form_check(p: dict) -> Result:
+    from . import closed_form, maps
     formula_name = p["formula"]
     tol = p["tol"] if p["tol"] is not None else _FORMULA_DEFAULT_TOL[formula_name]
     if formula_name == "hyperbola":
@@ -293,7 +312,8 @@ def _run_closed_form_check(p: dict) -> Result:
     elif p["e"] is not None or p["a"] is not None:
         raise UsageError("--e and --a apply only to --formula hyperbola")
     else:
-        m, formula = maps.Quadratic(), _QUADRATIC_FORMULAS[formula_name]
+        formulas = {"boole": closed_form.boole_iterate, "herschel": closed_form.herschel_iterate}
+        m, formula = maps.Quadratic(), formulas[formula_name]
     report = closed_form.crosscheck_closed_form(m, formula, p["lo"], p["hi"],
                                                 p["n_max"], p["samples"])
     code = EXIT_OK if report.max_deviation < tol else EXIT_TOLERANCE
@@ -312,20 +332,24 @@ def _residual_result(report, p: dict) -> Result:
 
 
 def _run_conjugacy_verify(p: dict) -> Result:
+    from . import conjugacy
     return _residual_result(conjugacy.verify_conjugacy(p["f"], p["g"], p["h"], p["samples"]), p)
 
 
 def _run_conjugacy_semiverify(p: dict) -> Result:
+    from . import conjugacy
     return _residual_result(conjugacy.verify_semiconjugacy(
         p["f"], p["g"], p["h"], p["lo"], p["hi"], p["samples"]), p)
 
 
 def _run_conjugacy_order(p: dict) -> Result:
+    from . import conjugacy
     order = conjugacy.periodicity_order(p["map"], p["p_max"], p["samples"], p["tol"])
     return Result(EXIT_OK, {"order": order}, ("order",))
 
 
 def _run_conjugacy_propagate(p: dict) -> Result:
+    from . import conjugacy
     outcome = conjugacy.propagate_partial_conjugacy(
         p["f"], p["g"], p["lo"], p["hi"], p["h"], p["depth"], p["grid"], p["tol"])
     if isinstance(outcome, conjugacy.Conflict):
@@ -337,12 +361,14 @@ def _run_conjugacy_propagate(p: dict) -> Result:
 
 
 def _run_cobweb(p: dict) -> Result:
+    from . import analysis
     path = analysis.cobweb_path(p["map"], p["x0"], p["steps"])
     result = {"points": path.points, "converged": path.converged, "limit": path.limit}
     return Result(EXIT_OK, result, ("x", "y"), path.points, figure=(p["map"], path))
 
 
 def _run_density(p: dict) -> Result:
+    from . import analysis
     pset = analysis.zero_preimage_set(p["map"], p["depth"])
     report = analysis.density_report(pset, p["threshold"])
     result = {"depth": pset.depth, "count": report.count,
@@ -351,6 +377,7 @@ def _run_density(p: dict) -> Result:
 
 
 def _rng_sample(n: int, seed: float, stage: str) -> Sequence[float]:
+    from . import chaos_rng
     o = chaos_rng.logistic_sequence(seed, n)
     if stage == "raw":
         return o.values
@@ -367,17 +394,13 @@ def _run_rng_generate(p: dict) -> Result:
                   inputs={**p, "seed": seed})
 
 
-# --cdf: the pipeline stage sampled and the CDF it should follow
-_KS_TARGETS = {
-    "arcsine": ("raw", chaos_rng.arcsine_cdf),
-    "uniform": ("uniform", lambda x: x),
-    "square": ("square", lambda x: x * x),
-}
-
-
 def _run_rng_ks(p: dict) -> Result:
+    from . import chaos_rng
     seed = p["seed"] if p["seed"] is not None else _default_seed()
-    stage, cdf = _KS_TARGETS[p["cdf"]]
+    # --cdf: the pipeline stage sampled and the CDF it should follow
+    stage, cdf = {"arcsine": ("raw", chaos_rng.arcsine_cdf),
+                  "uniform": ("uniform", lambda x: x),
+                  "square": ("square", lambda x: x * x)}[p["cdf"]]
     statistic = chaos_rng.ks_distance(_rng_sample(p["n"], seed, stage), cdf)
     exceeded = p["tol"] is not None and statistic >= p["tol"]
     return Result(EXIT_TOLERANCE if exceeded else EXIT_OK, {"statistic": statistic},
@@ -385,6 +408,7 @@ def _run_rng_ks(p: dict) -> Result:
 
 
 def _run_rng_collapse(p: dict) -> Result:
+    from . import chaos_rng
     bits = p["bits"]
     if p["exhaustive"]:
         if p["value"] is not None:
@@ -409,11 +433,25 @@ def _run_rng_collapse(p: dict) -> Result:
 
 
 def _run_sensitivity(p: dict) -> Result:
+    from . import maps
     seps = maps.sensitivity_report(p["map"], p["x0"], p["delta"], p["n"])
     return Result(EXIT_OK, {"separations": seps}, ("k", "separation"), enumerate(seps))
 
 
 # --- the subcommand table ----------------------------------------------------
+
+
+def parse_map_spec(text: str):
+    """maps.parse_map_spec, imported when a map spec is read."""
+    from .maps import parse_map_spec
+    return parse_map_spec(text)
+
+
+def parse_homeo_spec(text: str):
+    """homeos.parse_homeo_spec, imported when a homeo spec is read."""
+    from .homeos import parse_homeo_spec
+    return parse_homeo_spec(text)
+
 
 # arguments that several subcommands declare alike
 _MAP = Arg("--map", spec=parse_map_spec, required=True)
@@ -506,6 +544,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     result = handler(params)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if config.fmt == "svg":
+        from .render import cobweb_svg
         return result.code, cobweb_svg(*result.figure)
     if config.fmt == "csv":
         rows = result.csv_rows

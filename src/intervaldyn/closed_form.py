@@ -20,11 +20,11 @@ positive) is implemented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (DomainError, ImaginaryResidueError, ParameterError, check_count,
                      check_interval, check_samples)
+from .frozen import Frozen
 from .interval import linspace
 from .maps import MapDescriptor, _hyperbola_e2, trajectory
 
@@ -150,8 +150,7 @@ def fractional_iterate_hyperbola(e: float, a: float, x: float, n: int) -> float:
     return _hyperbola_closed_form(e2, a, x, power)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(Frozen):
     """Worst disagreement between brute-force iteration and a closed form."""
 
     max_deviation: float

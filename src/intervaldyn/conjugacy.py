@@ -14,17 +14,16 @@ residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomainError, check_count, check_interval, check_positive, check_samples
+from .frozen import Frozen
 from .homeos import Homeomorphism, Mobius, apply_homeo
 from .interval import linspace
 from .maps import Conjugated, MapDescriptor, eval_map, iterate, trajectory
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
+class ConjugacyReport(Frozen):
     """Residuals |h(f(x)) - g(h(x))| over a sample grid."""
 
     grid: tuple[float, ...]
@@ -53,8 +52,7 @@ def _residual_report(grid: Sequence[float], residual: Callable[[float], float],
     return ConjugacyReport(tuple(grid), tuple(residuals), worst, arg)
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(Frozen):
     """Evidence that no single-valued change of coordinates fits the data:
     two arguments that coincide on one side while their images stand apart."""
 

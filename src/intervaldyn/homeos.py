@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
 
 from .errors import DomainError, ParameterError, UsageError
+from .frozen import Frozen
 from .interval import REALS, UNIT, Interval
 
 _BISECT_TOL = 1e-14
@@ -40,15 +40,15 @@ _BISECT_MAX_ITER = 100
 def _describe(self) -> str:
     """The spec text of a builtin family, from its _spec = (name, keys):
     the bare name when keys is (), name:k=v,... with the keys naming the
-    leading dataclass fields in order, or name:x0,y0;x1,y1;... when keys
+    leading fields in order, or name:x0,y0;x1,y1;... when keys
     is "knots"."""
     name, keys = self._spec
     if keys == "knots":
         return f"{name}:" + ";".join(f"{x!r},{y!r}" for x, y in self.knots)
     if not keys:
         return name
-    return f"{name}:" + ",".join(f"{k}={getattr(self, f.name)!r}"
-                                 for k, f in zip(keys, fields(self)))
+    return f"{name}:" + ",".join(f"{k}={getattr(self, field)!r}"
+                                 for k, field in zip(keys, self._fields))
 
 
 def _parse_family(text: str, families: dict, kind: str):
@@ -249,8 +249,7 @@ def _bisect_pl(knots: tuple[tuple[float, float], ...], target: float,
     return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
-@dataclass(frozen=True)
-class UlamArcsin(Homeomorphism):
+class UlamArcsin(Homeomorphism, Frozen):
     """x -> (2/pi) arcsin sqrt(x), conjugating the logistic map to the tent map."""
 
     _domain = _range = UNIT
@@ -264,8 +263,7 @@ class UlamArcsin(Homeomorphism):
         return s * s
 
 
-@dataclass(frozen=True)
-class AlphaArcsin(Homeomorphism):
+class AlphaArcsin(Homeomorphism, Frozen):
     """x -> (1/pi) arcsin sqrt(x), bijection [0,1] -> [0,0.5]."""
 
     _domain, _range = UNIT, Interval(0.0, 0.5)
@@ -279,8 +277,7 @@ class AlphaArcsin(Homeomorphism):
         return s * s
 
 
-@dataclass(frozen=True)
-class Affine(Homeomorphism):
+class Affine(Homeomorphism, Frozen):
     p: float
     q: float
     _domain = _range = REALS
@@ -297,8 +294,7 @@ class Affine(Homeomorphism):
         return (y - self.q) / self.p
 
 
-@dataclass(frozen=True)
-class Power(Homeomorphism):
+class Power(Homeomorphism, Frozen):
     """x -> x**gamma on [0, 1], gamma > 0. Fixes both endpoints."""
 
     gamma: float
@@ -316,8 +312,7 @@ class Power(Homeomorphism):
         return y ** (1.0 / self.gamma)
 
 
-@dataclass(frozen=True)
-class Mobius(Homeomorphism):
+class Mobius(Homeomorphism, Frozen):
     """x -> -(a + x)/(1 + b*x), its own inverse whenever a*b != 1.
 
     The declared [lo, hi] interval must avoid the pole at -1/b; it is
@@ -353,8 +348,7 @@ class Mobius(Homeomorphism):
         return self._fwd(y)
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearHomeo(Homeomorphism):
+class PiecewiseLinearHomeo(Homeomorphism, Frozen):
     """Strictly monotone piecewise-linear change given by knots.
 
     Knot abscissae must be strictly increasing and ordinates strictly
@@ -372,7 +366,7 @@ class PiecewiseLinearHomeo(Homeomorphism):
         dec = all(b < a for a, b in zip(ys, ys[1:]))
         if not (inc or dec):
             raise ParameterError("knot ordinates must be strictly monotone")
-        # built once, outside the dataclass fields, so eq/hash/repr see knots only
+        # built once, outside the fields, so eq/hash/repr see knots only
         object.__setattr__(self, "_domain", Interval(self.knots[0][0], self.knots[-1][0]))
         object.__setattr__(self, "_range", Interval(min(ys), max(ys)))
 
@@ -383,8 +377,7 @@ class PiecewiseLinearHomeo(Homeomorphism):
         return _bisect_pl(self.knots, y, self.knots[0][0], self.knots[-1][0])
 
 
-@dataclass(frozen=True)
-class Reflect(Homeomorphism):
+class Reflect(Homeomorphism, Frozen):
     """x -> 1 - x on [0, 1]; an involution."""
 
     _domain = _range = UNIT
@@ -397,8 +390,7 @@ class Reflect(Homeomorphism):
         return 1.0 - y
 
 
-@dataclass(frozen=True)
-class CompositionH(Homeomorphism):
+class CompositionH(Homeomorphism, Frozen):
     outer: Homeomorphism
     inner: Homeomorphism
 

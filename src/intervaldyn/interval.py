@@ -9,16 +9,15 @@ composed evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, check_interval, check_samples
+from .frozen import Frozen
 
 # Absolute snap tolerance at closed endpoints.
 ENDPOINT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     lo: float = -math.inf
     hi: float = math.inf
     lo_closed: bool = True

@@ -12,11 +12,11 @@ map uses [0, 0.5] / (0.5, 1], its half-scale version [0, 0.25] /
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (DomainError, ParameterError, UsageError, check_count, check_interval,
                      check_positive)
+from .frozen import Frozen
 from .homeos import (Homeomorphism, _checked_knots, _describe, _interpolate, _parse_family,
                      apply_homeo, invert_homeo, parse_homeo_spec)
 from .interval import REALS, UNIT, UNIT_HALF_OPEN, Interval, linspace
@@ -78,8 +78,7 @@ def iterate(m: MapDescriptor, x: float, n: int) -> float:
     return cur
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Frozen):
     """A finite iterate sequence: values[0] is the seed, values[k] = f(values[k-1])."""
 
     seed: float
@@ -153,8 +152,7 @@ def sensitivity_report(m: MapDescriptor, x0: float, delta: float, n: int) -> lis
 # --- builtin families ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Logistic(MapDescriptor):
+class Logistic(MapDescriptor, Frozen):
     """x -> 4x(1-x) on [0, 1]."""
 
     _domain = UNIT
@@ -164,8 +162,7 @@ class Logistic(MapDescriptor):
         return 4.0 * x * (1.0 - x)
 
 
-@dataclass(frozen=True)
-class Tent(MapDescriptor):
+class Tent(MapDescriptor, Frozen):
     """x -> 1 - |1 - 2x| on [0, 1]: 2x below the peak, 2 - 2x above."""
 
     _domain = UNIT
@@ -175,8 +172,7 @@ class Tent(MapDescriptor):
         return 2.0 * x if x <= 0.5 else 2.0 - 2.0 * x
 
 
-@dataclass(frozen=True)
-class HalfTent(MapDescriptor):
+class HalfTent(MapDescriptor, Frozen):
     """The tent shape on [0, 0.5]: 2x on [0, 0.25], 1 - 2x on (0.25, 0.5]."""
 
     _domain = Interval(0.0, 0.5)
@@ -186,8 +182,7 @@ class HalfTent(MapDescriptor):
         return 2.0 * x if x <= 0.25 else 1.0 - 2.0 * x
 
 
-@dataclass(frozen=True)
-class Quadratic(MapDescriptor):
+class Quadratic(MapDescriptor, Frozen):
     """x -> 2x^2 - 1 on all of R (restricts to a self-map of [-1, 1])."""
 
     _domain = REALS
@@ -197,8 +192,7 @@ class Quadratic(MapDescriptor):
         return 2.0 * x * x - 1.0
 
 
-@dataclass(frozen=True)
-class Doubling(MapDescriptor):
+class Doubling(MapDescriptor, Frozen):
     """x -> 2x mod 1 on [0, 1); a left shift on binary digits."""
 
     _domain = UNIT_HALF_OPEN
@@ -209,8 +203,7 @@ class Doubling(MapDescriptor):
         return y - 1.0 if y >= 1.0 else y
 
 
-@dataclass(frozen=True)
-class Cosine(MapDescriptor):
+class Cosine(MapDescriptor, Frozen):
     """x -> cos x on R."""
 
     _domain = REALS
@@ -223,8 +216,7 @@ class Cosine(MapDescriptor):
             raise DomainError(f"cos is undefined at {x!r}") from None
 
 
-@dataclass(frozen=True)
-class SineSquared(MapDescriptor):
+class SineSquared(MapDescriptor, Frozen):
     """x -> sin^2(pi x) on [0, 1]; the non-invertible factor map carrying
     the doubling map onto the logistic map."""
 
@@ -249,8 +241,7 @@ def _hyperbola_e2(e: float, a: float) -> float:
     return e2
 
 
-@dataclass(frozen=True)
-class Hyperbola(MapDescriptor):
+class Hyperbola(MapDescriptor, Frozen):
     """x -> sqrt((1 - e^2)(a^2 - x^2)).
 
     The declared domain is R; points where the radicand is negative
@@ -272,8 +263,7 @@ class Hyperbola(MapDescriptor):
         return math.sqrt(rad)
 
 
-@dataclass(frozen=True)
-class Verhulst(MapDescriptor):
+class Verhulst(MapDescriptor, Frozen):
     """Population recurrence p -> p(m - n p) on all of R.
 
     With m = n = 4 this coincides with the logistic map on [0, 1].
@@ -292,8 +282,7 @@ class Verhulst(MapDescriptor):
         return x * (self.m - self.n * x)
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear(MapDescriptor):
+class PiecewiseLinear(MapDescriptor, Frozen):
     """Linear interpolation between knots with strictly increasing abscissae."""
 
     knots: tuple[tuple[float, float], ...]
@@ -301,7 +290,7 @@ class PiecewiseLinear(MapDescriptor):
 
     def __init__(self, knots) -> None:
         object.__setattr__(self, "knots", _checked_knots(knots))
-        # built once, outside the dataclass fields, so eq/hash/repr see knots only
+        # built once, outside the fields, so eq/hash/repr see knots only
         object.__setattr__(self, "_domain", Interval(self.knots[0][0], self.knots[-1][0]))
 
     def _raw(self, x: float) -> float:
@@ -311,8 +300,7 @@ class PiecewiseLinear(MapDescriptor):
 _GRID_CHECK_POINTS = 1000
 
 
-@dataclass(frozen=True)
-class Unimodal(MapDescriptor):
+class Unimodal(MapDescriptor, Frozen):
     """Tent-shaped map on [0, 1]: an increasing branch l on [0, v] with
     l(0) = 0, then a decreasing branch r on (v, 1] with r(1) = 0."""
 
@@ -347,8 +335,7 @@ class Unimodal(MapDescriptor):
         return f"unimodal(v={self.v!r};l={self.left.describe()};r={self.right.describe()})"
 
 
-@dataclass(frozen=True)
-class Conjugated(MapDescriptor):
+class Conjugated(MapDescriptor, Frozen):
     """The base map rewritten in h-coordinates: x -> h(f(h^{-1}(x)))."""
 
     base: MapDescriptor

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from intervaldyn import (Hyperbola, ParameterError, fractional_iterate_hyperbola,
                          hyperbola_iterate, homeos, maps)
-from intervaldyn.cli import (COMMANDS, _Cap, fmt_float, main, parse_args, parse_homeo_spec,
-                             parse_map_spec)
+from intervaldyn.cli import (COMMANDS, _build_parser, _Cap, _named_command, fmt_float, main,
+                             parse_args, parse_homeo_spec, parse_map_spec)
 from intervaldyn.errors import RangeError, UsageError
 from intervaldyn.homeos import (Affine, AlphaArcsin, CompositionH, Homeomorphism, Mobius,
                                 PiecewiseLinearHomeo, Power, Reflect, UlamArcsin)
@@ -886,6 +886,30 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert code in (0, 1, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["iterate", "--map", "tent"], "iterate"), (["rng", "ks", "--n", "5"], "rng ks"),
+    (["conjugacy", "verify"], "conjugacy verify"), (["rng"], None), (["rng ks"], None),
+    (["iter"], None), (["ks", "rng"], None), (["iterate", "--help"], None),
+    (["rng", "ks", "-h"], None), ([], None), (["--", "iterate"], None),
+])
+def test_named_command_is_an_exact_path_of_the_table(argv, name):
+    assert _named_command(argv) == name
+
+
+def _parsed(parser, argv):
+    try:
+        return repr(vars(parser.parse_args(argv)))  # repr: nan == nan
+    except UsageError as exc:
+        return f"usage error: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzzed_argv())
+def test_one_subcommand_parser_reads_argv_like_the_full_parser(argv):
+    # what parse_args builds for an argv that names a subcommand
+    assert _parsed(_build_parser(_named_command(argv)), argv) == _parsed(_build_parser(), argv)
 
 
 @pytest.mark.parametrize("e, a", [

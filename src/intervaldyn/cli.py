@@ -190,9 +190,9 @@ _GROUPS = {"closed-form": "closed-form iterate checks", "conjugacy": "conjugacy 
 
 
 def _build_parser(only: Optional[str] = None) -> _Parser:
-    """The parser of every subcommand, or, when only names one, of that
-    subcommand alone (and its group): the same parser for every argv
-    that names it, since no other subcommand can match."""
+    """The parser of every subcommand, or of only the one named (within
+    its group). An argv that names that subcommand parses the same with
+    either, since it reaches no other subcommand's parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "svg"], default="json")
     common.add_argument("--output", default=None, help="output path (default: stdout)")

@@ -24,15 +24,13 @@ class Frozen:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = _make_init(cls)
+        for name, method in _written_out(cls).items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
 
     def __repr__(self) -> str:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({args})"
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -49,17 +47,23 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _make_init(cls):
-    """An __init__ written out for cls's fields, as fast as a hand-written
-    one: a default is a keyword default, and each field one store."""
-    defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+def _written_out(cls) -> dict:
+    """__init__ and _values (the tuple of field values) written out for
+    cls's fields, as fast as hand-written ones: each field is one store
+    in __init__, where a default is a keyword default, and one load in
+    _values."""
+    fields = cls._fields
+    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
     params = "".join(f", {name}=_defaults[{name!r}]" if name in defaults else f", {name}"
-                     for name in cls._fields)
-    body = [f"_set(self, {name!r}, {name})" for name in cls._fields]
+                     for name in fields)
+    init = [f"_set(self, {name!r}, {name})" for name in fields]
     if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
+        init.append("self.__post_init__()")
+    values = "".join(f"self.{name}, " for name in fields)
     namespace = {"_set": _set, "_defaults": defaults}
-    exec(f"def __init__(self{params}):\n    " + "\n    ".join(body or ["pass"]), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    exec(f"def __init__(self{params}):\n    " + "\n    ".join(init or ["pass"])
+         + f"\ndef _values(self):\n    return ({values})\n", namespace)
+    methods = {name: namespace[name] for name in ("__init__", "_values")}
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+    return methods

@@ -49,8 +49,9 @@ def imported(*args: str) -> set[str]:
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:") and line.count("|") == 2} - {"package"}
+    # lines "import time: <self us> | <cumulative us> | <module>", after a header
+    rows = [line.split("|") for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {row[2].strip() for row in rows if len(row) == 3 and row[1].strip().isdigit()}
 
 
 def package_modules(modules: set[str]) -> set[str]:

@@ -360,6 +360,10 @@ _GOLDEN_EDGE_CASES = [
     # the 0th iterate where both characteristic roots are infinite
     ["closed-form", "check", "--formula", "herschel", "--lo", "1e200", "--hi", "2e200",
      "--n-max", "0", "--samples", "3"],
+    # outputs longer than one block of the writers: a sample and a cobweb
+    # polyline of more than 5000 values
+    ["rng", "generate", "--n", "5000", "--seed", "0.123456789", "--stage", "square"],
+    ["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "2500"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

@@ -20,13 +20,13 @@ for sampling purposes.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, EmptySampleError, ParameterError, check_count
 from .frozen import Frozen
 from .homeos import UlamArcsin, apply_homeo, _bisect_monotone
 from .interval import linspace
-from .maps import Logistic, Orbit, orbit
+from .maps import Logistic, Orbit, orbit, trajectory
 
 DEFAULT_SEED = 0.123456789
 
@@ -95,11 +95,30 @@ def square_distribution() -> DistributionSpec:
     return DistributionSpec(cdf=lambda x: x * x, inverse_cdf=math.sqrt)
 
 
-def logistic_sequence(x0: float, n: int) -> Orbit:
-    """Orbit of the logistic map from x0 in (0, 1), length n+1."""
+def _logistic_start(x0: float, n: int) -> tuple[Logistic, float, int]:
+    """The map, seed and step count of a logistic sequence, once the seed
+    lies strictly inside (0, 1) and n is a positive integer."""
     if math.isnan(x0) or not (0.0 < x0 < 1.0):
         raise DomainError(f"seed must lie strictly inside (0, 1), got {x0!r}")
-    return orbit(Logistic(), x0, check_count(n, "step count"))
+    return Logistic(), x0, check_count(n, "step count")
+
+
+def logistic_sequence(x0: float, n: int) -> Orbit:
+    """Orbit of the logistic map from x0 in (0, 1), length n+1."""
+    return orbit(*_logistic_start(x0, n))
+
+
+def logistic_values(x0: float, n: int) -> Iterator[float]:
+    """The values of logistic_sequence(x0, n), one at a time; the seed and
+    the count are checked at the call."""
+    return trajectory(*_logistic_start(x0, n))
+
+
+def uniform_values(values: Iterable[float]) -> Iterator[float]:
+    """The arcsine CDF of each value, one at a time."""
+    fwd = _ULAM._fwd  # arcsine_cdf, inlined: one call per point
+    for v in values:
+        yield fwd(v) if 0.0 < v < 1.0 else apply_homeo(_ULAM, v)
 
 
 def uniformize(o: Orbit) -> list[float]:
@@ -107,8 +126,7 @@ def uniformize(o: Orbit) -> list[float]:
     the arcsine CDF pointwise."""
     if o.map_id != "logistic":
         raise ParameterError(f"expected a logistic orbit, got one from {o.map_id!r}")
-    fwd = _ULAM._fwd  # arcsine_cdf, inlined: one call per point
-    return [fwd(v) if 0.0 < v < 1.0 else apply_homeo(_ULAM, v) for v in o.values]
+    return list(uniform_values(o.values))
 
 
 def transform_to(values: Sequence[float], dist: DistributionSpec) -> list[float]:

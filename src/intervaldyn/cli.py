@@ -31,6 +31,7 @@ import os
 import re
 import sys
 import time
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import IntervalDynError, ParameterError, RangeError, UsageError
@@ -58,9 +59,12 @@ def fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def to_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+# values or rows per formatted block: a writer holds one string per value
+# for one block at a time, never for a whole sample
+BLOCK = 4096
+
+
+def _json_scalar(value) -> str:
     if value is None:
         return "null"
     if value is True:
@@ -74,21 +78,46 @@ def to_json(value, indent: int = 0) -> str:
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{escaped}"'
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def to_json(value, indent: int = 0) -> list[str]:
+    """value as JSON text in pieces: "".join(to_json(value)) is the text. A
+    dict keeps its values' pieces; a list, tuple or array('d') is joined
+    BLOCK elements at a time."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = [f'{inner}"{k}": {to_json(v, indent + 1)}' for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(type(v) is float for v in value):  # orbits and samples: one format per value
+            return ["{}"]
+        pieces, sep = [], "{\n"
+        for k, v in value.items():
+            pieces.append(f'{sep}{inner}"{k}": ')
+            pieces += to_json(v, indent + 1)
+            sep = ",\n"
+        pieces.append(f"\n{pad}}}")
+        return pieces
+    # an array('d') is told by its typecode, so that this module need not import array
+    floats = getattr(value, "typecode", None) == "d"
+    if not (floats or isinstance(value, (list, tuple))):
+        return [_json_scalar(value)]
+    if not value:
+        return ["[]"]
+    # orbits and samples: one format per value
+    floats = floats or all(type(v) is float for v in value)
+    pieces, sep = [f"[\n{inner}"], f",\n{inner}"
+    for start in range(0, len(value), BLOCK):
+        block = value[start:start + BLOCK]
+        if floats:
             # v - v is 0.0 for a finite v, and NaN for NaN and the infinities
-            items = [format(v, ".17g") if v - v == 0.0 else fmt_float(v) for v in value]
-            return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-        items = [f"{inner}{to_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+            items = [format(v, ".17g") if v - v == 0.0 else fmt_float(v) for v in block]
+        else:
+            items = ["".join(to_json(v, indent + 1)) for v in block]
+        if start:
+            pieces.append(sep)
+        pieces.append(sep.join(items))
+    pieces.append(f"\n{pad}]")
+    return pieces
 
 
 def _csv_cell(v) -> str:
@@ -100,10 +129,13 @@ def _csv_cell(v) -> str:
     return s
 
 
-def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+    """The CSV table in pieces, BLOCK rows each, every line ending in a newline."""
+    pieces, rows = [",".join(header) + "\n"], iter(rows)
+    while block := [",".join([_csv_cell(c) for c in row]) for row in islice(rows, BLOCK)]:
+        block.append("")
+        pieces.append("\n".join(block))
+    return pieces
 
 
 # --- configuration -----------------------------------------------------------
@@ -377,14 +409,17 @@ def _run_density(p: dict) -> Result:
 
 
 def _rng_sample(n: int, seed: float, stage: str) -> Sequence[float]:
+    """The sample of a pipeline stage as one array('d'). The orbit streams
+    through the arcsine CDF and on through the inverse CDF, so that no
+    stage is ever held as a tuple or a list."""
+    from array import array
     from . import chaos_rng
-    o = chaos_rng.logistic_sequence(seed, n)
-    if stage == "raw":
-        return o.values
-    uni = chaos_rng.uniformize(o)
-    if stage == "uniform":
-        return uni
-    return chaos_rng.transform_to(uni, chaos_rng.square_distribution())
+    values = chaos_rng.logistic_values(seed, n)
+    if stage != "raw":
+        values = chaos_rng.uniform_values(values)
+    if stage == "square":
+        values = map(chaos_rng.square_distribution().inverse_cdf, values)
+    return array("d", values)
 
 
 def _run_rng_generate(p: dict) -> Result:
@@ -531,9 +566,10 @@ COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute a parsed configuration; returns (exit code, output text).
-    Spec arguments are read here, and the JSON inputs echo describe()."""
+def run(config: RunConfig) -> tuple[int, list[str]]:
+    """Execute a parsed configuration; returns the exit code and the output
+    text in pieces, all computed before anything is written. Spec
+    arguments are read here, and the JSON inputs echo describe()."""
     started = time.perf_counter()
     handler, _, args = COMMANDS[config.command]
     params, inputs = dict(config.params), dict(config.params)
@@ -558,7 +594,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         # measured timing is opt-in so that default output is byte-reproducible
         "elapsed_ms": elapsed_ms if config.timing else None,
     }
-    return result.code, to_json(document) + "\n"
+    return result.code, to_json(document) + ["\n"]
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -566,7 +602,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         config = parse_args(argv)
-        code, text = run(config)
+        code, pieces = run(config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -582,12 +618,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     if config.output:
         try:
             with open(config.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
         except OSError as exc:
             print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return code
 
 

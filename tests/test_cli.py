@@ -467,6 +467,24 @@ def test_output_file(tmp_path, capsys):
     assert doc["result"] == pytest.approx(0.2, abs=1e-15)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rng", "generate", "--n", "10", "--seed", "1.5"],
+     "error: seed must lie strictly inside (0, 1), got 1.5\n"),
+    # the orbit overflows, and the renderer rejects the window
+    (["cobweb", "--map", "quadratic", "--x0", "1e200", "--steps", "3", "--format", "svg"],
+     "error: cannot draw the cobweb window [1e+200, inf]: it is not finite\n"),
+], ids=["bad-seed", "svg-window"])
+def test_a_failing_run_writes_nothing(argv, message, tmp_path, capsys):
+    # everything is computed and rendered before the output is opened
+    target = tmp_path / "out"
+    target.write_bytes(b"earlier output\n")
+    code, out, err = run_cli(argv + ["--output", str(target)], capsys)
+    assert (code, out, err) == (3, "", message)
+    assert target.read_bytes() == b"earlier output\n"
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (3, "", message)
+
+
 def test_timing_flag_gives_number(capsys):
     code, out, _ = run_cli(["iterate", "--map", "tent", "--x0", "0.1", "--n", "1",
                             "--timing"], capsys)

@@ -15,6 +15,7 @@ NaN as equal to itself.
 
 import math
 import re
+from array import array
 from functools import partial
 
 import pytest
@@ -28,9 +29,9 @@ from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, Par
                          iterate, mobius_involution, orbit, orbit_consistency,
                          sensitivity_report, zero_preimage_set)
 from intervaldyn import analysis, homeos
-from intervaldyn.analysis import _dedup_sorted
+from intervaldyn.analysis import CobwebPath, _dedup_sorted
 from intervaldyn.chaos_rng import arcsine_cdf, uniformize
-from intervaldyn.cli import parse_map_spec, to_json
+from intervaldyn.cli import BLOCK, _csv_cell, parse_map_spec, to_csv, to_json
 from intervaldyn.closed_form import MAX_ITERATIONS, CrosscheckReport, _scaled_deviation
 from intervaldyn.conjugacy import Conflict
 from intervaldyn.errors import check_count
@@ -38,6 +39,7 @@ from intervaldyn.homeos import (PiecewiseLinearHomeo, _bisect_monotone, _bisect_
                                 invert_homeo)
 from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval, linspace
 from intervaldyn.maps import MapDescriptor, Orbit
+from intervaldyn import render
 from intervaldyn.render import VIEW, _window, cobweb_svg
 
 # every map family the CLI grammar reaches, plus a map that leaves its domain
@@ -114,7 +116,7 @@ def ref_polylines(m, path):
 def ref_float_list(values, indent):
     """to_json's rendering of a list element by element."""
     inner = "  " * (indent + 1)
-    items = [f"{inner}{to_json(v, indent + 1)}" for v in values]
+    items = [f"{inner}{''.join(to_json(v, indent + 1))}" for v in values]
     return "[\n" + ",\n".join(items) + f"\n{'  ' * indent}]"
 
 
@@ -405,9 +407,12 @@ def test_cobweb_matches_reference(spec):
         assert path == (kind, text), x0
 
 
+def polylines(m, path):
+    return re.findall(r' points="([^"]*)"', "".join(cobweb_svg(m, path)))
+
+
 def cobweb_polylines(m, x0, steps):
-    svg = cobweb_svg(m, cobweb_path(m, x0, steps))
-    return re.findall(r' points="([^"]*)"', svg)
+    return polylines(m, cobweb_path(m, x0, steps))
 
 
 @pytest.mark.parametrize("spec", MAP_SPECS)
@@ -441,14 +446,76 @@ def test_uniformize_is_the_ulam_homeo_pointwise(values):
 @given(st.lists(st.floats(), min_size=1, max_size=30), st.integers(0, 2))
 def test_float_lists_render_element_by_element(values, indent):
     values += [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072009e-308]
-    assert to_json(values, indent) == ref_float_list(values, indent)
-    assert to_json(tuple(values), indent) == ref_float_list(values, indent)
+    for sequence in (values, tuple(values), array("d", values)):
+        assert "".join(to_json(sequence, indent)) == ref_float_list(values, indent)
 
 
 def test_mixed_lists_render_each_element_by_its_type():
     mixed = [0.5, True, 10**20, -0.0, 3]
-    assert to_json(mixed) == ref_float_list(mixed, 0) == (
+    assert "".join(to_json(mixed)) == ref_float_list(mixed, 0) == (
         "[\n  0.5,\n  true,\n  100000000000000000000,\n  -0,\n  3\n]")
+
+
+# the writers join their output a block at a time: lengths one short of a
+# block, one block, one past it, and past two blocks
+BLOCK_LENGTHS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0]
+
+
+def edge_floats(length):
+    """length floats with NaN, the infinities and -0.0 on the first and last
+    element and on both sides of every block edge."""
+    values = [k / 7.0 - 100.0 for k in range(length)]
+    edges = [0, length - 1] if length else []
+    edges += [i for e in range(BLOCK, length, BLOCK) for i in (e - 1, e)]
+    for j, i in enumerate(edges):
+        values[i] = EDGE_VALUES[j % len(EDGE_VALUES)]
+    return values
+
+
+@pytest.mark.parametrize("length", BLOCK_LENGTHS)
+@pytest.mark.parametrize("kind", [list, tuple, partial(array, "d")], ids=["list", "tuple", "array"])
+def test_float_lists_render_across_block_edges(length, kind):
+    values = edge_floats(length)
+    for indent in (0, 2):
+        assert "".join(to_json(kind(values), indent)) == ref_float_list(values, indent)
+
+
+@pytest.mark.parametrize("length", BLOCK_LENGTHS)
+def test_mixed_lists_render_across_block_edges(length):
+    cycle = [0.5, True, None, "a,b", 3, -0.0, [1.5, math.inf], {"k": math.nan}]
+    mixed = [cycle[k % len(cycle)] for k in range(length)]
+    assert "".join(to_json(mixed, 1)) == ref_float_list(mixed, 1)
+
+
+def ref_csv(header, rows):
+    """The CSV table row by row."""
+    text = ",".join(header) + "\n"
+    for row in rows:
+        text += ",".join(_csv_cell(c) for c in row) + "\n"
+    return text
+
+
+@pytest.mark.parametrize("length", [0, 1] + BLOCK_LENGTHS)
+def test_csv_tables_render_across_block_edges(length):
+    rows = [(k, x, None if k % 5 == 0 else "a,\"b\"") for k, x in enumerate(edge_floats(length))]
+    # rows may be any iterable, read once
+    assert "".join(to_csv(("k", "x", "note"), iter(rows))) == ref_csv(("k", "x", "note"), rows)
+    assert "".join(to_csv(("k", "x"), enumerate(array("d", edge_floats(length))))) \
+        == ref_csv(("k", "x"), enumerate(edge_floats(length)))
+
+
+@pytest.mark.parametrize("length", [render.BLOCK - 1, render.BLOCK, render.BLOCK + 1,
+                                    2 * render.BLOCK + 1])
+def test_polylines_render_across_block_edges(length):
+    # a path of any length inside [0, 1], with -0.0 on both sides of every edge
+    points = [((0.37 * k) % 1.0, (0.61 * k) % 1.0) for k in range(length)]
+    for e in range(render.BLOCK, length, render.BLOCK):
+        points[e - 1] = points[e] = (-0.0, -0.0)
+    path = CobwebPath(points=tuple(points), seed=points[0][0], converged=False, limit=None)
+    m = Logistic()
+    assert polylines(m, path) == ref_polylines(m, path)
+    assert len(polylines(m, path)[1].split(" ")) == length
 
 
 def _failing_after(n_bad, formula):

@@ -66,7 +66,7 @@ def test_the_package_alone_imports_none_of_its_modules():
 def test_the_cli_module_alone_imports_no_library_module():
     modules = imported("-c", "import intervaldyn.cli")
     assert package_modules(modules) == {"cli", "errors", "frozen"}
-    assert "dataclasses" not in modules
+    assert not modules & {"dataclasses", "array"}
 
 
 @pytest.mark.parametrize("argv, unused", [
@@ -81,7 +81,13 @@ def test_a_subcommand_imports_only_what_it_runs(argv, unused):
     modules = imported("-m", "intervaldyn", *argv)
     assert "cli" in package_modules(modules)
     assert not package_modules(modules) & unused
-    assert "dataclasses" not in modules
+    assert not modules & {"dataclasses", "array"}
+
+
+def test_an_rng_sample_imports_array():
+    # a sample is held as one array('d')
+    modules = imported("-m", "intervaldyn", "rng", "generate", "--n", "3", "--seed", "0.3")
+    assert "array" in modules
 
 
 def test_the_package_serves_its_public_names():

@@ -6,9 +6,10 @@ loop per caller, one hand-written sample grid per caller, monotone
 bisection on eval_map through the branches of the tent map and of
 piecewise-linear maps, monotone bisection on _interpolate for the
 knot-window solver (_bisect_pl) that inverts pwlh and pulls back pwl
-maps, and the per-point calls (apply_homeo, the JSON writer per
+maps, the per-point calls (apply_homeo, the JSON writer per
 element, the SVG coordinate functions) that the orbit-stream fast paths
-inline. The core must reproduce each of them exactly, errors included:
+inline, and the CSV table row by row, which the writers join a block at
+a time. The core must reproduce each of them exactly, errors included:
 results are compared by repr, which is bitwise for floats and treats
 NaN as equal to itself.
 """
@@ -28,7 +29,7 @@ from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, Par
                          herschel_iterate, herschel_relation_residual, hyperbola_iterate,
                          iterate, mobius_involution, orbit, orbit_consistency,
                          sensitivity_report, zero_preimage_set)
-from intervaldyn import analysis, homeos
+from intervaldyn import analysis, homeos, render
 from intervaldyn.analysis import CobwebPath, _dedup_sorted
 from intervaldyn.chaos_rng import arcsine_cdf, uniformize
 from intervaldyn.cli import BLOCK, _csv_cell, parse_map_spec, to_csv, to_json
@@ -39,7 +40,6 @@ from intervaldyn.homeos import (PiecewiseLinearHomeo, _bisect_monotone, _bisect_
                                 invert_homeo)
 from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval, linspace
 from intervaldyn.maps import MapDescriptor, Orbit
-from intervaldyn import render
 from intervaldyn.render import VIEW, _window, cobweb_svg
 
 # every map family the CLI grammar reaches, plus a map that leaves its domain

@@ -364,6 +364,14 @@ _GOLDEN_EDGE_CASES = [
     # polyline of more than 5000 values
     ["rng", "generate", "--n", "5000", "--seed", "0.123456789", "--stage", "square"],
     ["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "2500"],
+    # bisection: fixed-point cells narrower than --tol, refinement down to
+    # adjacent floats, a pwlh inverse of about 86 halvings, pwlh orbits
+    # and a pwl pullback
+    ["fixed-points", "--map", "cosine", "--lo", "-1", "--hi", "2", "--tol", "0.01"],
+    ["fixed-points", "--map", "sinsq", "--lo", "0.1", "--hi", "1", "--tol", "1e-300"],
+    ["iterate", "--map", "conj:logistic|pwlh:0,0;1e12,1", "--x0", "3e-13", "--n", "3"],
+    ["orbit", "--map", "conj:tent|pwlh:0,0;0.3,0.7;1,1", "--x0", "0.2", "--n", "50"],
+    ["density", "--map", "pwl:0,0;0.3,1;1,0", "--depth", "9"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

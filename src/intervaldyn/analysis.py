@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .errors import ParameterError, check_count, check_interval, check_positive, check_samples
 from .frozen import Frozen
-from .interval import linspace
+from .interval import _dedup_sorted, linspace
 from .maps import MapDescriptor, PiecewiseLinear, Tent, Unimodal, eval_map, trajectory
 from .homeos import _bisect_monotone, _bisect_pl
 
@@ -162,15 +162,6 @@ def _branch_structure(m: MapDescriptor) -> float:
     return 0.5 * (a + b)
 
 
-def _dedup_sorted(points: list[float]) -> list[float]:
-    points.sort()
-    out: list[float] = []
-    for p in points:
-        if not out or p - out[-1] > _DEDUP_TOL:
-            out.append(p)
-    return out
-
-
 def _pullback(g2: MapDescriptor) -> Callable[[float], list[float]]:
     """The preimages of a target t under g2's two branches.
 
@@ -220,7 +211,7 @@ def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
     levels = []
     for k in range(1, depth + 1):
         if level:  # once a level is empty every deeper one is too
-            level = _dedup_sorted([p for t in level for p in pullback(t)])
+            level = _dedup_sorted([p for t in level for p in pullback(t)], _DEDUP_TOL)
             points = [p for p in level if p >= 0.0 and p <= 1.0]  # UNIT.contains(p)
             gap = max([points[0] - 0.0] + [b - a for a, b in zip(points, points[1:])]
                       + [1.0 - points[-1]]) if points else 1.0

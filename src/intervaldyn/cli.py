@@ -34,7 +34,7 @@ import time
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import IntervalDynError, ParameterError, RangeError, UsageError
+from .errors import IntervalDynError, ParameterError, UsageError, check_cap
 from .frozen import Frozen
 
 EXIT_OK = 0
@@ -185,8 +185,7 @@ class _Cap(Frozen):
 
     def __call__(self, arg: Arg, params: dict) -> None:
         value = self.value_of(params) if self.value_of else params[arg.dest]
-        if value > self.limit:
-            raise RangeError(f"{self.size or arg.flag} {value} exceeds the cap of {self.limit}")
+        check_cap(value, self.size or arg.flag, self.limit)
 
 
 # The caps that arguments declare; cobweb --steps, density --depth and

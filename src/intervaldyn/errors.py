@@ -1,6 +1,6 @@
-"""Exception hierarchy shared by all intervaldyn modules, and the four
-argument rules: check_count (counts and caps), check_positive
-(tolerances), check_samples (grid sizes) and check_interval (grid ends)."""
+"""Exception hierarchy shared by all intervaldyn modules, and the argument
+rules: check_count (counts), check_cap (caps), check_positive (tolerances),
+check_samples (grid sizes) and check_interval (grid ends)."""
 
 import math
 from typing import Optional
@@ -48,9 +48,15 @@ def check_count(n, what: str, minimum: int = 1, cap: Optional[int] = None) -> in
     if not _whole(n) or n < minimum:
         kind = "positive" if minimum else "nonnegative"
         raise ParameterError(f"{what} must be a {kind} integer, got {n!r}")
-    if cap is not None and n > cap:
-        raise RangeError(f"{what} {n} exceeds the cap of {cap}")
+    if cap is not None:
+        check_cap(n, what, cap)
     return int(n)
+
+
+def check_cap(n, what: str, cap: int) -> None:
+    """Raise RangeError if the size n exceeds cap."""
+    if n > cap:
+        raise RangeError(f"{what} {n} exceeds the cap of {cap}")
 
 
 def check_positive(x: float, what: str) -> None:

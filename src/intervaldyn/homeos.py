@@ -1,8 +1,9 @@
 """Invertible coordinate changes on real intervals.
 
 A Homeomorphism evaluates forward and backward exactly where a closed
-form exists; otherwise the inverse falls back to monotone bisection
-(1e-14 interval width, 100 iterations). A piecewise-linear change
+form exists; otherwise the inverse falls back to monotone bisection to
+a 1e-14 bracket or adjacent floats, with no iteration cap: on a finite
+bracket that takes at most about 1070 halvings. A piecewise-linear change
 (pwlh) bisects in _bisect_pl, which takes the same steps and returns
 the same bits as _bisect_monotone on _interpolate, but searches each
 midpoint's knot segment only between the segments of the bracket ends.
@@ -34,7 +35,6 @@ from .frozen import Frozen
 from .interval import REALS, UNIT, Interval
 
 _BISECT_TOL = 1e-14
-_BISECT_MAX_ITER = 100
 
 
 def _describe(self) -> str:
@@ -125,9 +125,11 @@ def invert_homeo(h: Homeomorphism, y: float) -> float:
     return h._inv(h.range().snap(y))
 
 
-def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
-    """Solve f(x) = target for monotone f on [lo, hi] by bisection.
-
+def _bisect_monotone(f, target: float, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
+    """Solve f(x) = target for monotone f on [lo, hi] by bisection: halve
+    the bracket while it is wider than tol and a float lies inside it, and
+    return its midpoint. Each halving halves the width, so with no cap this
+    ends within about 2100 halvings on a finite bracket, 1070 at tol = 1e-14.
     Exact hits (including at the endpoints) are returned verbatim, which
     keeps dyadic preimages of dyadic targets exact.
     """
@@ -140,10 +142,12 @@ def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
     a, b = (flo, fhi) if increasing else (fhi, flo)
     if not (a <= target <= b):
         raise DomainError(f"target {target!r} outside branch range [{a}, {b}]")
-    for _ in range(_BISECT_MAX_ITER):
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if not math.isfinite(mid):  # lo + hi overflowed; their halves cannot
-            mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:  # lo + hi overflowed, or lo and hi are adjacent floats
+            mid = 0.5 * lo + 0.5 * hi  # their halves cannot overflow
+            if not lo < mid < hi:
+                break
         fm = f(mid)
         if fm == target:
             return mid
@@ -151,8 +155,6 @@ def _bisect_monotone(f, target: float, lo: float, hi: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
     mid = 0.5 * (lo + hi)
     return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
@@ -203,7 +205,7 @@ def _bisect_pl(knots: tuple[tuple[float, float], ...], target: float,
                lo: float, hi: float) -> float:
     """_bisect_monotone(partial(_interpolate, knots), target, lo, hi),
     step for step and bit for bit, errors included, for lo <= hi within
-    the knots' abscissae.
+    the knots' abscissae: the same loop, with no cap (see there).
 
     It keeps the segments i of lo and j of hi. Each midpoint lies in
     [lo, hi], so its segment is searched in knots[i..j + 1] only, and
@@ -228,10 +230,12 @@ def _bisect_pl(knots: tuple[tuple[float, float], ...], target: float,
     if not (a <= target <= b):
         raise DomainError(f"target {target!r} outside branch range [{a}, {b}]")
     k = j  # once i == j, k == i == j and the segment's knots stay loaded
-    for _ in range(_BISECT_MAX_ITER):
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if not math.isfinite(mid):  # lo + hi overflowed; their halves cannot
-            mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:  # lo + hi overflowed, or lo and hi are adjacent floats
+            mid = 0.5 * lo + 0.5 * hi  # their halves cannot overflow
+            if not lo < mid < hi:
+                break
         if i != j:
             k = _segment(knots, mid, i, j + 1)
             (x0, y0), (x1, y1) = knots[k], knots[k + 1]
@@ -243,8 +247,6 @@ def _bisect_pl(knots: tuple[tuple[float, float], ...], target: float,
             lo, i = mid, k
         else:
             hi, j = mid, k
-        if hi - lo <= _BISECT_TOL:
-            break
     mid = 0.5 * (lo + hi)
     return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 

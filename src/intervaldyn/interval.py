@@ -79,10 +79,24 @@ class Interval(Frozen):
 
 def linspace(lo: float, hi: float, samples: int) -> list[float]:
     """The inclusive grid: lo + (hi - lo) * i / (samples - 1) for i < samples,
-    from lo to hi (the last point is hi up to rounding). Only the sample
-    count is checked, so lo == hi gives that point samples times."""
+    from lo to hi (the last point is hi up to rounding), or lo + step * i
+    where (hi - lo) * (samples - 1) overflows, step = (hi - lo) / (samples - 1).
+    Only the sample count is checked, so lo == hi gives that point samples times."""
     samples = check_samples(samples)
-    return [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+    width, last = hi - lo, samples - 1
+    if math.isfinite(width * last):  # an infinite width gives the same points either way
+        return [lo + width * i / last for i in range(samples)]
+    return [lo + width / last * i for i in range(samples)]
+
+
+def _dedup_sorted(points: list[float], tol: float) -> list[float]:
+    """points sorted in place, less each one within tol above the last one kept."""
+    points.sort()
+    out: list[float] = []
+    for p in points:
+        if not out or p - out[-1] > tol:
+            out.append(p)
+    return out
 
 
 REALS = Interval()

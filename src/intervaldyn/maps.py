@@ -17,9 +17,9 @@ from typing import Iterator
 from .errors import (DomainError, ParameterError, UsageError, check_count, check_interval,
                      check_positive)
 from .frozen import Frozen
-from .homeos import (Homeomorphism, _checked_knots, _describe, _interpolate, _parse_family,
-                     apply_homeo, invert_homeo, parse_homeo_spec)
-from .interval import REALS, UNIT, UNIT_HALF_OPEN, Interval, linspace
+from .homeos import (Homeomorphism, _bisect_monotone, _checked_knots, _describe, _interpolate,
+                     _parse_family, apply_homeo, invert_homeo, parse_homeo_spec)
+from .interval import REALS, UNIT, UNIT_HALF_OPEN, Interval, _dedup_sorted, linspace
 
 
 class MapDescriptor:
@@ -96,9 +96,10 @@ def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[flo
     """Roots of f(x) = x in [lo, hi], found by sign-change scanning.
 
     A 10^4-point grid is scanned for sign changes of f(x) - x, each
-    refined by bisection to width tol, or to adjacent doubles when tol
-    is below their spacing. Tangential fixed points (where f - x
-    touches zero without changing sign) are not guaranteed found.
+    refined by homeos._bisect_monotone to width tol, or to adjacent
+    doubles when tol is below their spacing; roots closer than tol are
+    merged. Tangential fixed points (where f - x touches zero without
+    changing sign) are not guaranteed found.
     """
     check_positive(tol, "tolerance")
     dom = m.domain()
@@ -117,28 +118,10 @@ def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[flo
         cur_g = g(x)
         if cur_g == 0.0:
             roots.append(x)
-        elif prev_g * cur_g < 0.0:
-            a, b = prev_x, x
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                if not a < mid < b:  # a and b are adjacent doubles
-                    break
-                gm = g(mid)
-                if gm == 0.0:
-                    a = b = mid
-                    break
-                if (gm < 0.0) == (prev_g < 0.0):
-                    a = mid
-                else:
-                    b = mid
-            roots.append(0.5 * (a + b))
+        elif prev_g < 0.0 < cur_g or cur_g < 0.0 < prev_g:  # NaN is neither
+            roots.append(_bisect_monotone(g, 0.0, prev_x, x, tol))
         prev_x, prev_g = x, cur_g
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > tol:
-            merged.append(r)
-    return merged
+    return _dedup_sorted(roots, tol)
 
 
 def sensitivity_report(m: MapDescriptor, x0: float, delta: float, n: int) -> list[float]:

@@ -372,6 +372,19 @@ _GOLDEN_EDGE_CASES = [
     ["iterate", "--map", "conj:logistic|pwlh:0,0;1e12,1", "--x0", "3e-13", "--n", "3"],
     ["orbit", "--map", "conj:tent|pwlh:0,0;0.3,0.7;1,1", "--x0", "0.2", "--n", "50"],
     ["density", "--map", "pwl:0,0;0.3,1;1,0", "--depth", "9"],
+    # a fixed-point midpoint whose sum overflows, a sign change whose
+    # product underflows, a pwlh inverse that needs more than 100 halvings,
+    # and a pwlh bracket no wider than the tolerance, which is not halved
+    ["fixed-points", "--map", "verhulst:m=2,n=7.7e-309", "--lo", "1.29865e308",
+     "--hi", "1.29875e308", "--tol", "1e290"],
+    ["fixed-points", "--map", "conj:tent|affine:p=1e-170,q=0", "--lo", "0", "--hi", "1e-170",
+     "--tol", "1e-190"],
+    ["iterate", "--map", "conj:logistic|pwlh:0,0;1e20,1", "--x0", "1e-21", "--n", "1"],
+    ["iterate", "--map", "conj:halftent|pwlh:0,0;1e-15,1", "--x0", "0.3", "--n", "1"],
+    # grids whose (hi - lo) * (samples - 1) overflows although hi - lo is finite
+    ["fixed-points", "--map", "verhulst:m=2,n=7.7e-309", "--lo", "1e308", "--hi", "1.7e308",
+     "--tol", "1e-3"],
+    ["cobweb", "--map", "cosine", "--x0", "1e306", "--steps", "1"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

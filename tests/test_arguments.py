@@ -1,7 +1,7 @@
 """The library's rules for counts, tolerances, caps, sample counts and
 gridded intervals, the same in every function that takes one:
-errors.check_count, errors.check_positive, errors.check_samples and
-errors.check_interval."""
+errors.check_count, errors.check_cap, errors.check_positive,
+errors.check_samples and errors.check_interval."""
 
 import glob
 import math
@@ -9,6 +9,7 @@ import os
 import re
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from intervaldyn import (DomainError, Doubling, FixedPointWord, Interval, Logistic,
                          MapDescriptor, ParameterError, PiecewiseLinear, Quadratic,
@@ -22,7 +23,7 @@ from intervaldyn import (DomainError, Doubling, FixedPointWord, Interval, Logist
                          orbit_consistency, periodicity_order, propagate_partial_conjugacy,
                          reflect_map, sensitivity_report, verify_conjugacy,
                          verify_semiconjugacy, zero_preimage_set)
-from intervaldyn.errors import check_count, check_interval, check_samples
+from intervaldyn.errors import check_cap, check_count, check_interval, check_samples
 from intervaldyn.interval import UNIT, linspace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -47,6 +48,12 @@ def test_check_count():
         check_count(-1, "n", 0)
     with pytest.raises(RangeError, match=r"^n 31 exceeds the cap of 30$"):
         check_count(31, "n", 0, 30)
+
+
+def test_check_cap():
+    check_cap(30, "--n", 30)
+    with pytest.raises(RangeError, match=r"^--grid \* 2 7 exceeds the cap of 6$"):
+        check_cap(7, "--grid * 2", 6)
 
 
 _WORD = FixedPointWord(8, 1)
@@ -247,9 +254,27 @@ def test_linspace_grids_a_point():
     assert report.is_idempotent and report.identity_on_image
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1.7e308, 1.7e308), st.floats(-1.7e308, 1.7e308), st.integers(2, 200))
+@example(1e308, 1.7e308, 5)
+@example(-1.7e308, -1e308, 10**4)
+def test_every_point_of_a_grid_of_a_gridded_interval_is_finite(lo, hi, samples):
+    assume(lo < hi and hi - lo < math.inf)
+    check_interval(lo, hi)
+    assert all(math.isfinite(x) for x in linspace(lo, hi, samples))
+
+
+def test_linspace_keeps_its_formula_where_it_does_not_overflow():
+    # the step form takes over only where (hi - lo) * (samples - 1) overflows
+    assert linspace(0.0, 1.0, 4) == [0.0, 1 / 3, 2 / 3, 1.0]
+    assert linspace(-1.0, 2.0, 10**4)[1234] == -1.0 + 3.0 * 1234 / 9999
+    assert linspace(1e308, 1.7e308, 5) == [1e308, 1.175e308, 1.35e308, 1.5249999999999999e308,
+                                        1.7e308]
+
+
 def test_the_argument_messages_are_built_only_in_errors():
     phrases = ("must be a positive integer", "must be a nonnegative integer",
-               "must be positive, got", "need at least 2", "cannot grid")
+               "must be positive, got", "need at least 2", "cannot grid", "exceeds the cap of")
     paths = glob.glob(os.path.join(SRC, "intervaldyn", "*.py"))
     assert len(paths) > 10
     for path in paths:

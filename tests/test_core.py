@@ -6,12 +6,13 @@ loop per caller, one hand-written sample grid per caller, monotone
 bisection on eval_map through the branches of the tent map and of
 piecewise-linear maps, monotone bisection on _interpolate for the
 knot-window solver (_bisect_pl) that inverts pwlh and pulls back pwl
-maps, the per-point calls (apply_homeo, the JSON writer per
-element, the SVG coordinate functions) that the orbit-stream fast paths
-inline, and the CSV table row by row, which the writers join a block at
-a time. The core must reproduce each of them exactly, errors included:
-results are compared by repr, which is bitwise for floats and treats
-NaN as equal to itself.
+maps, the 100-halving bisection loops that the uncapped kernels keep
+bit for bit wherever those loops ended before their cap, the per-point
+calls (apply_homeo, the JSON writer per element, the SVG coordinate
+functions) that the orbit-stream fast paths inline, and the CSV table
+row by row, which the writers join a block at a time. The core must
+reproduce each of them exactly, errors included: results are compared
+by repr, which is bitwise for floats and treats NaN as equal to itself.
 """
 
 import math
@@ -30,7 +31,7 @@ from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, Par
                          iterate, mobius_involution, orbit, orbit_consistency,
                          sensitivity_report, zero_preimage_set)
 from intervaldyn import analysis, homeos, render
-from intervaldyn.analysis import CobwebPath, _dedup_sorted
+from intervaldyn.analysis import CobwebPath
 from intervaldyn.chaos_rng import arcsine_cdf, uniformize
 from intervaldyn.cli import BLOCK, _csv_cell, parse_map_spec, to_csv, to_json
 from intervaldyn.closed_form import MAX_ITERATIONS, CrosscheckReport, _scaled_deviation
@@ -38,7 +39,7 @@ from intervaldyn.conjugacy import Conflict
 from intervaldyn.errors import check_count
 from intervaldyn.homeos import (PiecewiseLinearHomeo, _bisect_monotone, _bisect_pl, _interpolate,
                                 invert_homeo)
-from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval, linspace
+from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval, _dedup_sorted, linspace
 from intervaldyn.maps import MapDescriptor, Orbit
 from intervaldyn.render import VIEW, _window, cobweb_svg
 
@@ -202,11 +203,14 @@ def ref_levels(m, v, depth):
     for _ in range(depth):
         nxt = [p for t in level for p in (pullback(t, 0.0, v), pullback(t, v, 1.0))
                if p is not None]
-        level = _dedup_sorted(nxt)
+        level = _dedup_sorted(nxt, 1e-12)
         yield [p for p in level if UNIT.contains(p)]
 
 
 def ref_fixed_points(m, lo, hi, tol):
+    """Scan a 10^4-point grid for strict sign changes of f(x) - x; in each,
+    evaluate the bracket's ends again and halve it to width tol or to
+    adjacent floats, taking 0.5 * a + 0.5 * b where a + b overflows."""
     if tol <= 0.0 or not math.isfinite(tol):
         raise ParameterError(f"tolerance must be positive, got {tol!r}")
     dom = m.domain()
@@ -216,6 +220,10 @@ def ref_fixed_points(m, lo, hi, tol):
 
     def g(x):
         return eval_map(m, x) - x
+
+    def midpoint(a, b):
+        mid = 0.5 * (a + b)
+        return mid if math.isfinite(mid) else 0.5 * a + 0.5 * b
 
     n_grid = 10**4
     xs = [lo + (hi - lo) * i / (n_grid - 1) for i in range(n_grid)]
@@ -227,10 +235,11 @@ def ref_fixed_points(m, lo, hi, tol):
         cur_g = g(x)
         if cur_g == 0.0:
             roots.append(x)
-        elif prev_g * cur_g < 0.0:
+        elif (prev_g < 0.0 and cur_g > 0.0) or (prev_g > 0.0 and cur_g < 0.0):
             a, b = prev_x, x
+            g(a), g(b)
             while b - a > tol:
-                mid = 0.5 * (a + b)
+                mid = midpoint(a, b)
                 if not a < mid < b:
                     break
                 gm = g(mid)
@@ -241,7 +250,7 @@ def ref_fixed_points(m, lo, hi, tol):
                     a = mid
                 else:
                     b = mid
-            roots.append(0.5 * (a + b))
+            roots.append(midpoint(a, b))
         prev_x, prev_g = x, cur_g
     roots.sort()
     merged = []
@@ -677,12 +686,149 @@ def test_bisection_midpoints_do_not_overflow():
     assert _bisect_monotone(lambda x: x, 1.5e308, 1e308, 1.6e308) == 1.5e308
 
 
+# the capped loops the two kernels replaced, verbatim: at most 100 halvings,
+# and at least one however narrow the bracket
+_CAPPED_TOL, _CAPPED_ITER = 1e-14, 100
+
+
+def capped_bisect_monotone(f, target, lo, hi):
+    flo, fhi = f(lo), f(hi)
+    if flo == target:
+        return lo
+    if fhi == target:
+        return hi
+    increasing = fhi > flo
+    a, b = (flo, fhi) if increasing else (fhi, flo)
+    if not (a <= target <= b):
+        raise DomainError(f"target {target!r} outside branch range [{a}, {b}]")
+    for _ in range(_CAPPED_ITER):
+        mid = 0.5 * (lo + hi)
+        if not math.isfinite(mid):  # lo + hi overflowed; their halves cannot
+            mid = 0.5 * lo + 0.5 * hi
+        fm = f(mid)
+        if fm == target:
+            return mid
+        if (fm < target) == increasing:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _CAPPED_TOL:
+            break
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
+
+
+def capped_bisect_pl(knots, target, lo, hi):
+    last = len(knots) - 1
+    i, j = homeos._segment(knots, lo, 0, last), homeos._segment(knots, hi, 0, last)
+    (x0, y0), (x1, y1) = knots[i], knots[i + 1]
+    flo = y0 + (lo - x0) * (y1 - y0) / (x1 - x0)
+    (x0, y0), (x1, y1) = knots[j], knots[j + 1]
+    dy, dx = y1 - y0, x1 - x0
+    fhi = y0 + (hi - x0) * dy / dx
+    if flo == target:
+        return lo
+    if fhi == target:
+        return hi
+    increasing = fhi > flo
+    a, b = (flo, fhi) if increasing else (fhi, flo)
+    if not (a <= target <= b):
+        raise DomainError(f"target {target!r} outside branch range [{a}, {b}]")
+    k = j  # once i == j, k == i == j and the segment's knots stay loaded
+    for _ in range(_CAPPED_ITER):
+        mid = 0.5 * (lo + hi)
+        if not math.isfinite(mid):  # lo + hi overflowed; their halves cannot
+            mid = 0.5 * lo + 0.5 * hi
+        if i != j:
+            k = homeos._segment(knots, mid, i, j + 1)
+            (x0, y0), (x1, y1) = knots[k], knots[k + 1]
+            dy, dx = y1 - y0, x1 - x0
+        fm = y0 + (mid - x0) * dy / dx
+        if fm == target:
+            return mid
+        if (fm < target) == increasing:
+            lo, i = mid, k
+        else:
+            hi, j = mid, k
+        if hi - lo <= _CAPPED_TOL:
+            break
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
+
+
+_MONOTONE = [lambda x: x, lambda x: -x, math.atan, lambda x: -math.atan(x),
+             lambda x: 3.0 * x - 1.0, math.floor]
+
+
+@st.composite
+def capped_regime_solves(draw):
+    """A monotone f, a target and a bracket wider than 1e-14 that 90
+    halvings take to 1e-14, or to adjacent floats far from 0: the brackets
+    on which the capped loop stopped before its cap, or spun on adjacent
+    floats until it."""
+    f = draw(st.sampled_from(_MONOTONE))
+    lo = draw(st.one_of(st.floats(-4.0, 4.0), st.floats(-1e300, 1e300)))
+    hi = lo + _CAPPED_TOL * 2.0 ** draw(st.floats(0.0, 90.0))
+    if hi == lo:
+        hi = math.nextafter(lo, math.inf)
+    assume(hi - lo > _CAPPED_TOL)
+    inside = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    target = draw(st.one_of(st.sampled_from([f(lo), f(hi), f(inside)]),
+                            st.floats(min(f(lo), f(hi)) - 1.0, max(f(lo), f(hi)) + 1.0),
+                            st.just(math.nan)))
+    return f, target, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(capped_regime_solves())
+@example((math.atan, 0.5, 0.0, 1.0))
+@example((lambda x: x - 1e5 - 1.0 / 3.0, 0.0, 1e5, 1e5 + 1.0))  # ends on floats 1.5e-11 apart
+def test_bisect_monotone_keeps_the_capped_loops_bits(case):
+    f, target, lo, hi = case
+    assert (outcome(_bisect_monotone, f, target, lo, hi)
+            == outcome(capped_bisect_monotone, f, target, lo, hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pl_solves())
+@example((((0.0, 0.0), (0.25, 0.5), (0.5, 0.75), (1.0, 1.0)), 0.6, 0.25, 1.0))
+@example((((-1.0, 0.0), (0.1, 0.3), (0.2, 0.9), (3.0, 1.0)), 0.3000000000000001, -1.0, 3.0))
+def test_bisect_pl_keeps_the_capped_loops_bits(case):
+    knots, target, lo, hi = case
+    assume(hi - lo > _CAPPED_TOL)
+    assert outcome(_bisect_pl, knots, target, lo, hi) == outcome(capped_bisect_pl, knots, target,
+                                                                   lo, hi)
+
+
+def test_a_bracket_within_tol_is_not_halved():
+    # the capped loop halved it once; both answers are within 1e-14
+    assert capped_bisect_monotone(lambda x: x, 0.3e-15, 0.0, 1e-15) == 2.5e-16
+    assert _bisect_monotone(lambda x: x, 0.3e-15, 0.0, 1e-15) == 5e-16
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e300, 1e300), st.floats(0.0, 1e300), st.floats(0.0, 1.0))
+@example(0.0, 1e300, 0.3)
+@example(-1e300, 1e300, 1e-200)
+def test_bisection_reaches_tol_or_adjacent_floats(lo, width, frac):
+    # no iteration cap: 100 halvings leave a 1e300-wide bracket 8e269 wide
+    hi = lo + width
+    assume(lo < hi)
+    t = min(lo + frac * (hi - lo), hi)
+    x = _bisect_monotone(lambda x: x, t, lo, hi)
+    assert abs(x - t) <= 1e-14 or math.nextafter(x, t) == t
+
+
 @pytest.mark.parametrize("spec,lo,hi,tol", [
     ("logistic", 0.0, 1.0, 1e-12), ("tent", 0.0, 1.0, 1e-9), ("cosine", -1.0, 2.0, 1e-300),
     ("cosine", -1.0, 2.0, 0.01), ("logistic", 0.1, 0.9, 0.01),
     ("quadratic", -1.0, 1.0, 1e-12), ("pwl:0,0.5;1,1.5", 0.0, 1.0, 1e-12),
     ("hyperbola:e=0.5,a=1", -2.0, 2.0, 1e-12), ("logistic", 0.3, 0.3, 1e-12),
     ("logistic", 0.0, 1.0, 0.0),
+    # a midpoint whose sum a + b overflows, and a sign change whose
+    # product prev_g * cur_g underflows to 0
+    ("verhulst:m=2,n=7.7e-309", 1.29865e308, 1.29875e308, 1e290),
+    ("conj:tent|affine:p=1e-170,q=0", 0.0, 1e-170, 1e-190),
 ])
 def test_fixed_points_grid_matches_reference(spec, lo, hi, tol):
     core, ref = Recorded(parse_map_spec(spec)), Recorded(parse_map_spec(spec))

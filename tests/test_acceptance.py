@@ -385,6 +385,21 @@ _GOLDEN_EDGE_CASES = [
     ["fixed-points", "--map", "verhulst:m=2,n=7.7e-309", "--lo", "1e308", "--hi", "1.7e308",
      "--tol", "1e-3"],
     ["cobweb", "--map", "cosine", "--x0", "1e306", "--steps", "1"],
+    # cobweb orbits of render.BLOCK / 2 and render.BLOCK values, one less
+    # and one more: the logistic map, and the tent orbit that reaches the
+    # window's ends 1.0 and 0.0 and then stays at 0.0
+    ["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "2046"],
+    ["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "2047"],
+    ["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "2048"],
+    ["cobweb", "--map", "tent", "--x0", "0.5", "--steps", "4094"],
+    ["cobweb", "--map", "tent", "--x0", "0.5", "--steps", "4095"],
+    ["cobweb", "--map", "tent", "--x0", "0.5", "--steps", "4096"],
+    # KS on tie-heavy samples: the orbit of 0.5 is 0.5, 1.0 and then 0.0
+    # over several runs of the sort, and the fixed point 0.75 repeats
+    ["rng", "ks", "--n", "10000", "--seed", "0.5", "--cdf", "arcsine"],
+    ["rng", "ks", "--n", "10000", "--seed", "0.5", "--cdf", "uniform"],
+    ["rng", "ks", "--n", "10000", "--seed", "0.5", "--cdf", "square"],
+    ["rng", "ks", "--n", "5000", "--seed", "0.75", "--cdf", "uniform"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Optional, Sequence
 
 from .errors import ParameterError, check_count, check_interval, check_positive, check_samples
 from .frozen import Frozen
@@ -50,19 +51,29 @@ class CobwebPath(Frozen):
         return [self.points[0][0]] + [p[1] for p in self.points[1::2]]
 
 
+def _cobweb_orbit(m: MapDescriptor, x0: float,
+                  steps: int) -> tuple[Sequence[float], bool, Optional[float]]:
+    """The orbit x0, f(x0), ... of a cobweb of steps steps, as one
+    array('d'), with whether two successive values differ by less than
+    1e-12 and, if so, the later value of the first such pair."""
+    from array import array
+    values = array("d", trajectory(m, x0, check_count(steps, "steps", cap=_MAX_COBWEB_STEPS)))
+    limit = next((nxt for cur, nxt in zip(values, islice(values, 1, None))
+                  if abs(nxt - cur) < _CONVERGENCE_TOL), None)
+    return values, limit is not None, limit
+
+
 def cobweb_path(m: MapDescriptor, x0: float, steps: int) -> CobwebPath:
     """Cobweb with 2*steps + 1 points; convergence is flagged when two
     successive orbit values differ by less than 1e-12 (the full path is
     still produced)."""
-    walk = trajectory(m, x0, check_count(steps, "steps", cap=_MAX_COBWEB_STEPS))
+    values, converged, limit = _cobweb_orbit(m, x0, steps)
+    walk = iter(values)
     cur = next(walk)
     points = [(cur, cur)]
-    converged, limit = False, None
     for nxt in walk:
         points.append((cur, nxt))
         points.append((nxt, nxt))
-        if not converged and abs(nxt - cur) < _CONVERGENCE_TOL:
-            converged, limit = True, nxt
         cur = nxt
     return CobwebPath(points=tuple(points), seed=points[0][0], converged=converged, limit=limit)
 

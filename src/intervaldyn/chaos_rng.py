@@ -20,6 +20,7 @@ for sampling purposes.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, EmptySampleError, ParameterError, check_count
@@ -135,6 +136,37 @@ def transform_to(values: Sequence[float], dist: DistributionSpec) -> list[float]
     return [dist.inverse_cdf(u) for u in values]
 
 
+# values per run of the KS sort: about n / BLOCK runs, so that one run at
+# a time is held as float objects, never a whole sample
+BLOCK = 4096
+
+
+def _sorted_runs(sample: Sequence[float]) -> Iterator[list[float]]:
+    """sorted(sample) as consecutive runs, each sorted when it is reached.
+
+    One pass puts value v into run int((v - lo) * scale) of about
+    len(sample) / BLOCK array('d') runs. The index is monotone in v, so
+    the runs join up in sorted order, and a run keeps the sample order of
+    equal values (0.0 and -0.0), as the stable sort does. A sample of
+    anything but floats, or one whose sum, width or scale is not finite
+    (NaN, the infinities, an overflowing or subnormal width), is sorted
+    whole as one run.
+    """
+    if getattr(sample, "typecode", None) == "d" or all(type(v) is float for v in sample):
+        if math.isfinite(sum(sample)):
+            from array import array
+            lo, hi = min(sample), max(sample)
+            count = len(sample) // BLOCK + 1
+            scale = count / (hi - lo) if hi > lo else math.inf
+            if 0.0 < scale < math.inf:
+                runs = [array("d") for _ in range(count + 1)]  # v = hi may reach index count
+                for v in sample:
+                    runs[int((v - lo) * scale)].append(v)
+                yield from map(sorted, runs)
+                return
+    yield sorted(sample)
+
+
 def ks_distance(sample: Sequence[float], cdf: Callable[[float], float]) -> float:
     """Two-sided empirical-CDF discrepancy sup_i max(|i/n - F(s_i)|,
     |(i-1)/n - F(s_i)|) over the sorted sample.
@@ -142,14 +174,15 @@ def ks_distance(sample: Sequence[float], cdf: Callable[[float], float]) -> float
     i/n >= (i-1)/n holds exactly in binary64, so the larger of the two
     absolute values is always one of the signed differences i/n - F and
     F - (i-1)/n; one pass over the sorted sample takes the maximum of
-    those. A NaN sample or CDF value raises DomainError (NaN has no
-    place in the sort order).
+    those. The sample is sorted a run at a time (_sorted_runs), in the
+    order sorted() gives. A NaN sample or CDF value raises DomainError
+    (NaN has no place in the sort order).
     """
     n = len(sample)
     if n == 0:
         raise EmptySampleError("cannot compute a KS distance of an empty sample")
     d = below = 0.0  # below = (i-1)/n
-    for i, v in enumerate(sorted(sample), 1):
+    for i, v in enumerate(chain.from_iterable(_sorted_runs(sample)), 1):
         f = cdf(v)
         if v != v or f != f:
             raise DomainError(f"KS needs numbers, got sample value {v!r} with CDF value {f!r}")

@@ -31,8 +31,8 @@ import os
 import re
 import sys
 import time
-from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import IntervalDynError, ParameterError, UsageError, check_cap
 from .frozen import Frozen
@@ -81,43 +81,41 @@ def _json_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def to_json(value, indent: int = 0) -> list[str]:
-    """value as JSON text in pieces: "".join(to_json(value)) is the text. A
-    dict keeps its values' pieces; a list, tuple or array('d') is joined
-    BLOCK elements at a time."""
+def to_json(value, indent: int = 0) -> Iterator[str]:
+    """value as JSON text, yielded in pieces: "".join(to_json(value)) is the
+    text. A dict yields its values' pieces; a list, tuple or array('d') is
+    joined BLOCK elements at a time, each block formatted when it is reached."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return ["{}"]
-        pieces, sep = [], "{\n"
-        for k, v in value.items():
-            pieces.append(f'{sep}{inner}"{k}": ')
-            pieces += to_json(v, indent + 1)
-            sep = ",\n"
-        pieces.append(f"\n{pad}}}")
-        return pieces
     # an array('d') is told by its typecode, so that this module need not import array
     floats = getattr(value, "typecode", None) == "d"
-    if not (floats or isinstance(value, (list, tuple))):
-        return [_json_scalar(value)]
-    if not value:
-        return ["[]"]
-    # orbits and samples: one format per value
-    floats = floats or all(type(v) is float for v in value)
-    pieces, sep = [f"[\n{inner}"], f",\n{inner}"
-    for start in range(0, len(value), BLOCK):
-        block = value[start:start + BLOCK]
-        if floats:
-            # v - v is 0.0 for a finite v, and NaN for NaN and the infinities
-            items = [format(v, ".17g") if v - v == 0.0 else fmt_float(v) for v in block]
-        else:
-            items = ["".join(to_json(v, indent + 1)) for v in block]
-        if start:
-            pieces.append(sep)
-        pieces.append(sep.join(items))
-    pieces.append(f"\n{pad}]")
-    return pieces
+    if isinstance(value, dict):
+        sep = "{\n"
+        for k, v in value.items():
+            yield f'{sep}{inner}"{k}": '
+            yield from to_json(v, indent + 1)
+            sep = ",\n"
+        yield f"\n{pad}}}" if value else "{}"
+    elif not (floats or isinstance(value, (list, tuple))):
+        yield _json_scalar(value)
+    elif not value:
+        yield "[]"
+    else:
+        # orbits and samples: one format per value
+        floats = floats or all(type(v) is float for v in value)
+        sep = f",\n{inner}"
+        yield f"[\n{inner}"
+        for start in range(0, len(value), BLOCK):
+            block = value[start:start + BLOCK]
+            if floats:
+                # v - v is 0.0 for a finite v, and NaN for NaN and the infinities
+                items = [format(v, ".17g") if v - v == 0.0 else fmt_float(v) for v in block]
+            else:
+                items = ["".join(to_json(v, indent + 1)) for v in block]
+            if start:
+                yield sep
+            yield sep.join(items)
+        yield f"\n{pad}]"
 
 
 def _csv_cell(v) -> str:
@@ -129,13 +127,14 @@ def _csv_cell(v) -> str:
     return s
 
 
-def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
-    """The CSV table in pieces, BLOCK rows each, every line ending in a newline."""
-    pieces, rows = [",".join(header) + "\n"], iter(rows)
+def to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The CSV table, yielded in pieces of BLOCK rows, every line ending in
+    a newline; each block is formatted when it is reached."""
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
     while block := [",".join([_csv_cell(c) for c in row]) for row in islice(rows, BLOCK)]:
         block.append("")
-        pieces.append("\n".join(block))
-    return pieces
+        yield "\n".join(block)
 
 
 # --- configuration -----------------------------------------------------------
@@ -295,14 +294,13 @@ class Result(Frozen):
     """One subcommand's outcome for every output format. fields is the
     JSON result; the CSV table is csv_header over csv_rows, which view
     data already computed and default to one row of the fields the
-    header names; figure holds the arguments of cobweb_svg. inputs, when
-    given, replaces the parameters that the JSON inputs echo."""
+    header names. inputs, when given, replaces the parameters that the
+    JSON inputs echo."""
 
     code: int
     fields: object
     csv_header: tuple[str, ...]
     csv_rows: Optional[Iterable] = None
-    figure: Optional[tuple] = None
     inputs: Optional[dict] = None
 
 
@@ -395,7 +393,7 @@ def _run_cobweb(p: dict) -> Result:
     from . import analysis
     path = analysis.cobweb_path(p["map"], p["x0"], p["steps"])
     result = {"points": path.points, "converged": path.converged, "limit": path.limit}
-    return Result(EXIT_OK, result, ("x", "y"), path.points, figure=(p["map"], path))
+    return Result(EXIT_OK, result, ("x", "y"), path.points)
 
 
 def _run_density(p: dict) -> Result:
@@ -565,10 +563,11 @@ COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, list[str]]:
+def run(config: RunConfig) -> tuple[int, Iterable[str]]:
     """Execute a parsed configuration; returns the exit code and the output
-    text in pieces, all computed before anything is written. Spec
-    arguments are read here, and the JSON inputs echo describe()."""
+    text as an iterable of pieces. Every check has run when it returns,
+    and the text is formatted as it is read. Spec arguments are read
+    here, and the JSON inputs echo describe()."""
     started = time.perf_counter()
     handler, _, args = COMMANDS[config.command]
     params, inputs = dict(config.params), dict(config.params)
@@ -576,11 +575,12 @@ def run(config: RunConfig) -> tuple[int, list[str]]:
         if arg.spec:
             params[arg.dest] = arg.spec(params[arg.dest])
             inputs[arg.dest] = params[arg.dest].describe()
+    if config.fmt == "svg":  # cobweb only (parse_args): drawn from the orbit, without point pairs
+        from . import analysis, render
+        orbit, _, _ = analysis._cobweb_orbit(params["map"], params["x0"], params["steps"])
+        return EXIT_OK, render.cobweb_svg(params["map"], orbit)
     result = handler(params)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if config.fmt == "svg":
-        from .render import cobweb_svg
-        return result.code, cobweb_svg(*result.figure)
     if config.fmt == "csv":
         rows = result.csv_rows
         if rows is None:
@@ -593,7 +593,7 @@ def run(config: RunConfig) -> tuple[int, list[str]]:
         # measured timing is opt-in so that default output is byte-reproducible
         "elapsed_ms": elapsed_ms if config.timing else None,
     }
-    return result.code, to_json(document) + ["\n"]
+    return result.code, chain(to_json(document), ["\n"])
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -614,15 +614,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:  # specs and the descriptors they build are walked recursively
         print("usage error: spec nests too deeply", file=sys.stderr)
         return EXIT_USAGE
-    if config.output:
-        try:
+    try:
+        if config.output:
             with open(config.output, "w", encoding="utf-8") as handle:
                 handle.writelines(pieces)
-        except OSError as exc:
-            print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-    else:
-        sys.stdout.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+    except OSError as exc:  # a full disk, or a reader that closed the pipe
+        print(f"error: cannot write {config.output or 'stdout'}: {exc}", file=sys.stderr)
+        if not config.output:  # so that flushing what is left buffered succeeds at shutdown
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_DOMAIN
     return code
 
 

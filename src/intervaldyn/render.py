@@ -5,33 +5,34 @@ references. A cobweb figure carries the axes, the y = x diagonal, the
 map's graph sampled at 1000 points (less those where the map raises or
 overflows), and the cobweb polyline itself; the polyline has exactly
 2*steps + 1 points. Output is generated with fixed formatting so
-identical inputs give byte-identical documents; cobweb_svg returns a
-document as a list of string pieces.
+identical inputs give byte-identical documents. cobweb_svg draws from
+the orbit itself and returns the document as an iterator of string
+pieces, formatted as they are read.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from typing import Iterator, Sequence
 
-from .analysis import CobwebPath
 from .errors import DomainError
 from .interval import linspace
 from .maps import MapDescriptor, eval_map
 
 VIEW = 1000.0
 GRAPH_SAMPLES = 1000
-# points per formatted block of a polyline: one string per point is held
-# for one block at a time, never for a whole path
+# points per formatted block of the cobweb polyline: one string per point
+# is held for one block at a time, never for a whole path
 BLOCK = 4096
 
 
-def _window(m: MapDescriptor, path: CobwebPath) -> tuple[float, float]:
-    data = [c for p in path.points for c in p]
+def _window(m: MapDescriptor, orbit: Sequence[float]) -> tuple[float, float]:
     dom = m.domain()
     if dom.bounded:
-        lo, hi = min(dom.lo, min(data)), max(dom.hi, max(data))
+        lo, hi = min(dom.lo, min(orbit)), max(dom.hi, max(orbit))
     else:
-        lo, hi = min(data), max(data)
+        lo, hi = min(orbit), max(orbit)
     if not math.isfinite(hi - lo):  # an orbit reaching an infinity, or overflowing spread
         raise DomainError(f"cannot draw the cobweb window [{lo!r}, {hi!r}]: it is not finite")
     if hi - lo < 1e-9:
@@ -39,34 +40,24 @@ def _window(m: MapDescriptor, path: CobwebPath) -> tuple[float, float]:
     return lo, hi
 
 
-def cobweb_svg(m: MapDescriptor, path: CobwebPath) -> list[str]:
-    """Render a cobweb path over the map's graph as an SVG document, in
-    pieces: "".join(cobweb_svg(m, path)) is the document."""
-    lo, hi = _window(m, path)
+def cobweb_svg(m: MapDescriptor, orbit: Sequence[float]) -> Iterator[str]:
+    """Render the cobweb of an orbit x0, f(x0), ... over the map's graph as
+    an SVG document, in pieces: "".join(cobweb_svg(m, orbit)) is the
+    document. The window is checked and the graph sampled at the call;
+    the cobweb polyline is formatted a block at a time as it is read."""
+    lo, hi = _window(m, orbit)
     span = hi - lo
-    graph_pts = []
+    # view coordinates (x - lo) / span * VIEW and VIEW - (y - lo) / span * VIEW;
+    # precomputing VIEW / span would change last bits, and so .4f digits
+    graph = []
     for x in linspace(lo, hi, GRAPH_SAMPLES):
         try:
             y = eval_map(m, x)
         except DomainError:
             continue
-        # an overflowing value is left out like a raising one
-        if math.isfinite(VIEW - (y - lo) / span * VIEW):
-            graph_pts.append((x, y))
-
-    def polyline(points, stroke: str, width: str, cls: str) -> list[str]:
-        pieces = [f'<polyline class="{cls}" fill="none" stroke="{stroke}" '
-                  f'stroke-width="{width}" points="']
-        for start in range(0, len(points), BLOCK):
-            if start:
-                pieces.append(" ")
-            # view coordinates (x - lo) / span * VIEW and VIEW - (y - lo) / span * VIEW;
-            # precomputing VIEW / span would change last bits, and so .4f digits
-            pieces.append(" ".join([f"{(x - lo) / span * VIEW:.4f},"
-                                    f"{VIEW - (y - lo) / span * VIEW:.4f}"
-                                    for x, y in points[start:start + BLOCK]]))
-        pieces.append('"/>\n')
-        return pieces
+        ty = VIEW - (y - lo) / span * VIEW
+        if math.isfinite(ty):  # an overflowing value is left out like a raising one
+            graph.append(f"{(x - lo) / span * VIEW:.4f},{ty:.4f}")
 
     head = "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -78,7 +69,23 @@ def cobweb_svg(m: MapDescriptor, path: CobwebPath) -> list[str]:
         '<line class="axis" x1="0" y1="0" x2="0" y2="1000" stroke="#000000" stroke-width="2"/>',
         # the diagonal y = x
         '<line class="diagonal" x1="0" y1="1000" x2="1000" y2="0" stroke="#888888" stroke-width="1"/>',
-        "",
+        '<polyline class="graph" fill="none" stroke="#1f77b4" stroke-width="2" points="',
     ])
-    return [head, *polyline(graph_pts, "#1f77b4", "2", "graph"),
-            *polyline(path.points, "#d62728", "1", "cobweb"), "</svg>\n"]
+    return chain([head, " ".join(graph), '"/>\n<polyline class="cobweb" fill="none" '
+                  'stroke="#d62728" stroke-width="1" points="'],
+                 _zigzag(orbit, lo, span), ['"/>\n</svg>\n'])
+
+
+def _zigzag(orbit: Sequence[float], lo: float, span: float) -> Iterator[str]:
+    """The cobweb points (c0, c0) (c0, c1) (c1, c1) (c1, c2) ... in pieces of
+    BLOCK points. Each value c is mapped to the view once, as t, and t and
+    VIEW - t are formatted once each; the point (c, c') is "t,VIEW - t'"."""
+    t = (orbit[0] - lo) / span * VIEW
+    prev = format(t, ".4f")
+    yield f"{prev},{VIEW - t:.4f}"
+    for start in range(1, len(orbit), BLOCK // 2):
+        ts = [(c - lo) / span * VIEW for c in orbit[start:start + BLOCK // 2]]
+        xs = [format(t, ".4f") for t in ts]
+        ys = [format(VIEW - t, ".4f") for t in ts]
+        yield "".join([f" {p},{y} {x},{y}" for p, x, y in zip([prev, *xs], xs, ys)])
+        prev = xs[-1]

@@ -100,10 +100,12 @@ def test_c04_closed_forms():
             worst_hb = max(worst_hb, abs(herschel_iterate(t, n) - boole_iterate(t, n)))
     formula = lambda x, n: hyperbola_iterate(SQRT3, 1.0, x, n)
     hyper = crosscheck_closed_form(Hyperbola(e=SQRT3, a=1.0), formula, 2.0, 5.0, 4, 100)
-    ok = (boole.max_deviation < 1e-9 and herschel.max_deviation < 1e-6
+    # herschel was held to 1e-6; the 60-digit oracle (tests/test_oracle.py)
+    # supports 1e-9, about 130 times its 7.7e-12 here
+    ok = (boole.max_deviation < 1e-9 and herschel.max_deviation < 1e-9
           and worst_hb < 1e-9 and hyper.max_deviation < 1e-9)
     report("C04 closed forms vs brute force", ok,
-           f"boole {boole.max_deviation:.3e} < 1e-9, herschel {herschel.max_deviation:.3e} < 1e-6, "
+           f"boole {boole.max_deviation:.3e} < 1e-9, herschel {herschel.max_deviation:.3e} < 1e-9, "
            f"herschel-vs-boole {worst_hb:.3e} < 1e-9, hyperbola {hyper.max_deviation:.3e} < 1e-9")
 
 

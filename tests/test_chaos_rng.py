@@ -1,4 +1,8 @@
 import math
+from array import array
+from functools import partial
+from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +14,7 @@ from intervaldyn import (DistributionSpec, DomainError, Doubling,
                          fixed_precision_logistic, histogram, ks_distance,
                          logistic_sequence, orbit, square_distribution,
                          transform_to, uniform_distribution, uniformize)
+from intervaldyn import chaos_rng
 from intervaldyn.homeos import UlamArcsin
 
 
@@ -193,3 +198,104 @@ def test_statistics_smoke_at_modest_n():
     counts = histogram(uni, 10)
     assert sum(counts) == len(uni)
     assert all(abs(c - len(uni) / 10) < 0.1 * len(uni) / 10 for c in counts)
+
+
+# --- the run-wise KS sort -------------------------------------------------------
+
+
+def _ks_sorted(sample, cdf):
+    """ks_distance as one loop over sorted(sample): the reference for the
+    run-wise sort."""
+    n = len(sample)
+    if n == 0:
+        raise EmptySampleError("cannot compute a KS distance of an empty sample")
+    d = below = 0.0
+    for i, v in enumerate(sorted(sample), 1):
+        f = cdf(v)
+        if v != v or f != f:
+            raise DomainError(f"KS needs numbers, got sample value {v!r} with CDF value {f!r}")
+        above = i / n
+        if above - f > d:
+            d = above - f
+        if f - below > d:
+            d = f - below
+        below = above
+    return d
+
+
+def _ks_outcome(ks, sample, cdf):
+    """The value or the exception's type and message, and the repr of every
+    value the CDF saw, in order (so the sign of each zero counts too)."""
+    seen = []
+
+    def recorded(v):
+        seen.append(repr(v))
+        return cdf(v)
+
+    try:
+        result = ("ok", repr(ks(sample, recorded)))
+    except Exception as exc:  # the reference and ks_distance must raise alike
+        result = (type(exc).__name__, str(exc))
+    return result, seen
+
+
+def _raises_below_zero(v):
+    if v < 0.0:
+        raise DomainError(f"no CDF value below 0, got {v!r}")
+    return min(v, 1.0)
+
+
+_KS_CDFS = [lambda x: x, lambda x: x * x, arcsine_cdf, _raises_below_zero]
+_ODD_FLOATS = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, 1.1125369292536007e-308,
+               math.nan, math.inf, -math.inf]
+
+
+def _assert_ks_matches_sorted(sample, cdf, blocks=(1, 2, 3, 4096)):
+    # a small BLOCK puts a few values in each of many runs
+    for block in blocks:
+        with mock.patch.object(chaos_rng, "BLOCK", block):
+            for kind in (list, partial(array, "d")):
+                assert (_ks_outcome(ks_distance, kind(sample), cdf)
+                        == _ks_outcome(_ks_sorted, sample, cdf)), (block, kind)
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_ODD_FLOATS),
+                          st.floats(-1.0, 1.0)), min_size=1, max_size=40),
+       st.sampled_from(_KS_CDFS))
+def test_ks_distance_is_one_pass_over_sorted(sample, cdf):
+    _assert_ks_matches_sorted(sample, cdf)
+
+
+@pytest.mark.parametrize("sample", [
+    # a subnormal width: runs / width overflows
+    [1.1125369292536007e-308, 0.0, 1.1125369292536007e-308],
+    # zeros of both signs on a run edge: index (0 - -1) * 2 = 2 of 4 runs at BLOCK 2
+    [0.0, -0.0, 1.0, -1.0, -0.0, 0.0],
+    [-0.0, 0.0, -1.0, 1.0, 0.0, -0.0, 0.5, -0.5],
+    # the sum overflows, and the width does
+    [1e308, 1e308],
+    [1e308, -1e308, 0.5],
+    # one value, and all values equal
+    [0.25],
+    [0.75] * 9,
+], ids=["subnormal-width", "zeros-on-edge", "zeros-mixed", "sum-overflows", "width-overflows",
+        "one", "equal"])
+def test_ks_distance_edge_samples_match_sorted(sample):
+    for cdf in _KS_CDFS:
+        _assert_ks_matches_sorted(sample, cdf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_distance_nonfinite_values_match_sorted(bad):
+    base = [0.3, -0.0, 0.9, 0.0, 0.1, 0.7, 0.5]
+    for k in range(len(base) + 1):
+        for cdf in _KS_CDFS:
+            _assert_ks_matches_sorted(base[:k] + [bad] + base[k:], cdf, blocks=(1, 2))
+
+
+def test_ks_distance_of_a_long_logistic_sample():
+    # the CLI's rng ks --n 200000 sample: an array('d') sorted in many runs
+    sample = array("d", chaos_rng.logistic_values(0.123456789, 200000))
+    assert sum(1 for _ in chaos_rng._sorted_runs(sample)) == 200001 // chaos_rng.BLOCK + 2
+    assert list(chain.from_iterable(chaos_rng._sorted_runs(sample))) == sorted(sample)
+    assert ks_distance(sample, arcsine_cdf) == _ks_sorted(sample, arcsine_cdf)

@@ -473,9 +473,15 @@ def test_output_file(tmp_path, capsys):
     # the orbit overflows, and the renderer rejects the window
     (["cobweb", "--map", "quadratic", "--x0", "1e200", "--steps", "3", "--format", "svg"],
      "error: cannot draw the cobweb window [1e+200, inf]: it is not finite\n"),
-], ids=["bad-seed", "svg-window"])
+    # both ends are finite, but their distance overflows
+    (["cobweb", "--map", "conj:cosine|affine:p=5e307,q=0", "--x0", "1.5707963267948966e308",
+      "--steps", "2", "--format", "svg"],
+     "error: cannot draw the cobweb window [-5e+307, 1.5707963267948966e+308]: "
+     "it is not finite\n"),
+], ids=["bad-seed", "svg-window", "svg-spread"])
 def test_a_failing_run_writes_nothing(argv, message, tmp_path, capsys):
-    # everything is computed and rendered before the output is opened
+    # every check runs before the output is opened; only the text is
+    # formatted as it is written
     target = tmp_path / "out"
     target.write_bytes(b"earlier output\n")
     code, out, err = run_cli(argv + ["--output", str(target)], capsys)
@@ -483,6 +489,55 @@ def test_a_failing_run_writes_nothing(argv, message, tmp_path, capsys):
     assert target.read_bytes() == b"earlier output\n"
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (3, "", message)
+
+
+def test_a_closed_stdout_pipe_exits_3_with_one_line():
+    # the reader takes 10 bytes of a 2 MB document and closes the pipe:
+    # the failed write is a one-line error, and the flush at shutdown
+    # stays quiet
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "intervaldyn", "rng", "generate",
+                             "--n", "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": path})
+    try:
+        assert proc.stdout.read(10) == b'{\n  "subco'
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.wait(timeout=60)
+        proc.stderr.close()
+    assert (proc.returncode, err) == (3, b"error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+
+# The tracemalloc peak of one run that writes to a file. An orbit-stream
+# run holds its sample or orbit as doubles and its text one block at a
+# time, so each ceiling is c * 8n bytes plus a constant, with c about the
+# number of doubles per value the run holds; an object per value (about
+# 32 bytes) or the whole text held at once exceeds it. cobweb --format
+# json holds the path's point pairs (CobwebPath.points), about 20 * 8
+# bytes a step.
+@pytest.mark.parametrize("argv, n, doubles, constant", [
+    (["rng", "generate", "--n", "{n}", "--seed", "0.123456789"], 100000, 1.25, 750_000),
+    (["rng", "ks", "--n", "{n}", "--seed", "0.123456789", "--cdf", "arcsine"],
+     100000, 2.5, 500_000),
+    (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "svg"],
+     50000, 1.25, 750_000),
+    (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "json"],
+     50000, 20, 1_500_000),
+], ids=["rng-generate", "rng-ks", "cobweb-svg", "cobweb-json"])
+def test_orbit_stream_memory_ceilings(argv, n, doubles, constant, tmp_path):
+    import tracemalloc
+    target = str(tmp_path / "out")
+    # a small run first, untraced, for the imports and caches
+    assert main([a.format(n=10) for a in argv] + ["--output", target]) == 0
+    tracemalloc.start()
+    try:
+        code = main([a.format(n=n) for a in argv] + ["--output", target])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < doubles * 8 * n + constant, peak
 
 
 def test_timing_flag_gives_number(capsys):

@@ -31,7 +31,6 @@ from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, Par
                          iterate, mobius_involution, orbit, orbit_consistency,
                          sensitivity_report, zero_preimage_set)
 from intervaldyn import analysis, homeos, render
-from intervaldyn.analysis import CobwebPath
 from intervaldyn.chaos_rng import arcsine_cdf, uniformize
 from intervaldyn.cli import BLOCK, _csv_cell, parse_map_spec, to_csv, to_json
 from intervaldyn.closed_form import MAX_ITERATIONS, CrosscheckReport, _scaled_deviation
@@ -90,11 +89,15 @@ def ref_orbit(m, x0, n):
     return tuple(values)
 
 
-def ref_polylines(m, path):
-    """The points attributes of the graph and cobweb polylines, each
-    coordinate mapped to the view by its own function and printed by .4f."""
-    lo, hi = _window(m, path)
+def ref_polylines(m, orbit):
+    """The points attributes of the graph and cobweb polylines: the cobweb
+    path's point pairs built from the orbit, and each coordinate mapped
+    to the view by its own function and printed by .4f."""
+    lo, hi = _window(m, orbit)
     span = hi - lo
+    points = [(orbit[0], orbit[0])]
+    for cur, nxt in zip(orbit, orbit[1:]):
+        points += [(cur, nxt), (nxt, nxt)]
 
     def px(x):
         return (x - lo) / span * VIEW
@@ -111,7 +114,7 @@ def ref_polylines(m, path):
         if math.isfinite(py(y)):
             graph.append((x, y))
     return [" ".join(f"{format(px(x), '.4f')},{format(py(y), '.4f')}" for x, y in pts)
-            for pts in (graph, path.points)]
+            for pts in (graph, points)]
 
 
 def ref_float_list(values, indent):
@@ -416,12 +419,13 @@ def test_cobweb_matches_reference(spec):
         assert path == (kind, text), x0
 
 
-def polylines(m, path):
-    return re.findall(r' points="([^"]*)"', "".join(cobweb_svg(m, path)))
+def polylines(m, orbit):
+    return re.findall(r' points="([^"]*)"', "".join(cobweb_svg(m, orbit)))
 
 
 def cobweb_polylines(m, x0, steps):
-    return polylines(m, cobweb_path(m, x0, steps))
+    # the orbit that cobweb --format svg draws
+    return polylines(m, analysis._cobweb_orbit(m, x0, steps)[0])
 
 
 @pytest.mark.parametrize("spec", MAP_SPECS)
@@ -429,7 +433,7 @@ def test_cobweb_polylines_match_reference(spec):
     m = parse_map_spec(spec)
     for x0 in SEEDS + END_SEEDS:
         assert (outcome(cobweb_polylines, m, x0, 30)
-                == outcome(lambda: ref_polylines(m, cobweb_path(m, x0, 30)))), x0
+                == outcome(lambda: ref_polylines(m, cobweb_path(m, x0, 30).orbit_values()))), x0
 
 
 # points of [0, 1], points up to 2e-12 outside it (snapped, or rejected
@@ -514,17 +518,22 @@ def test_csv_tables_render_across_block_edges(length):
         == ref_csv(("k", "x"), enumerate(edge_floats(length)))
 
 
-@pytest.mark.parametrize("length", [render.BLOCK - 1, render.BLOCK, render.BLOCK + 1,
-                                    2 * render.BLOCK + 1])
+@pytest.mark.parametrize("length", [render.BLOCK // 2 - 1, render.BLOCK // 2,
+                                    render.BLOCK // 2 + 1, render.BLOCK - 1, render.BLOCK,
+                                    render.BLOCK + 1, 2 * render.BLOCK + 1])
 def test_polylines_render_across_block_edges(length):
-    # a path of any length inside [0, 1], with -0.0 on both sides of every edge
-    points = [((0.37 * k) % 1.0, (0.61 * k) % 1.0) for k in range(length)]
-    for e in range(render.BLOCK, length, render.BLOCK):
-        points[e - 1] = points[e] = (-0.0, -0.0)
-    path = CobwebPath(points=tuple(points), seed=points[0][0], converged=False, limit=None)
-    m = Logistic()
-    assert polylines(m, path) == ref_polylines(m, path)
-    assert len(polylines(m, path)[1].split(" ")) == length
+    # an orbit of any length inside [0, 1] (its cobweb has 2 * length - 1
+    # points, render.BLOCK to a block), with -0.0 on both sides of every
+    # multiple of render.BLOCK / 2 values, and on it
+    for m, orbit in ((Logistic(), [(0.37 * k) % 1.0 for k in range(length)]),
+                     (Quadratic(), [(0.61 * k) % 2.0 - 1.0 for k in range(length)])):
+        for e in range(render.BLOCK // 2, length + 1, render.BLOCK // 2):
+            for i in (e - 1, e, e + 1):
+                if i < length:
+                    orbit[i] = -0.0
+        for kind in (list, partial(array, "d")):
+            assert polylines(m, kind(orbit)) == ref_polylines(m, orbit)
+        assert len(polylines(m, orbit)[1].split(" ")) == 2 * length - 1
 
 
 def _failing_after(n_bad, formula):

@@ -106,8 +106,7 @@ REPRS = {
     "RunConfig": ("RunConfig(command='iterate', params={'n': 1}, fmt='json', output=None, "
                   "timing=False)"),
     "_Cap": "_Cap(limit=10, size='--size', value_of=None)",
-    "Result": ("Result(code=0, fields={'x': 1.0}, csv_header=('x',), csv_rows=None, "
-               "figure=None, inputs=None)"),
+    "Result": "Result(code=0, fields={'x': 1.0}, csv_header=('x',), csv_rows=None, inputs=None)",
 }
 
 # classes whose fields hold the same values, which must still differ

@@ -1,4 +1,5 @@
-"""The paper's h and the C01 conjugacy against a 60-digit mpmath oracle.
+"""The paper's h, the arcsine CDF, the C01 conjugacy and the closed-form
+iterates of C04 against a 60-digit mpmath oracle.
 
 The bounds are regression bounds: they may be tightened, never loosened.
 h(x) = (2/pi) arcsin sqrt(x) rounds sqrt(x) first, and asin amplifies that
@@ -16,6 +17,9 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
+from intervaldyn.chaos_rng import arcsine_cdf  # noqa: E402
+from intervaldyn.closed_form import (boole_iterate, herschel_iterate,  # noqa: E402
+                                     hyperbola_iterate)
 from intervaldyn.homeos import UlamArcsin, apply_homeo  # noqa: E402
 from intervaldyn.maps import Logistic, Tent, eval_map  # noqa: E402
 
@@ -85,3 +89,82 @@ def test_c01_sides_each_match_the_oracle():
         assert float(abs(right - exact)) <= 2.0 * EPS * (1.0 + 1.0 / math.sqrt(1.0 - x)), x
         worst_residual = max(worst_residual, abs(left - right))
     assert worst_residual <= 2.1e-12
+
+
+@pytest.mark.parametrize("lo, hi, envelope", H_ENVELOPES,
+                         ids=[f"{lo}-{hi}" for lo, hi, _ in H_ENVELOPES])
+def test_arcsine_cdf_stays_within_the_envelope_of_h(lo, hi, envelope):
+    # the CDF that rng ks tests against is h, snapped at the ends
+    worst = max((ulps(arcsine_cdf(x), exact_h(x)), x) for x in points(lo, hi, seed=int(hi * 1e7)))
+    assert worst[0] <= envelope, worst
+    assert [arcsine_cdf(x) for x in (0.0, -1e-13, 1.0, 1.0 + 1e-13)] == [0.0, 0.0, 1.0, 1.0]
+
+
+# --- closed-form iterates (C04) ---------------------------------------------------
+
+
+def near_ends(seed: int, inside: bool = True, per_decade: int = 20) -> list[float]:
+    """Seeded points 10^-k from -1 and 1, k = 2..15, inside [-1, 1] and,
+    unless inside, just above 1 too: where 2^n amplifies the rounding of
+    arccos or of sqrt(x^2 - 1) most."""
+    rng = random.Random(seed)
+    offsets = [rng.uniform(0.5, 5.0) * 10.0 ** -k for k in range(2, 16) for _ in range(per_decade)]
+    xs = [1.0 - d for d in offsets] + [-1.0 + d for d in offsets]
+    return xs if inside else xs + [1.0 + d for d in offsets]
+
+
+def scaled_error(got: float, exact) -> float:
+    """|got - exact| / max(1, |exact|), C04's scaled deviation; an exact
+    value beyond binary64 range must come out as an infinity of its sign."""
+    if math.isinf(float(exact)):
+        return 0.0 if got == float(exact) else math.inf
+    return float(abs(mp.mpf(got) - exact) / max(1, abs(exact)))
+
+
+def worst_quadratic_iterate(formula, xs, n_max: int = 10):
+    """The largest scaled error of formula(x, n) against f^n(x) for
+    f(x) = 2x^2 - 1 iterated at 60 digits, n = 0..n_max, with its x, n."""
+    worst = (0.0, math.nan, 0)
+    for x in xs:
+        exact = mp.mpf(x)
+        for n in range(n_max + 1):
+            worst = max(worst, (scaled_error(formula(x, n), exact), x, n))
+            exact = 2 * exact * exact - 1
+    return worst
+
+
+# Envelopes, measured on these seeded points and rounded up. The herschel
+# form's worst case, 5.7e-11 at n = 10, sits about 1e-8 from 1, where
+# x * x - 1 loses half its digits and 2^n squarings amplify the rest; C04
+# checks 1e-9 on its grid of [-1, 3]. boole's worst is 2.3e-13 and the
+# hyperbola form's relative error 4.6e-16.
+HERSCHEL_ENVELOPE = 1e-10
+BOOLE_ENVELOPE = 3e-13
+HYPERBOLA_ENVELOPE = 1e-15
+
+
+def test_herschel_iterate_stays_within_its_envelope():
+    xs = points(-1.0, 3.0, seed=4, below_hi=0) + near_ends(seed=5, inside=False)
+    worst = worst_quadratic_iterate(herschel_iterate, xs)
+    assert worst[0] <= HERSCHEL_ENVELOPE, worst
+
+
+def test_boole_iterate_stays_within_its_envelope():
+    xs = points(-1.0, 1.0, seed=6, below_hi=200) + near_ends(seed=7)
+    worst = worst_quadratic_iterate(boole_iterate, xs)
+    assert worst[0] <= BOOLE_ENVELOPE, worst
+
+
+@pytest.mark.parametrize("e, a, lo, hi", [(math.sqrt(3.0), 1.0, 2.0, 5.0), (2.0, 3.0, 4.0, 8.0)],
+                         ids=["sqrt3-1", "2-3"])
+def test_hyperbola_iterate_stays_within_its_envelope(e, a, lo, hi):
+    # against sqrt((1 - e^2)(a^2 - x^2)) iterated at 60 digits, with e^2
+    # exact: the library rounds e * e, which the envelope covers
+    e2, a2 = mp.mpf(e) ** 2, mp.mpf(a) ** 2
+    worst = (0.0, math.nan, 0)
+    for x in points(lo, hi, seed=8, count=500, below_hi=0):
+        exact = mp.mpf(x)
+        for n in range(11):
+            worst = max(worst, (scaled_error(hyperbola_iterate(e, a, x, n), exact), x, n))
+            exact = mp.sqrt((1 - e2) * (a2 - exact * exact))
+    assert worst[0] <= HYPERBOLA_ENVELOPE, worst

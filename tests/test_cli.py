@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -526,7 +527,6 @@ def test_a_closed_stdout_pipe_exits_3_with_one_line():
      50000, 20, 1_500_000),
 ], ids=["rng-generate", "rng-ks", "cobweb-svg", "cobweb-json"])
 def test_orbit_stream_memory_ceilings(argv, n, doubles, constant, tmp_path):
-    import tracemalloc
     target = str(tmp_path / "out")
     # a small run first, untraced, for the imports and caches
     assert main([a.format(n=10) for a in argv] + ["--output", target]) == 0

@@ -522,9 +522,9 @@ def test_csv_tables_render_across_block_edges(length):
                                     render.BLOCK // 2 + 1, render.BLOCK - 1, render.BLOCK,
                                     render.BLOCK + 1, 2 * render.BLOCK + 1])
 def test_polylines_render_across_block_edges(length):
-    # an orbit of any length inside [0, 1] (its cobweb has 2 * length - 1
-    # points, render.BLOCK to a block), with -0.0 on both sides of every
-    # multiple of render.BLOCK / 2 values, and on it
+    # orbits of any length in the logistic and the quadratic window (a
+    # cobweb has 2 * length - 1 points, render.BLOCK to a block), with -0.0
+    # on every multiple of render.BLOCK / 2 values and on both sides of it
     for m, orbit in ((Logistic(), [(0.37 * k) % 1.0 for k in range(length)]),
                      (Quadratic(), [(0.61 * k) % 2.0 - 1.0 for k in range(length)])):
         for e in range(render.BLOCK // 2, length + 1, render.BLOCK // 2):

@@ -17,13 +17,11 @@ import importlib
 
 # module -> the public names the package serves from it
 _EXPORTS = {
-    "analysis": ("CobwebPath", "DensityReport", "IdempotentReport", "PreimageSet",
-                 "check_idempotent_structure", "cobweb_path", "density_report",
+    "analysis": ("CobwebPath", "DensityReport", "PreimageSet", "cobweb_path", "density_report",
                  "zero_preimage_set"),
-    "chaos_rng": ("DEFAULT_SEED", "DistributionSpec", "FixedPointWord", "FixedPrecisionReport",
-                  "arcsine_cdf", "doubling_collapse", "fixed_precision_logistic", "histogram",
-                  "ks_distance", "logistic_sequence", "square_distribution", "transform_to",
-                  "uniform_distribution", "uniformize"),
+    "chaos_rng": ("DEFAULT_SEED", "DistributionSpec", "FixedPointWord", "arcsine_cdf",
+                  "doubling_collapse", "ks_distance", "logistic_sequence",
+                  "square_distribution", "transform_to", "uniformize"),
     "closed_form": ("CrosscheckReport", "boole_iterate", "crosscheck_closed_form",
                     "fractional_iterate_hyperbola", "fractional_iterate_quadratic",
                     "herschel_constant", "herschel_iterate", "hyperbola_iterate"),

@@ -1,4 +1,4 @@
-"""Cobweb paths, idempotent-map structure, and zero-preimage density.
+"""Cobweb paths and zero-preimage density.
 
 A cobweb path traces an orbit against the diagonal: from (x, x) go
 vertically to the graph point (x, f(x)), then horizontally back to the
@@ -22,7 +22,7 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Optional, Sequence
 
-from .errors import ParameterError, check_count, check_interval, check_positive, check_samples
+from .errors import ParameterError, check_count, check_positive
 from .frozen import Frozen
 from .interval import _dedup_sorted, linspace
 from .maps import MapDescriptor, PiecewiseLinear, Tent, Unimodal, eval_map, trajectory
@@ -76,37 +76,6 @@ def cobweb_path(m: MapDescriptor, x0: float, steps: int) -> CobwebPath:
         points.append((nxt, nxt))
         cur = nxt
     return CobwebPath(points=tuple(points), seed=points[0][0], converged=converged, limit=limit)
-
-
-class IdempotentReport(Frozen):
-    is_idempotent: bool
-    image_lo: float
-    image_hi: float
-    identity_on_image: bool
-
-
-def check_idempotent_structure(m: MapDescriptor, samples: int, tol: float) -> IdempotentReport:
-    """Test phi(phi(x)) = phi(x) on a grid of the domain.
-
-    An idempotent continuous map retracts its domain onto an interval
-    [a, b] on which it acts as the identity. identity_on_image tests
-    that on a grid of its own over the sampled image [a, b], so points
-    of [a, b] that are no grid point's image are checked too.
-    """
-    dom = m.domain()
-    samples = check_samples(samples)
-    check_positive(tol, "tolerance")
-    check_interval(dom.lo, dom.hi)
-    worst_idem = 0.0
-    image = []
-    for x in linspace(dom.lo, dom.hi, samples):
-        y = eval_map(m, x)
-        image.append(y)
-        worst_idem = max(worst_idem, abs(eval_map(m, y) - y))
-    lo, hi = min(image), max(image)
-    worst_identity = max(abs(eval_map(m, y) - y) for y in linspace(lo, hi, samples))
-    return IdempotentReport(is_idempotent=worst_idem < tol, image_lo=lo, image_hi=hi,
-                            identity_on_image=worst_identity < tol)
 
 
 class PreimageSet(Frozen):

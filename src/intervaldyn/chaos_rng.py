@@ -87,10 +87,6 @@ class DistributionSpec(Frozen):
                 raise ParameterError(f"inverse CDF fails the round trip at u={u!r}")
 
 
-def uniform_distribution() -> DistributionSpec:
-    return DistributionSpec(cdf=lambda x: x, inverse_cdf=lambda u: u)
-
-
 def square_distribution() -> DistributionSpec:
     """F(x) = x^2, inverse sqrt(u)."""
     return DistributionSpec(cdf=lambda x: x * x, inverse_cdf=math.sqrt)
@@ -197,18 +193,6 @@ def ks_distance(sample: Sequence[float], cdf: Callable[[float], float]) -> float
     return d
 
 
-def histogram(sample: Sequence[float], bins: int) -> list[int]:
-    """Equal-width bin counts on [0, 1]; values equal to 1.0 go in the
-    last bin; counts sum to the sample size."""
-    bins = check_count(bins, "bin count")
-    counts = [0] * bins
-    for v in sample:
-        if math.isnan(v) or v < 0.0 or v > 1.0:
-            raise DomainError(f"sample value {v!r} outside [0, 1]")
-        counts[min(int(v * bins), bins - 1)] += 1
-    return counts
-
-
 def doubling_collapse(word: FixedPointWord, max_steps: int) -> Optional[int]:
     """Steps until the exact doubling shift reaches zero, or None past
     max_steps. Any b-bit word collapses within b steps (every doubling
@@ -223,37 +207,3 @@ def doubling_collapse(word: FixedPointWord, max_steps: int) -> Optional[int]:
         steps += 1
     return steps
 
-
-class FixedPrecisionReport(Frozen):
-    """The x-side view of a collapsing fixed-point alpha-orbit."""
-
-    bits: int
-    initial_value: int
-    steps_to_zero: int
-    alphas: tuple[float, ...]
-    xs: tuple[float, ...]
-
-
-def fixed_precision_logistic(word: FixedPointWord, n: int) -> FixedPrecisionReport:
-    """Seed x = sin^2(pi*alpha) from a b-bit alpha and follow the doubling
-    word; the reported x-sequence reaches 0 within bits steps and stays
-    there, which is the finite-precision failure of the generator."""
-    n = check_count(n, "step count")
-    steps = doubling_collapse(word, word.bits)
-    assert steps is not None  # collapse within bits steps is structural
-    modulus = 2**word.bits
-    value = word.value
-    alphas, xs = [], []
-    for _ in range(n + 1):
-        alpha = value / modulus
-        s = math.sin(math.pi * alpha)
-        alphas.append(alpha)
-        xs.append(s * s)
-        value = (2 * value) % modulus
-    return FixedPrecisionReport(
-        bits=word.bits,
-        initial_value=word.value,
-        steps_to_zero=steps,
-        alphas=tuple(alphas),
-        xs=tuple(xs),
-    )

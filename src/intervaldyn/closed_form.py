@@ -33,7 +33,7 @@ MAX_ITERATIONS = 30  # keeps 2^n exact and the squaring cascade bounded
 
 def _characteristic_roots(x: float) -> tuple[complex, complex]:
     if x * x >= 1.0:
-        s = math.sqrt(x * x - 1.0)
+        s = math.sqrt((x - 1.0) * (x + 1.0))
         return complex(x + s, 0.0), complex(x - s, 0.0)
     s = math.sqrt(1.0 - x * x)
     return complex(x, s), complex(x, -s)

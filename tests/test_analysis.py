@@ -3,13 +3,8 @@ import math
 import pytest
 
 from intervaldyn import (Cosine, Logistic, ParameterError, PiecewiseLinear,
-                         Power, Tent, Unimodal, check_idempotent_structure,
-                         cobweb_path, conjugate_map, density_report,
+                         Power, Tent, Unimodal, cobweb_path, conjugate_map, density_report,
                          identity_map, orbit, zero_preimage_set)
-
-
-def _clamp_map():
-    return PiecewiseLinear([(0.0, 0.25), (0.25, 0.25), (0.75, 0.75), (1.0, 0.75)])
 
 
 def _truncated_tent():
@@ -73,36 +68,6 @@ def test_cobweb_monotone_trap_convergence():
         path = cobweb_path(m, seed, 100)
         assert path.converged
         assert abs(path.limit - 0.5) < 1e-9
-
-
-def test_idempotent_clamp_map():
-    report = check_idempotent_structure(_clamp_map(), 1001, 1e-12)
-    assert report.is_idempotent
-    assert report.identity_on_image
-    assert report.image_lo == 0.25
-    assert report.image_hi == 0.75
-
-
-def test_idempotent_logistic_is_not():
-    report = check_idempotent_structure(Logistic(), 1001, 1e-9)
-    assert not report.is_idempotent
-
-
-def test_identity_on_image_samples_the_image_interval():
-    # idempotent at the images of the 11-point domain grid, but f(0.35) = 0.38
-    m = PiecewiseLinear([(0.0, 0.25), (0.25, 0.25), (0.31, 0.31), (0.35, 0.38), (0.39, 0.39),
-                         (0.75, 0.75), (1.0, 0.75)])
-    report = check_idempotent_structure(m, 11, 1e-12)
-    assert report.is_idempotent
-    assert not report.identity_on_image
-
-
-@pytest.mark.parametrize("m", [_clamp_map(), identity_map()],
-                         ids=["clamp", "identity"])
-def test_idempotent_implies_identity_on_image(m):
-    report = check_idempotent_structure(m, 500, 1e-12)
-    assert report.is_idempotent
-    assert report.identity_on_image
 
 
 def test_zero_preimage_tent_depth_one():

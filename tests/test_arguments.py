@@ -12,14 +12,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from intervaldyn import (DomainError, Doubling, FixedPointWord, Interval, Logistic,
-                         MapDescriptor, ParameterError, PiecewiseLinear, Quadratic,
+                         MapDescriptor, ParameterError, Quadratic,
                          RangeError, Reflect, SineSquared, Tent, UlamArcsin, boole_iterate,
-                         check_idempotent_structure, cobweb_path, crosscheck_closed_form,
-                         density_report, doubling_collapse, fixed_points,
-                         fixed_precision_logistic, fractional_iterate_hyperbola,
+                         cobweb_path, crosscheck_closed_form, density_report,
+                         doubling_collapse, fixed_points, fractional_iterate_hyperbola,
                          fractional_iterate_quadratic, herschel_iterate,
-                         herschel_relation_residual, histogram, hyperbola_iterate,
-                         identity_map, iterate, logistic_sequence, mobius_involution, orbit,
+                         herschel_relation_residual, hyperbola_iterate,
+                         iterate, logistic_sequence, mobius_involution, orbit,
                          orbit_consistency, periodicity_order, propagate_partial_conjugacy,
                          reflect_map, sensitivity_report, verify_conjugacy,
                          verify_semiconjugacy, zero_preimage_set)
@@ -70,8 +69,6 @@ _COUNTED = {
     "propagate_partial_conjugacy": lambda n: propagate_partial_conjugacy(
         Logistic(), Tent(), 0.1, 0.2, UlamArcsin(), n, 5, 1e-3),
     "logistic_sequence": lambda n: logistic_sequence(0.3, n),
-    "fixed_precision_logistic": lambda n: fixed_precision_logistic(_WORD, n),
-    "histogram": lambda n: histogram([0.5], n),
     "doubling_collapse": lambda n: doubling_collapse(_WORD, n),
     "herschel_iterate": lambda n: herschel_iterate(0.5, n),
     "boole_iterate": lambda n: boole_iterate(0.5, n),
@@ -98,7 +95,6 @@ def test_every_counted_function_accepts_a_whole_float():
 # every library function that takes a tolerance or threshold, called with it
 _TOLERANCES = {
     "fixed_points": lambda tol: fixed_points(Logistic(), 0.0, 1.0, tol),
-    "check_idempotent_structure": lambda tol: check_idempotent_structure(identity_map(), 10, tol),
     "density_report": lambda tol: density_report(zero_preimage_set(Tent(), 3), tol),
     "orbit_consistency": lambda tol: orbit_consistency(Logistic(), Tent(), [(0.3, 0.4)], 2, tol),
     "propagate_partial_conjugacy": lambda tol: propagate_partial_conjugacy(
@@ -112,10 +108,6 @@ _TOLERANCES = {
 def test_a_bad_tolerance_is_a_parameter_error(name, tol):
     with pytest.raises(ParameterError, match=f" must be positive, got {re.escape(repr(tol))}$"):
         _TOLERANCES[name](tol)
-
-
-def test_histogram_takes_a_whole_float_bin_count():
-    assert histogram([1.0, 0.2], 3.0) == [1, 0, 1]
 
 
 def test_library_caps_raise_range_error():
@@ -150,7 +142,6 @@ _SAMPLED = {
     "periodicity_order": lambda n: periodicity_order(reflect_map(), 2, n),
     "crosscheck_closed_form": lambda n: crosscheck_closed_form(
         Quadratic(), boole_iterate, -1.0, 1.0, 2, n),
-    "check_idempotent_structure": lambda n: check_idempotent_structure(identity_map(), n, 1e-9),
     "herschel_relation_residual": lambda n: herschel_relation_residual(
         lambda t: 1.0 + 2.0 * t, mobius_involution(1.0, 2.0, 0.0, 3.0), 0.0, 3.0, n),
     "propagate_partial_conjugacy": lambda n: propagate_partial_conjugacy(
@@ -234,7 +225,6 @@ _DOMAIN_GRIDDED = {
     "interior_grid": lambda m: m.domain().interior_grid(5),
     "verify_conjugacy": lambda m: verify_conjugacy(m, m, mobius_involution(0.0, 0.0), 5),
     "periodicity_order": lambda m: periodicity_order(m, 2, 5),
-    "check_idempotent_structure": lambda m: check_idempotent_structure(m, 5, 1e-9),
 }
 _UNGRIDDABLE_DOMAINS = [(-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)]
 
@@ -248,10 +238,7 @@ def test_an_unbounded_or_too_wide_domain_cannot_be_gridded(name, lo, hi):
 
 
 def test_linspace_grids_a_point():
-    # the image of a constant map is one point, which the idempotence check grids
     assert linspace(0.3, 0.3, 3) == [0.3, 0.3, 0.3]
-    report = check_idempotent_structure(PiecewiseLinear([(0.0, 0.3), (1.0, 0.3)]), 4, 1e-9)
-    assert report.is_idempotent and report.identity_on_image
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,7 +25,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, ParameterError,
                          PiecewiseLinear, Quadratic, Reflect, Tent, UlamArcsin, Unimodal,
-                         apply_homeo, boole_iterate, check_idempotent_structure,
+                         apply_homeo, boole_iterate,
                          cobweb_path, crosscheck_closed_form, eval_map, fixed_points,
                          herschel_iterate, herschel_relation_residual, hyperbola_iterate,
                          iterate, mobius_involution, orbit, orbit_consistency,
@@ -311,24 +311,6 @@ def ref_distribution_checks(cdf, inverse_cdf):
         u = i / 1000
         if abs(cdf(inverse_cdf(u)) - u) > 1e-9:
             raise ParameterError(f"inverse CDF fails the round trip at u={u!r}")
-
-
-def ref_idempotent(m, samples, tol):
-    """is_idempotent, image_lo and image_hi of check_idempotent_structure."""
-    if samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {samples!r}")
-    if tol <= 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol!r}")
-    dom = m.domain()
-    if not dom.bounded:
-        raise DomainError(f"cannot grid [{dom.lo}, {dom.hi}]: need lo < hi and a finite hi - lo")
-    worst, image = 0.0, []
-    for i in range(samples):
-        x = dom.lo + (dom.hi - dom.lo) * i / (samples - 1)
-        y = eval_map(m, x)
-        image.append(y)
-        worst = max(worst, abs(eval_map(m, y) - y))
-    return worst < tol, min(image), max(image)
 
 
 def verdict(fn, *args):
@@ -884,21 +866,6 @@ def test_unimodal_and_distribution_grids_match_references():
         assert (verdict(construct, DistributionSpec, recording(cdf, core), inverse)
                 == verdict(ref_distribution_checks, recording(cdf, ref), inverse))
         assert repr(core) == repr(ref)
-
-
-@pytest.mark.parametrize("spec", ["pwl:0,0.25;0.25,0.25;0.75,0.75;1,0.75", "pwl:0,0;1,1",
-                                  "pwl:0.1,0.2;0.43,0.61;0.7,0.3", "logistic", "tent", "sinsq",
-                                  "quadratic"])
-def test_idempotent_grid_matches_reference(spec):
-    for samples, tol in ((2, 1e-12), (11, 1e-12), (1000, 1e-9), (1, 0.0), (5, 0.0)):
-        core, ref = Recorded(parse_map_spec(spec)), Recorded(parse_map_spec(spec))
-
-        def fields():
-            r = check_idempotent_structure(core, samples, tol)
-            return r.is_idempotent, r.image_lo, r.image_hi
-        assert verdict(fields) == verdict(ref_idempotent, ref, samples, tol), (samples, tol)
-        # identity_on_image evaluates its own grid after the points the reference walks
-        assert repr(core.points[:len(ref.points)]) == repr(ref.points), (samples, tol)
 
 
 # --- snap -----------------------------------------------------------------------

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from intervaldyn.analysis import CobwebPath, DensityReport, IdempotentReport, PreimageSet
-from intervaldyn.chaos_rng import DistributionSpec, FixedPointWord, FixedPrecisionReport
+from intervaldyn.analysis import CobwebPath, DensityReport, PreimageSet
+from intervaldyn.chaos_rng import DistributionSpec, FixedPointWord
 from intervaldyn.cli import Result, RunConfig, _Cap
 from intervaldyn.closed_form import CrosscheckReport
 from intervaldyn.conjugacy import Conflict, ConjugacyReport
@@ -44,14 +44,10 @@ INSTANCES = {
     "CompositionH": lambda: CompositionH(outer=Affine(2.0, 0.0), inner=AlphaArcsin()),
     "CobwebPath": lambda: CobwebPath(points=((0.5, 0.5), (0.5, 1.0)), seed=0.5,
                                      converged=False, limit=None),
-    "IdempotentReport": lambda: IdempotentReport(True, 0.0, 1.0, True),
     "PreimageSet": lambda: PreimageSet(depth=1, points=(0.0, 1.0), largest_gap=1.0),
     "DensityReport": lambda: DensityReport(largest_gap=0.5, count=3, dense_estimate=False),
     "FixedPointWord": lambda: FixedPointWord(8, 5),
     "DistributionSpec": lambda: DistributionSpec(abs, abs),
-    "FixedPrecisionReport": lambda: FixedPrecisionReport(bits=2, initial_value=1,
-                                                         steps_to_zero=2, alphas=(0.25,),
-                                                         xs=(0.5,)),
     "CrosscheckReport": lambda: CrosscheckReport(0.0, 0.5, 1, 10, 2),
     "ConjugacyReport": lambda: ConjugacyReport(grid=(0.0,), residuals=(0.0,), max_residual=0.0,
                                                argmax=0.0),
@@ -89,15 +85,11 @@ REPRS = {
     "CompositionH": "CompositionH(outer=Affine(p=2.0, q=0.0), inner=AlphaArcsin())",
     "CobwebPath": ("CobwebPath(points=((0.5, 0.5), (0.5, 1.0)), seed=0.5, converged=False, "
                    "limit=None)"),
-    "IdempotentReport": ("IdempotentReport(is_idempotent=True, image_lo=0.0, image_hi=1.0, "
-                         "identity_on_image=True)"),
     "PreimageSet": "PreimageSet(depth=1, points=(0.0, 1.0), largest_gap=1.0, levels=())",
     "DensityReport": "DensityReport(largest_gap=0.5, count=3, dense_estimate=False)",
     "FixedPointWord": "FixedPointWord(bits=8, value=5)",
     "DistributionSpec": ("DistributionSpec(cdf=<built-in function abs>, "
                          "inverse_cdf=<built-in function abs>)"),
-    "FixedPrecisionReport": ("FixedPrecisionReport(bits=2, initial_value=1, steps_to_zero=2, "
-                             "alphas=(0.25,), xs=(0.5,))"),
     "CrosscheckReport": ("CrosscheckReport(max_deviation=0.0, argmax_x=0.5, argmax_n=1, "
                          "samples=10, n_max=2)"),
     "ConjugacyReport": ("ConjugacyReport(grid=(0.0,), residuals=(0.0,), max_residual=0.0, "
@@ -119,7 +111,7 @@ _LOOKALIKES = [
 
 
 def test_every_value_class_is_listed():
-    assert set(INSTANCES) == set(REPRS) and len(INSTANCES) == 35
+    assert set(INSTANCES) == set(REPRS) and len(INSTANCES) == 33
 
 
 @pytest.mark.parametrize("name", INSTANCES)

@@ -402,6 +402,29 @@ _GOLDEN_EDGE_CASES = [
     ["rng", "ks", "--n", "10000", "--seed", "0.5", "--cdf", "uniform"],
     ["rng", "ks", "--n", "10000", "--seed", "0.5", "--cdf", "square"],
     ["rng", "ks", "--n", "5000", "--seed", "0.75", "--cdf", "uniform"],
+    # residual checks whose g (verify) or h (semiverify) has a domain that
+    # cannot be built: the error names the first grid point
+    ["conjugacy", "verify", "--f", "logistic", "--g", "conj:tent|(pwlh:0,0;0.5,1 o ulam)",
+     "--h", "ulam", "--samples", "10"],
+    ["conjugacy", "semiverify", "--f", "logistic", "--g", "doubling",
+     "--h", "conj:tent|(pwlh:0,0;0.5,1 o ulam)", "--lo", "0", "--hi", "1", "--samples", "10"],
+    # images on a closed end (logistic(0.5) = 1.0), within 1e-12 beyond
+    # one, which snap moves onto it, and further beyond, which fails
+    ["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--h", "ulam", "--samples", "11"],
+    ["conjugacy", "verify", "--f", "pwl:0,0;0.5,1.0000000000005;1,0", "--g", "tent",
+     "--h", "ulam", "--samples", "11"],
+    ["conjugacy", "semiverify", "--f", "tent", "--g", "pwl:0,-5e-13;0.5,1.0000000000005;1,0",
+     "--h", "sinsq", "--lo", "0", "--hi", "1", "--samples", "10"],
+    ["conjugacy", "verify", "--f", "pwl:0,0;0.5,1.5;1,0", "--g", "tent", "--h", "ulam",
+     "--samples", "10"],
+    # the power form across |x| = 1 and across 1.34e154, where both
+    # characteristic roots become infinite
+    ["closed-form", "check", "--formula", "herschel", "--lo", "0.9999999", "--hi", "1.0000001",
+     "--n-max", "10", "--samples", "51"],
+    ["closed-form", "check", "--formula", "herschel", "--lo", "-1.0000001", "--hi", "-0.9999999",
+     "--n-max", "10", "--samples", "51"],
+    ["closed-form", "check", "--formula", "herschel", "--lo", "1e154", "--hi", "2e154",
+     "--n-max", "3", "--samples", "5"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

@@ -20,7 +20,7 @@ positive) is implemented.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import (DomainError, ImaginaryResidueError, ParameterError, check_count,
                      check_interval, check_samples)
@@ -48,32 +48,42 @@ def herschel_constant(x: float) -> complex:
     return _characteristic_roots(x)[0]
 
 
-def herschel_iterate(x: float, n: int) -> float:
-    """n-th iterate of 2x^2 - 1 via the characteristic-root power form.
+def _herschel_values(x: float, n_max: int) -> Iterator[float]:
+    """herschel_iterate(x, n) for n = 0..n_max, from one squaring chain.
 
     C^(2^n) is produced by n complex squarings (never polar
     exponentiation), with the final halving folded into the last
     squaring so the result overflows only when the iterate itself
-    leaves binary64 range.
+    leaves binary64 range. The pair stays exactly conjugate, or real,
+    so for real x no value has an imaginary residue.
     """
-    n = check_count(n, "iteration count", 0, MAX_ITERATIONS)
     if not math.isfinite(x):
         raise DomainError(f"need a finite argument, got {x!r}")
     c, cm = _characteristic_roots(x)
-    if n == 0:
-        v = (c + cm) / 2.0
+    v, n = (c + cm) / 2.0, 0
+    while True:
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            return x  # both roots are infinite for |x| above about 1.34e154
-    else:
-        for _ in range(n - 1):
+            # at n = 0 both roots are infinite (|x| above about 1.34e154), and the
+            # iterate is x; after that a non-finite square stays non-finite, and
+            # even powers diverge to +inf
+            yield x if n == 0 else math.inf
+        elif abs(v.imag) > 1e-6 * max(1.0, abs(v.real)):
+            raise ImaginaryResidueError(f"imaginary residue {v.imag!r} at x={x!r}, n={n}")
+        else:
+            yield v.real
+        if n == n_max:
+            return
+        if n:
             c, cm = c * c, cm * cm
-        v = (0.5 * c) * c + (0.5 * cm) * cm
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            # a non-finite square stays non-finite; even powers diverge to +inf
-            return math.inf
-    if abs(v.imag) > 1e-6 * max(1.0, abs(v.real)):
-        raise ImaginaryResidueError(f"imaginary residue {v.imag!r} at x={x!r}, n={n}")
-    return v.real
+        v, n = (0.5 * c) * c + (0.5 * cm) * cm, n + 1
+
+
+def herschel_iterate(x: float, n: int) -> float:
+    """n-th iterate of 2x^2 - 1 via the characteristic-root power form:
+    the last value of _herschel_values(x, n)."""
+    for v in _herschel_values(x, check_count(n, "iteration count", 0, MAX_ITERATIONS)):
+        pass
+    return v
 
 
 def boole_iterate(t: float, n: int) -> float:
@@ -187,16 +197,19 @@ def crosscheck_closed_form(
 ) -> CrosscheckReport:
     """Max deviation between iterate(m, x, n) and formula(x, n) over an
     inclusive sample grid of [lo, hi] and n = 0..n_max. Each sample's
-    brute-force iterates come from one walk of its trajectory."""
+    brute-force iterates come from one walk of its trajectory, and
+    herschel_iterate's from one squaring chain."""
     n_max = check_count(n_max, "iteration count", 0, MAX_ITERATIONS)
     samples = check_samples(samples)
     check_interval(lo, hi)
+    chain = formula is herschel_iterate  # one squaring chain per x serves every n
     worst, arg_x, arg_n = -1.0, lo, 0
     for x in linspace(lo, hi, samples):
         n = 0  # the step being checked, also while the walk computes it
+        exact = _herschel_values(x, n_max) if chain else (formula(x, k) for k in range(n_max + 1))
         try:
-            for brute in trajectory(m, x, n_max):
-                d = _scaled_deviation(brute, formula(x, n))
+            for brute, value in zip(trajectory(m, x, n_max), exact):
+                d = _scaled_deviation(brute, value)
                 if d > worst:
                     worst, arg_x, arg_n = d, x, n
                 n += 1

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import DomainError, check_count, check_interval, check_positive, check_samples
 from .frozen import Frozen
 from .homeos import Homeomorphism, Mobius, apply_homeo
-from .interval import linspace
-from .maps import Conjugated, MapDescriptor, eval_map, iterate, trajectory
+from .interval import Interval, linspace
+from .maps import Conjugated, MapDescriptor, trajectory
 
 
 class ConjugacyReport(Frozen):
@@ -50,6 +50,25 @@ def _residual_report(grid: Sequence[float], residual: Callable[[float], float],
             worst, arg = r, x
         residuals.append(r)
     return ConjugacyReport(tuple(grid), tuple(residuals), worst, arg)
+
+
+def _snapped(raw: Callable[[float], float],
+             domain: Callable[[], Interval]) -> Callable[[float], float]:
+    """raw behind its domain's snap, as eval_map and apply_homeo evaluate
+    it, with the domain built once: raw(x if lo < x < hi else snap(x)) has
+    their bits, because snap returns interior points as they are. A domain
+    that cannot be built raises its DomainError at the first evaluation,
+    where building it on every call would have raised it."""
+    try:
+        dom = domain()
+    except DomainError as exc:
+        error = exc  # the except clause unbinds exc when it ends
+
+        def fail(x: float) -> float:
+            raise error
+        return fail
+    lo, hi, snap = dom.lo, dom.hi, dom.snap
+    return lambda x: raw(x if lo < x < hi else snap(x))
 
 
 class Conflict(Frozen):
@@ -83,10 +102,10 @@ def verify_conjugacy(
     samples: int,
 ) -> ConjugacyReport:
     """Residuals of h(f(x)) = g(h(x)) on an interior grid of f's domain."""
-    return _residual_report(
-        f.domain().interior_grid(samples),
-        lambda x: abs(apply_homeo(h, eval_map(f, x)) - eval_map(g, apply_homeo(h, x))),
-        "conjugacy")
+    grid = f.domain().interior_grid(samples)
+    f_at, g_at = _snapped(f._raw, f.domain), _snapped(g._raw, g.domain)
+    h_at = _snapped(h._fwd, h.domain)
+    return _residual_report(grid, lambda x: abs(h_at(f_at(x)) - g_at(h_at(x))), "conjugacy")
 
 
 def verify_semiconjugacy(
@@ -104,10 +123,9 @@ def verify_semiconjugacy(
     """
     samples = check_samples(samples)  # linspace sees samples + 1 points, so it would pass 1
     check_interval(lo, hi)
-    return _residual_report(
-        linspace(lo, hi, samples + 1)[:-1],
-        lambda x: abs(eval_map(f, eval_map(h, x)) - eval_map(h, eval_map(g, x))),
-        "semiconjugacy")
+    grid = linspace(lo, hi, samples + 1)[:-1]
+    f_at, g_at, h_at = (_snapped(m._raw, m.domain) for m in (f, g, h))
+    return _residual_report(grid, lambda x: abs(f_at(h_at(x)) - h_at(g_at(x))), "semiconjugacy")
 
 
 def periodicity_order(
@@ -126,9 +144,14 @@ def periodicity_order(
     p_max = check_count(p_max, "p_max")
     grid = m.domain().interior_grid(samples)
     check_positive(tol, "tolerance")
+
+    def returns(x: float, p: int) -> bool:
+        for y in trajectory(m, x, p):  # iterate(m, x, p), less its check of p
+            pass
+        return abs(y - x) < tol  # trajectory never yields NaN
+
     for p in range(1, p_max + 1):
-        # all() stops at the first point that fails p; iterate never returns NaN
-        if all(abs(iterate(m, x, p) - x) < tol for x in grid):
+        if all(returns(x, p) for x in grid):  # stops at the first point that fails p
             return p
     return None
 

@@ -9,13 +9,17 @@ knot-window solver (_bisect_pl) that inverts pwlh and pulls back pwl
 maps, the 100-halving bisection loops that the uncapped kernels keep
 bit for bit wherever those loops ended before their cap, the per-point
 calls (apply_homeo, the JSON writer per element, the SVG coordinate
-functions) that the orbit-stream fast paths inline, and the CSV table
-row by row, which the writers join a block at a time. The core must
-reproduce each of them exactly, errors included: results are compared
-by repr, which is bitwise for floats and treats NaN as equal to itself.
+functions) that the orbit-stream fast paths inline, the CSV table row
+by row, which the writers join a block at a time, the residual checks
+with every domain looked up at every evaluation, herschel_iterate
+computed from scratch for each n, and periodicity_order through iterate
+at every point. The core must reproduce each of them exactly, errors
+included: results are compared by repr, which is bitwise for floats and
+treats NaN as equal to itself.
 """
 
 import math
+import random
 import re
 from array import array
 from functools import partial
@@ -23,21 +27,23 @@ from functools import partial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from intervaldyn import (DistributionSpec, DomainError, Hyperbola, Logistic, ParameterError,
-                         PiecewiseLinear, Quadratic, Reflect, Tent, UlamArcsin, Unimodal,
-                         apply_homeo, boole_iterate,
+from intervaldyn import (CompositionH, Conjugated, DistributionSpec, DomainError, Hyperbola,
+                         IntervalDynError, Logistic, ParameterError, PiecewiseLinear, Quadratic,
+                         Reflect, Tent, UlamArcsin, Unimodal, apply_homeo, boole_iterate,
                          cobweb_path, crosscheck_closed_form, eval_map, fixed_points,
                          herschel_iterate, herschel_relation_residual, hyperbola_iterate,
-                         iterate, mobius_involution, orbit, orbit_consistency,
-                         sensitivity_report, zero_preimage_set)
-from intervaldyn import analysis, homeos, render
+                         iterate, mobius_involution, orbit, orbit_consistency, periodicity_order,
+                         sensitivity_report, verify_conjugacy, verify_semiconjugacy,
+                         zero_preimage_set)
+from intervaldyn import analysis, closed_form, homeos, render
 from intervaldyn.chaos_rng import arcsine_cdf, uniformize
 from intervaldyn.cli import BLOCK, _csv_cell, parse_map_spec, to_csv, to_json
-from intervaldyn.closed_form import MAX_ITERATIONS, CrosscheckReport, _scaled_deviation
-from intervaldyn.conjugacy import Conflict
-from intervaldyn.errors import check_count
+from intervaldyn.closed_form import (MAX_ITERATIONS, CrosscheckReport, _herschel_values,
+                                     _scaled_deviation)
+from intervaldyn.conjugacy import Conflict, _residual_report
+from intervaldyn.errors import check_count, check_interval, check_positive, check_samples
 from intervaldyn.homeos import (PiecewiseLinearHomeo, _bisect_monotone, _bisect_pl, _interpolate,
-                                invert_homeo)
+                                invert_homeo, parse_homeo_spec)
 from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval, _dedup_sorted, linspace
 from intervaldyn.maps import MapDescriptor, Orbit
 from intervaldyn.render import VIEW, _window, cobweb_svg
@@ -170,6 +176,56 @@ def ref_crosscheck(m, formula, lo, hi, n_max, samples):
             if d > worst:
                 worst, arg_x, arg_n = d, x, n
     return CrosscheckReport(worst, arg_x, arg_n, samples, n_max)
+
+
+def ref_herschel_iterate(x, n):
+    """herschel_iterate computed from scratch for one n."""
+    n = check_count(n, "iteration count", 0, MAX_ITERATIONS)
+    if not math.isfinite(x):
+        raise DomainError(f"need a finite argument, got {x!r}")
+    c, cm = closed_form._characteristic_roots(x)
+    if n == 0:
+        v = (c + cm) / 2.0
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            return x  # both roots are infinite for |x| above about 1.34e154
+    else:
+        for _ in range(n - 1):
+            c, cm = c * c, cm * cm
+        v = (0.5 * c) * c + (0.5 * cm) * cm
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            # a non-finite square stays non-finite; even powers diverge to +inf
+            return math.inf
+    if abs(v.imag) > 1e-6 * max(1.0, abs(v.real)):
+        raise closed_form.ImaginaryResidueError(f"imaginary residue {v.imag!r} at x={x!r}, n={n}")
+    return v.real
+
+
+def ref_verify(f, g, h, samples):
+    """verify_conjugacy with the domains looked up at every evaluation."""
+    return _residual_report(
+        f.domain().interior_grid(samples),
+        lambda x: abs(apply_homeo(h, eval_map(f, x)) - eval_map(g, apply_homeo(h, x))),
+        "conjugacy")
+
+
+def ref_semiverify(f, g, h, lo, hi, samples):
+    """verify_semiconjugacy with the domains looked up at every evaluation."""
+    samples = check_samples(samples)
+    check_interval(lo, hi)
+    return _residual_report(
+        linspace(lo, hi, samples + 1)[:-1],
+        lambda x: abs(eval_map(f, eval_map(h, x)) - eval_map(h, eval_map(g, x))),
+        "semiconjugacy")
+
+
+def ref_periodicity_order(m, p_max, samples, tol):
+    p_max = check_count(p_max, "p_max")
+    grid = m.domain().interior_grid(samples)
+    check_positive(tol, "tolerance")
+    for p in range(1, p_max + 1):
+        if all(abs(iterate(m, x, p) - x) < tol for x in grid):
+            return p
+    return None
 
 
 def ref_orbit_consistency(f, g, pairs, n, tol):
@@ -311,6 +367,14 @@ def ref_distribution_checks(cdf, inverse_cdf):
         u = i / 1000
         if abs(cdf(inverse_cdf(u)) - u) > 1e-9:
             raise ParameterError(f"inverse CDF fails the round trip at u={u!r}")
+
+
+def any_outcome(fn, *args):
+    """outcome() for any library error, named by its type."""
+    try:
+        return "ok", repr(fn(*args))
+    except IntervalDynError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def verdict(fn, *args):
@@ -530,15 +594,108 @@ def _failing_after(n_bad, formula):
     (Quadratic(), boole_iterate, -1.0, 1.0, 10, 101),
     (Quadratic(), herschel_iterate, -1.2, 3.0, 10, 101),
     (Quadratic(), herschel_iterate, 1.0, 3.0, 0, 5),
+    (Quadratic(), herschel_iterate, 0.9999999, 1.0000001, 10, 51),
+    (Quadratic(), herschel_iterate, 1e154, 2e154, 3, 5),
     (Hyperbola(e=math.sqrt(3.0), a=1.0), lambda x, n: hyperbola_iterate(math.sqrt(3.0), 1.0, x, n),
      2.0, 5.0, 4, 57),
     # brute force leaves the domain: the radicand turns negative at step 1
     (Hyperbola(e=0.5, a=1.0), lambda x, n: hyperbola_iterate(0.5, 1.0, x, n), -1.5, 1.5, 6, 11),
     # the closed form fails first, at step 3 of the first sample above 0.5
     (Quadratic(), _failing_after(3, boole_iterate), -1.0, 1.0, 6, 9),
-], ids=["boole", "herschel", "herschel-n0", "hyperbola", "escape", "formula-fails"])
+], ids=["boole", "herschel", "herschel-n0", "herschel-at-1", "herschel-infinite-roots",
+        "hyperbola", "escape", "formula-fails"])
 def test_crosscheck_matches_per_n_iterate(case):
     assert outcome(crosscheck_closed_form, *case) == outcome(ref_crosscheck, *case)
+
+
+# maps whose images land on a closed end, within ENDPOINT_TOL beyond one,
+# and further beyond; coordinate changes whose range (and so the domain of a
+# map conjugated by them) cannot be built, alone and inside a composition
+RESIDUAL_MAP_SPECS = MAP_SPECS + ["pwl:0,0;0.5,1.0000000000005;1,0", "pwl:0,-5e-13;0.5,1;1,0",
+                                  "pwl:0,0;0.5,1.5;1,0"]
+HOMEO_SPECS = ["ulam", "alpha", "reflect", "affine:p=0.5,q=0.25", "power:g=0.5",
+               "mobius:a=0.5,b=0.5", "pwlh:0,0;0.3,0.6;1,1", "pwlh:0,1;0.25,0.8;0.6,0.3;1,0",
+               "pwlh:0,0;0.5,1", "pwlh:0,0;2,1"]
+_HOMEOS = st.recursive(st.sampled_from(HOMEO_SPECS).map(parse_homeo_spec),
+                       lambda inner: st.builds(CompositionH, inner, inner), max_leaves=3)
+_MAPS = st.one_of(st.sampled_from(RESIDUAL_MAP_SPECS).map(parse_map_spec),
+                  st.builds(Conjugated, st.sampled_from(RESIDUAL_MAP_SPECS).map(parse_map_spec),
+                            _HOMEOS))
+_GRID_ENDS = st.sampled_from([(0.0, 1.0), (0.0, 0.5), (0.25, 0.75), (-0.5, 1.5), (0.9, 1.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MAPS, _MAPS, _HOMEOS, st.integers(2, 24))
+@example(Logistic(), parse_map_spec("conj:tent|(pwlh:0,0;0.5,1 o ulam)"), UlamArcsin(), 10)
+@example(parse_map_spec("pwl:0,0;0.5,1.0000000000005;1,0"), Tent(), UlamArcsin(), 11)
+@example(parse_map_spec("pwl:0,0;0.5,1.5;1,0"), Tent(), UlamArcsin(), 10)
+def test_verify_matches_per_call_lookups(f, g, h, samples):
+    assert any_outcome(verify_conjugacy, f, g, h, samples) == any_outcome(ref_verify, f, g, h,
+                                                                          samples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MAPS, _MAPS, _MAPS, _GRID_ENDS, st.integers(2, 24))
+@example(Logistic(), parse_map_spec("doubling"),
+         parse_map_spec("conj:tent|(pwlh:0,0;0.5,1 o ulam)"), (0.0, 1.0), 10)
+@example(Tent(), parse_map_spec("pwl:0,-5e-13;0.5,1.0000000000005;1,0"),
+         parse_map_spec("sinsq"), (0.0, 1.0), 10)
+def test_semiverify_matches_per_call_lookups(f, g, h, ends, samples):
+    case = (f, g, h, *ends, samples)
+    assert any_outcome(verify_semiconjugacy, *case) == any_outcome(ref_semiverify, *case)
+
+
+@pytest.mark.parametrize("spec", RESIDUAL_MAP_SPECS + [
+    "pwl:0,1;1,0", "conj:pwl:0,1;1,0|pwlh:0,0;0.3,0.6;1,1", "pwl:0,0;1,1",
+    "conj:pwl:0,1;1,0|(pwlh:0,0;0.5,1 o ulam)"])
+def test_periodicity_order_matches_per_point_iterate(spec):
+    m = parse_map_spec(spec)
+    for case in [(m, 4, 50, 1e-10), (m, 2, 7, 1e-3)]:
+        assert any_outcome(periodicity_order, *case) == any_outcome(ref_periodicity_order, *case)
+
+
+def per_n_outcomes(fn, x):
+    """any_outcome(fn, x, n) for n = 0.., up to MAX_ITERATIONS or the first error."""
+    out = []
+    for n in range(MAX_ITERATIONS + 1):
+        out.append(any_outcome(fn, x, n))
+        if out[-1][0] != "ok":
+            break
+    return out
+
+
+def chain_outcomes(x):
+    out = []
+    try:
+        for v in _herschel_values(x, MAX_ITERATIONS):
+            out.append(("ok", repr(v)))
+    except IntervalDynError as exc:
+        out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+_HERSCHEL_RNG = random.Random(20161)
+HERSCHEL_POINTS = ([_HERSCHEL_RNG.uniform(-3.0, 3.0) for _ in range(20)]
+                   + [1.0, -1.0, 0.0, -0.0, 1.0 + 1e-8, 1.0 - 1e-8, -1.0 - 1e-8, -1.0 + 1e-8,
+                      1e154, 1.4e154, -1.4e154, 1e300, 5e-324, math.inf, -math.inf, math.nan])
+
+
+@pytest.mark.parametrize("x", HERSCHEL_POINTS)
+def test_herschel_chain_is_herschel_iterate_for_every_n(x):
+    chain = chain_outcomes(x)
+    assert chain == per_n_outcomes(herschel_iterate, x) == per_n_outcomes(ref_herschel_iterate, x)
+    assert len(chain) == (1 if not math.isfinite(x) else MAX_ITERATIONS + 1)
+
+
+def test_herschel_chain_raises_an_imaginary_residue_at_the_same_n(monkeypatch):
+    # a root pair that is not conjugate, which no real x gives: the residue
+    # doubles with each squaring and passes 1e-6 partway along the chain
+    monkeypatch.setattr(closed_form, "_characteristic_roots",
+                        lambda x: (complex(x, 1e-9), complex(x, -2e-9)))
+    chain = chain_outcomes(1.0)
+    assert chain == per_n_outcomes(herschel_iterate, 1.0)
+    assert chain == per_n_outcomes(ref_herschel_iterate, 1.0)
+    assert 2 < len(chain) <= MAX_ITERATIONS and chain[-1][0] == "ImaginaryResidueError"
 
 
 def test_crosscheck_names_the_failing_step():

@@ -50,13 +50,8 @@ def herschel_constant(x: float) -> complex:
 
 def _herschel_values(x: float, n_max: int) -> Iterator[float]:
     """herschel_iterate(x, n) for n = 0..n_max, from one squaring chain.
-
-    C^(2^n) is produced by n complex squarings (never polar
-    exponentiation), with the final halving folded into the last
-    squaring so the result overflows only when the iterate itself
-    leaves binary64 range. The pair stays exactly conjugate, or real,
-    so for real x no value has an imaginary residue.
-    """
+    The pair of roots stays exactly conjugate, or real, so for a real x
+    no value has an imaginary residue."""
     if not math.isfinite(x):
         raise DomainError(f"need a finite argument, got {x!r}")
     c, cm = _characteristic_roots(x)
@@ -79,8 +74,13 @@ def _herschel_values(x: float, n_max: int) -> Iterator[float]:
 
 
 def herschel_iterate(x: float, n: int) -> float:
-    """n-th iterate of 2x^2 - 1 via the characteristic-root power form:
-    the last value of _herschel_values(x, n)."""
+    """n-th iterate of 2x^2 - 1 via the characteristic-root power form.
+
+    C^(2^n) is produced by n complex squarings (never polar
+    exponentiation), with the final halving folded into the last
+    squaring so the result overflows only when the iterate itself
+    leaves binary64 range.
+    """
     for v in _herschel_values(x, check_count(n, "iteration count", 0, MAX_ITERATIONS)):
         pass
     return v

@@ -26,18 +26,20 @@ from .maps import Conjugated, MapDescriptor, trajectory
 class ConjugacyReport(Frozen):
     """Residuals |h(f(x)) - g(h(x))| over a sample grid."""
 
-    grid: tuple[float, ...]
-    residuals: tuple[float, ...]
+    grid: Sequence[float]
+    residuals: Sequence[float]
     max_residual: float
     argmax: float
 
 
 def _residual_report(grid: Sequence[float], residual: Callable[[float], float],
                      what: str) -> ConjugacyReport:
-    """Every residual on the grid, their maximum and the first point that
-    attains it, in one pass. A DomainError, or a NaN residual (which no
-    maximum can rank), fails the check and names the point."""
-    residuals = []
+    """Every residual on the grid, as one array('d'), their maximum and the
+    first point that attains it, in one pass; the report holds the grid it
+    was given. A DomainError, or a NaN residual (which no maximum can rank),
+    fails the check and names the point."""
+    from array import array
+    residuals = array("d")
     worst, arg = -math.inf, None
     for x in grid:
         try:
@@ -49,7 +51,7 @@ def _residual_report(grid: Sequence[float], residual: Callable[[float], float],
         if r > worst:
             worst, arg = r, x
         residuals.append(r)
-    return ConjugacyReport(tuple(grid), tuple(residuals), worst, arg)
+    return ConjugacyReport(grid, residuals, worst, arg)
 
 
 def _snapped(raw: Callable[[float], float],
@@ -177,9 +179,10 @@ def herschel_relation_residual(
     over an inclusive grid of [lo, hi]."""
     grid = linspace(lo, hi, samples)  # first, so its sample-count error wins
     check_interval(lo, hi)
+    phi_at = _snapped(phi._fwd, phi.domain)
 
     def residual(x: float) -> float:
-        px = apply_homeo(phi, x)
+        px = phi_at(x)
         return abs(x + px + f_outer(x * px))
 
     return _residual_report(grid, residual, "Herschel relation").max_residual

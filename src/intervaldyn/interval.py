@@ -9,6 +9,7 @@ composed evaluations.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from .errors import DomainError, check_interval, check_samples
 from .frozen import Frozen
@@ -64,12 +65,14 @@ class Interval(Frozen):
             raise DomainError(f"{x!r} lies outside {self}")
         return x
 
-    def interior_grid(self, samples: int) -> list[float]:
-        """Equispaced points offset half a step from both endpoints."""
+    def interior_grid(self, samples: int) -> Sequence[float]:
+        """Equispaced points offset half a step from both endpoints, as one
+        array('d')."""
+        from array import array
         samples = check_samples(samples)
         check_interval(self.lo, self.hi)
         step = (self.hi - self.lo) / samples
-        return [self.lo + (i + 0.5) * step for i in range(samples)]
+        return array("d", (self.lo + (i + 0.5) * step for i in range(samples)))
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
@@ -77,16 +80,18 @@ class Interval(Frozen):
         return f"{left}{self.lo}, {self.hi}{right}"
 
 
-def linspace(lo: float, hi: float, samples: int) -> list[float]:
-    """The inclusive grid: lo + (hi - lo) * i / (samples - 1) for i < samples,
-    from lo to hi (the last point is hi up to rounding), or lo + step * i
-    where (hi - lo) * (samples - 1) overflows, step = (hi - lo) / (samples - 1).
-    Only the sample count is checked, so lo == hi gives that point samples times."""
+def linspace(lo: float, hi: float, samples: int) -> Sequence[float]:
+    """The inclusive grid, as one array('d'): lo + (hi - lo) * i / (samples - 1)
+    for i < samples, from lo to hi (the last point is hi up to rounding), or
+    lo + step * i where (hi - lo) * (samples - 1) overflows, step = (hi - lo) /
+    (samples - 1). Only the sample count is checked, so lo == hi gives that
+    point samples times."""
+    from array import array
     samples = check_samples(samples)
     width, last = hi - lo, samples - 1
     if math.isfinite(width * last):  # an infinite width gives the same points either way
-        return [lo + width * i / last for i in range(samples)]
-    return [lo + width / last * i for i in range(samples)]
+        return array("d", (lo + width * i / last for i in range(samples)))
+    return array("d", (lo + width / last * i for i in range(samples)))
 
 
 def _dedup_sorted(points: list[float], tol: float) -> list[float]:

@@ -7,6 +7,7 @@ import glob
 import math
 import os
 import re
+from array import array
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -238,7 +239,7 @@ def test_an_unbounded_or_too_wide_domain_cannot_be_gridded(name, lo, hi):
 
 
 def test_linspace_grids_a_point():
-    assert linspace(0.3, 0.3, 3) == [0.3, 0.3, 0.3]
+    assert linspace(0.3, 0.3, 3) == array("d", [0.3, 0.3, 0.3])
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,10 +254,10 @@ def test_every_point_of_a_grid_of_a_gridded_interval_is_finite(lo, hi, samples):
 
 def test_linspace_keeps_its_formula_where_it_does_not_overflow():
     # the step form takes over only where (hi - lo) * (samples - 1) overflows
-    assert linspace(0.0, 1.0, 4) == [0.0, 1 / 3, 2 / 3, 1.0]
+    assert linspace(0.0, 1.0, 4) == array("d", [0.0, 1 / 3, 2 / 3, 1.0])
     assert linspace(-1.0, 2.0, 10**4)[1234] == -1.0 + 3.0 * 1234 / 9999
-    assert linspace(1e308, 1.7e308, 5) == [1e308, 1.175e308, 1.35e308, 1.5249999999999999e308,
-                                        1.7e308]
+    assert linspace(1e308, 1.7e308, 5) == array("d", [1e308, 1.175e308, 1.35e308,
+                                                      1.5249999999999999e308, 1.7e308])
 
 
 def test_the_argument_messages_are_built_only_in_errors():

@@ -540,6 +540,32 @@ def test_orbit_stream_memory_ceilings(argv, n, doubles, constant, tmp_path):
     assert peak < doubles * 8 * n + constant, peak
 
 
+# The tracemalloc peak of a residual check or closed-form check at n
+# samples, run like the orbit streams above. Each holds its grid, and a
+# residual check its residual profile, as one array('d') of n doubles, so
+# 3 * 8n bytes plus a constant bounds it; a float object per sample (about
+# 10 doubles a sample, in a list and a tuple copy) exceeds it.
+@pytest.mark.parametrize("argv", [
+    ["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--h", "ulam", "--samples", "{n}"],
+    ["conjugacy", "semiverify", "--f", "logistic", "--g", "doubling", "--h", "sinsq",
+     "--lo", "0", "--hi", "1", "--samples", "{n}"],
+    ["closed-form", "check", "--formula", "boole", "--lo", "-1", "--hi", "1", "--n-max", "1",
+     "--samples", "{n}"],
+], ids=["verify", "semiverify", "closed-form-check"])
+def test_verification_memory_ceilings(argv, tmp_path):
+    target, n = str(tmp_path / "out"), 50000
+    # a small run first, untraced, for the imports and caches
+    assert main([a.format(n=10) for a in argv] + ["--output", target]) == 0
+    tracemalloc.start()
+    try:
+        code = main([a.format(n=n) for a in argv] + ["--output", target])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * 8 * n + 150_000, peak
+
+
 def test_timing_flag_gives_number(capsys):
     code, out, _ = run_cli(["iterate", "--map", "tent", "--x0", "0.1", "--n", "1",
                             "--timing"], capsys)

@@ -2,7 +2,8 @@
 
 The references are the straightforward loops that the core replaces:
 iterate recomputed from the seed for every n, one hand-written orbit
-loop per caller, one hand-written sample grid per caller, monotone
+loop per caller, one hand-written sample grid per caller, the list
+grids and list residual loop that array('d') replaced, monotone
 bisection on eval_map through the branches of the tent map and of
 piecewise-linear maps, monotone bisection on _interpolate for the
 knot-window solver (_bisect_pl) that inverts pwlh and pulls back pwl
@@ -40,7 +41,7 @@ from intervaldyn.chaos_rng import arcsine_cdf, uniformize
 from intervaldyn.cli import BLOCK, _csv_cell, parse_map_spec, to_csv, to_json
 from intervaldyn.closed_form import (MAX_ITERATIONS, CrosscheckReport, _herschel_values,
                                      _scaled_deviation)
-from intervaldyn.conjugacy import Conflict, _residual_report
+from intervaldyn.conjugacy import Conflict, ConjugacyReport
 from intervaldyn.errors import check_count, check_interval, check_positive, check_samples
 from intervaldyn.homeos import (PiecewiseLinearHomeo, _bisect_monotone, _bisect_pl, _interpolate,
                                 invert_homeo, parse_homeo_spec)
@@ -69,6 +70,23 @@ def outcome(fn, *args):
 
 
 # --- reference loops -----------------------------------------------------------
+
+
+def ref_linspace(lo, hi, samples):
+    """The inclusive grid as a list, both formulas written out."""
+    samples = check_samples(samples)
+    width, last = hi - lo, samples - 1
+    if math.isfinite(width * last):
+        return [lo + width * i / last for i in range(samples)]
+    return [lo + width / last * i for i in range(samples)]
+
+
+def ref_interior_grid(dom, samples):
+    """Interval.interior_grid as a list."""
+    samples = check_samples(samples)
+    check_interval(dom.lo, dom.hi)
+    step = (dom.hi - dom.lo) / samples
+    return [dom.lo + (i + 0.5) * step for i in range(samples)]
 
 
 def ref_iterate(m, x, n):
@@ -112,7 +130,7 @@ def ref_polylines(m, orbit):
         return VIEW - (y - lo) / span * VIEW
 
     graph = []
-    for x in linspace(lo, hi, 1000):
+    for x in ref_linspace(lo, hi, 1000):
         try:
             y = eval_map(m, x)
         except DomainError:
@@ -200,10 +218,29 @@ def ref_herschel_iterate(x, n):
     return v.real
 
 
+def ref_residual_report(grid, residual, what):
+    """_residual_report over a list grid, its residuals a list of float
+    objects; the report holds both as array('d'), so that its repr equals
+    the kernel's exactly when every value does."""
+    residuals = []
+    worst, arg = -math.inf, None
+    for x in grid:
+        try:
+            r = residual(x)
+        except DomainError as exc:
+            raise DomainError(f"{what} check failed at x={x!r}: {exc}") from exc
+        if r != r:
+            raise DomainError(f"{what} check failed at x={x!r}: the residual is NaN")
+        if r > worst:
+            worst, arg = r, x
+        residuals.append(r)
+    return ConjugacyReport(array("d", grid), array("d", residuals), worst, arg)
+
+
 def ref_verify(f, g, h, samples):
     """verify_conjugacy with the domains looked up at every evaluation."""
-    return _residual_report(
-        f.domain().interior_grid(samples),
+    return ref_residual_report(
+        ref_interior_grid(f.domain(), samples),
         lambda x: abs(apply_homeo(h, eval_map(f, x)) - eval_map(g, apply_homeo(h, x))),
         "conjugacy")
 
@@ -212,15 +249,27 @@ def ref_semiverify(f, g, h, lo, hi, samples):
     """verify_semiconjugacy with the domains looked up at every evaluation."""
     samples = check_samples(samples)
     check_interval(lo, hi)
-    return _residual_report(
-        linspace(lo, hi, samples + 1)[:-1],
+    return ref_residual_report(
+        ref_linspace(lo, hi, samples + 1)[:-1],
         lambda x: abs(eval_map(f, eval_map(h, x)) - eval_map(h, eval_map(g, x))),
         "semiconjugacy")
 
 
+def ref_herschel_per_call(f_outer, phi, lo, hi, samples):
+    """herschel_relation_residual with phi's domain looked up at every point."""
+    grid = ref_linspace(lo, hi, samples)
+    check_interval(lo, hi)
+
+    def residual(x):
+        px = apply_homeo(phi, x)
+        return abs(x + px + f_outer(x * px))
+
+    return ref_residual_report(grid, residual, "Herschel relation").max_residual
+
+
 def ref_periodicity_order(m, p_max, samples, tol):
     p_max = check_count(p_max, "p_max")
-    grid = m.domain().interior_grid(samples)
+    grid = ref_interior_grid(m.domain(), samples)
     check_positive(tol, "tolerance")
     for p in range(1, p_max + 1):
         if all(abs(iterate(m, x, p) - x) < tol for x in grid):
@@ -600,6 +649,38 @@ def test_crosscheck_matches_per_n_iterate(case):
     assert outcome(crosscheck_closed_form, *case) == outcome(ref_crosscheck, *case)
 
 
+def element_reprs(grid):
+    """The repr of every point, and the grid's type."""
+    return type(grid).__name__, [repr(x) for x in grid]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(), st.floats(), st.integers(1, 300))
+@example(1e308, 1.7e308, 5)
+@example(-1.7e308, -1e308, 10**4)
+@example(-1.7e308, 1.7e308, 3)
+@example(0.3, 0.3, 3)
+@example(-math.inf, 1.0, 4)
+def test_linspace_is_the_list_formula_bit_for_bit(lo, hi, samples):
+    core = verdict(lambda: element_reprs(linspace(lo, hi, samples)))
+    ref = verdict(lambda: element_reprs(array("d", ref_linspace(lo, hi, samples))))
+    assert core == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2, unique=True).map(sorted),
+       st.integers(1, 300))
+@example([-1e308, 1e308], 5)
+@example([1e308, 1.7e308], 7)
+@example([0.0, 5e-324], 2)
+@example([-math.inf, 1.0], 4)
+def test_interior_grid_is_the_list_formula_bit_for_bit(ends, samples):
+    dom = Interval(*ends)
+    core = verdict(lambda: element_reprs(dom.interior_grid(samples)))
+    ref = verdict(lambda: element_reprs(array("d", ref_interior_grid(dom, samples))))
+    assert core == ref
+
+
 # maps whose images land on a closed end, within ENDPOINT_TOL beyond one,
 # and further beyond; coordinate changes whose range (and so the domain of a
 # map conjugated by them) cannot be built, alone and inside a composition
@@ -635,6 +716,34 @@ def test_verify_matches_per_call_lookups(f, g, h, samples):
 def test_semiverify_matches_per_call_lookups(f, g, h, ends, samples):
     case = (f, g, h, *ends, samples)
     assert verdict(verify_semiconjugacy, *case) == verdict(ref_semiverify, *case)
+
+
+# outer functions for the Herschel relation: the one it holds for with
+# mobius:a=1,b=2, and ones that overflow, return NaN or raise
+_HERSCHEL_OUTERS = {
+    "affine": lambda t: 1.0 + 2.0 * t,
+    "identity": lambda t: t,
+    "zero": lambda t: 0.0,
+    "huge": lambda t: 1e308 * t,
+    "nan": lambda t: math.nan if t > 0.5 else t,
+    "raises": lambda t: eval_map(Tent(), t),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_HERSCHEL_OUTERS)), _HOMEOS,
+       st.sampled_from([(0.0, 3.0), (0.3, 2.9), (-2.0, 2.0), (0.0, 1.0), (0.25, 0.75),
+                        (-0.5, 1.5), (1.0, 0.0), (0.5, 0.5)]),
+       st.integers(1, 24))
+@example("affine", mobius_involution(1.0, 2.0, 0.0, 3.0), (0.0, 3.0), 1000)
+@example("identity", parse_homeo_spec("(pwlh:0,0;0.5,1 o ulam)"), (0.0, 1.0), 10)
+@example("raises", Reflect(), (-0.5, 1.5), 9)
+def test_herschel_matches_per_call_lookups(outer, phi, ends, samples):
+    core, ref = [], []
+    f_outer = _HERSCHEL_OUTERS[outer]
+    assert (verdict(herschel_relation_residual, recording(f_outer, core), phi, *ends, samples)
+            == verdict(ref_herschel_per_call, recording(f_outer, ref), phi, *ends, samples))
+    assert repr(core) == repr(ref)
 
 
 @pytest.mark.parametrize("spec", RESIDUAL_MAP_SPECS + [

@@ -69,11 +69,9 @@ def test_the_cli_module_alone_imports_no_library_module():
 @pytest.mark.parametrize("argv, unused", [
     (["rng", "collapse", "--bits", "4", "--value", "3"],
      {"conjugacy", "analysis", "closed_form", "render"}),
-    (["conjugacy", "verify", "--f", "logistic", "--g", "tent", "--h", "ulam", "--samples", "10"],
-     {"analysis", "chaos_rng", "render"}),
     (["iterate", "--map", "logistic", "--x0", "0.3", "--n", "1"],
      {"analysis", "chaos_rng", "closed_form", "conjugacy", "render"}),
-], ids=["rng-collapse", "conjugacy-verify", "iterate"])
+], ids=["rng-collapse", "iterate"])
 def test_a_subcommand_imports_only_what_it_runs(argv, unused):
     modules = imported("-m", "intervaldyn", *argv)
     assert "cli" in package_modules(modules)
@@ -85,6 +83,15 @@ def test_an_rng_sample_imports_array():
     # a sample is held as one array('d')
     modules = imported("-m", "intervaldyn", "rng", "generate", "--n", "3", "--seed", "0.3")
     assert "array" in modules
+
+
+def test_a_residual_check_imports_array():
+    # its grid and residual profile are each held as one array('d')
+    modules = imported("-m", "intervaldyn", "conjugacy", "verify", "--f", "logistic", "--g",
+                       "tent", "--h", "ulam", "--samples", "10")
+    assert "cli" in package_modules(modules)
+    assert not package_modules(modules) & {"analysis", "chaos_rng", "render"}
+    assert "dataclasses" not in modules and "array" in modules
 
 
 def test_the_package_serves_its_public_names():

@@ -425,6 +425,32 @@ _GOLDEN_EDGE_CASES = [
      "--n-max", "10", "--samples", "51"],
     ["closed-form", "check", "--formula", "herschel", "--lo", "1e154", "--hi", "2e154",
      "--n-max", "3", "--samples", "5"],
+    # pwlh inverses on [0, 1]: targets on an interior knot ordinate and 1, 8
+    # and 16 ulps off it, a target whose preimage is the first midpoint 0.5,
+    # decreasing knots, ordinates at 1e-300, 1e300 and subnormal scale, a
+    # 4-knot order, and a pwlh on [0, 2], whose inverse is the bisection loop
+    ["iterate", "--map", "conj:tent|pwlh:0,0;0.3,0.6;1,1", "--x0", "0.6", "--n", "1"],
+    ["iterate", "--map", "conj:tent|pwlh:0,0;0.3,0.6;1,1", "--x0", "0.6000000000000001",
+     "--n", "1"],
+    ["iterate", "--map", "conj:tent|pwlh:0,0;0.3,0.6;1,1", "--x0", "0.5999999999999991",
+     "--n", "1"],
+    ["orbit", "--map", "conj:tent|pwlh:0,0;0.3,0.6;1,1", "--x0", "0.6000000000000018",
+     "--n", "8"],
+    ["orbit", "--map", "conj:logistic|pwlh:0,0;0.25,0.5;1,1", "--x0", "0.6666666666666666",
+     "--n", "3"],
+    ["orbit", "--map", "conj:tent|pwlh:0,1;0.25,0.8;0.6,0.3;1,0", "--x0", "0.8", "--n", "8"],
+    ["orbit", "--map", "conj:tent|pwlh:0,1;0.25,0.8;0.6,0.3;1,0", "--x0",
+     "0.30000000000000004", "--n", "8"],
+    ["orbit", "--map", "conj:logistic|pwlh:0,0;0.4,3e-301;1,1e-300", "--x0", "2e-301",
+     "--n", "8"],
+    ["orbit", "--map", "conj:logistic|pwlh:0,-1e300;0.7,2e299;1,1e300", "--x0", "2e299",
+     "--n", "8"],
+    ["iterate", "--map", "conj:tent|pwlh:0,0;0.6,1e-320;1,2e-320", "--x0", "1.5e-320",
+     "--n", "3"],
+    ["conjugacy", "order", "--map", "conj:pwl:0,1;1,0|pwlh:0,0;0.2,0.3;0.7,0.6;1,1",
+     "--samples", "200"],
+    ["conjugacy", "order", "--map", "conj:pwl:0,2;2,0|pwlh:0,0;0.5,1.5;2,2", "--samples", "200"],
+    ["orbit", "--map", "conj:pwl:0,2;2,0|pwlh:0,0;0.5,1.5;2,2", "--x0", "0.3", "--n", "4"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

@@ -7,6 +7,8 @@ bracket that takes at most about 1070 halvings. A piecewise-linear change
 (pwlh) bisects in _bisect_pl, which takes the same steps and returns
 the same bits as _bisect_monotone on _interpolate, but searches each
 midpoint's knot segment only between the segments of the bracket ends.
+On [0, 1] a pwlh goes straight to the loop's last dyadic cell, found by
+a linear solve and then checked (PiecewiseLinearHomeo).
 The two arcsine changes fix both endpoints of [0, 1]:
 
     ulam(x)  = (2/pi) * arcsin(sqrt(x))      [0,1] -> [0,1]
@@ -29,12 +31,14 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 
 from .errors import DomainError, ParameterError, UsageError
 from .frozen import Frozen
 from .interval import REALS, UNIT, Interval
 
 _BISECT_TOL = 1e-14
+_CELLS = 2 ** 47  # bisection of [0, 1] ends in a cell 2^-47 wide: 2^-46 > _BISECT_TOL >= 2^-47
 
 
 def _describe(self) -> str:
@@ -354,8 +358,13 @@ class PiecewiseLinearHomeo(Homeomorphism, Frozen):
     """Strictly monotone piecewise-linear change given by knots.
 
     Knot abscissae must be strictly increasing and ordinates strictly
-    monotone. The inverse is computed by the knot-window bisection
-    _bisect_pl, bit for bit what monotone bisection on _fwd returns.
+    monotone. The inverse is bit for bit what bisection on _fwd returns.
+    On [0, 1], unless a dyadic midpoint hits y, that loop returns the
+    middle of the cell [a, a + 1] / 2^47 whose ends bracket y. _inv finds a
+    by a linear solve and returns at once if the cell's ends bracket y and
+    y is beyond the slack of every ordinate, which _interpolate overshoots
+    by less: no midpoint the loop visits can then hit y or turn the other
+    way. Every other y, and any other domain, goes to _bisect_pl.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -371,12 +380,29 @@ class PiecewiseLinearHomeo(Homeomorphism, Frozen):
         # built once, outside the fields, so eq/hash/repr see knots only
         object.__setattr__(self, "_domain", Interval(self.knots[0][0], self.knots[-1][0]))
         object.__setattr__(self, "_range", Interval(min(ys), max(ys)))
+        # for _inv on [0, 1]: the ordinates oriented to increase, and twice the bound
+        # 7u max|y| + 2 * 2^-1075 / min(x1 - x0), u = 2^-53, on _interpolate's overshoot
+        sign = 1.0 if inc else -1.0
+        dx = min(b[0] - a[0] for a, b in zip(self.knots, self.knots[1:]))
+        slack = 2.0 ** -49 * max(map(abs, ys)) + 2.0 ** -1073 / dx
+        oriented = [sign * y for y in ys] if self._domain == UNIT else None
+        object.__setattr__(self, "_cell", (sign, oriented, slack))
 
     def _fwd(self, x: float) -> float:
         return _interpolate(self.knots, x)
 
     def _inv(self, y: float) -> float:
-        return _bisect_pl(self.knots, y, self.knots[0][0], self.knots[-1][0])
+        knots, (sign, ys, slack) = self.knots, self._cell
+        t = sign * y
+        if ys is not None and ys[0] < t < ys[-1]:  # not NaN, not an end, not beyond
+            i = bisect_right(ys, t) - 1
+            if t - ys[i] > slack and ys[i + 1] - t > slack:
+                (x0, y0), (x1, y1) = knots[i], knots[i + 1]
+                a = min(int((x0 + (y - y0) * (x1 - x0) / (y1 - y0)) * _CELLS), _CELLS - 1)
+                lo, hi = a / _CELLS, (a + 1) / _CELLS
+                if sign * _interpolate(knots, lo) < t < sign * _interpolate(knots, hi):
+                    return 0.5 * (lo + hi)
+        return _bisect_pl(knots, y, knots[0][0], knots[-1][0])
 
 
 class Reflect(Homeomorphism, Frozen):

@@ -7,7 +7,8 @@ grids and list residual loop that array('d') replaced, monotone
 bisection on eval_map through the branches of the tent map and of
 piecewise-linear maps, monotone bisection on _interpolate for the
 knot-window solver (_bisect_pl) that inverts pwlh and pulls back pwl
-maps, the 100-halving bisection loops that the uncapped kernels keep
+maps, that solver again for the one-step inverse of a pwlh on [0, 1],
+the 100-halving bisection loops that the uncapped kernels keep
 bit for bit wherever those loops ended before their cap, the per-point
 calls (apply_homeo, the JSON writer per element, the SVG coordinate
 functions) that the orbit-stream fast paths inline, the CSV table row
@@ -1066,6 +1067,103 @@ def test_bisection_reaches_tol_or_adjacent_floats(lo, width, frac):
     t = min(lo + frac * (hi - lo), hi)
     x = _bisect_monotone(lambda x: x, t, lo, hi)
     assert abs(x - t) <= 1e-14 or math.nextafter(x, t) == t
+
+
+# --- the one-step inverse of a pwlh on [0, 1] -------------------------------------
+
+_LEAST = 5e-324  # the least positive float
+_DYADIC_INTERIOR = st.integers(1, 52).flatmap(
+    lambda d: st.integers(0, 2 ** (d - 1) - 1).map(lambda a: (2 * a + 1) / 2 ** d))
+
+
+@st.composite
+def unit_pwlh_solves(draw):
+    """The knots of a pwlh on [0, 1] and a target. Interior abscissae lie
+    anywhere, on a dyadic of depth 1-52 or one float off one; ordinates
+    rise or fall, whole multiples of the least float or at a scale from
+    1e-300 to 1e300; the target is a knot ordinate, the image of a dyadic
+    (an exact hit for bisection), anywhere in the range, or any float."""
+    off_dyadic = st.builds(math.nextafter, _DYADIC_INTERIOR, st.sampled_from([0.0, 1.0]))
+    inner = draw(st.lists(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                    _DYADIC_INTERIOR, off_dyadic), max_size=4, unique=True))
+    xs = [0.0] + sorted(inner) + [1.0]
+    if draw(st.booleans()):
+        units = draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=len(xs),
+                              max_size=len(xs), unique=True))
+        ys = [k * _LEAST for k in units]
+    else:
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        ys = [v * scale for v in draw(st.lists(st.floats(-1.0, 1.0), min_size=len(xs),
+                                               max_size=len(xs), unique=True))]
+        assume(len(set(ys)) == len(ys))
+    ys.sort(reverse=draw(st.booleans()))
+    knots = tuple(zip(xs, ys))
+    target = draw(st.one_of(st.sampled_from(ys), _DYADIC_INTERIOR.map(partial(_interpolate, knots)),
+                            st.floats(min(ys), max(ys)), st.floats()))
+    return knots, target
+
+
+def with_neighbours(y):
+    """y and the floats 1, 8 and 16 ulps to either side of it."""
+    out, down, up = [y], y, y
+    for k in range(1, 17):
+        down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+        if k in (1, 8, 16):
+            out += [down, up]
+    return out
+
+
+# A segment 2^-20 + 2^-52 wide with subnormal ordinates: at the dyadic
+# 0.5 + 2^-20, just left of its right knot, (x - x0) * (y1 - y0) underflows
+# and _interpolate overshoots that knot's ordinate by 2^19 - 1 least floats,
+# although the largest ordinate is only 2^47 + 2^19 + 1001 of them.
+_UNDERFLOWING = ((0.0, 0.0), (0.5, 1000 * _LEAST),
+                 (0.5 + 2 ** -20 + 2 ** -52, (2 ** 19 + 1001) * _LEAST),
+                 (1.0, (2 ** 47 + 2 ** 19 + 1001) * _LEAST))
+
+
+@settings(deadline=None)  # as many examples as the hypothesis profile asks (tests/conftest.py)
+@given(unit_pwlh_solves())
+# each interior ordinate of a rising, a falling and a 4-knot pwlh
+@example((((0.0, 0.0), (0.3, 0.6), (1.0, 1.0)), 0.6))
+@example((((0.0, 1.0), (0.25, 0.8), (0.6, 0.3), (1.0, 0.0)), 0.8))
+@example((((0.0, 1.0), (0.25, 0.8), (0.6, 0.3), (1.0, 0.0)), 0.3))
+@example((((0.0, 0.0), (0.2, 0.3), (0.7, 0.6), (1.0, 1.0)), 0.3))
+@example((((0.0, 0.0), (0.2, 0.3), (0.7, 0.6), (1.0, 1.0)), 0.6))
+@example((((0.0, 0.0), (0.4, 3e-301), (1.0, 1e-300)), 3e-301))
+@example((((0.0, -1e300), (0.7, 2e299), (1.0, 1e300)), 2e299))
+# subnormal ordinates: one that _interpolate overshoots by a least float,
+# one of a few thousand, and the underflowing segment
+@example((((0.0, 0.0), (0.6, _LEAST), (1.0, 2 * _LEAST)), _LEAST))
+@example((((0.0, 0.0), (0.6, 2024 * _LEAST), (1.0, 4048 * _LEAST)), 2024 * _LEAST))
+@example((_UNDERFLOWING, (2 ** 19 + 1998) * _LEAST))
+# the identity, at its first midpoint and off every dyadic
+@example((((0.0, 0.0), (1.0, 1.0)), 0.5))
+@example((((0.0, 0.0), (1.0, 1.0)), 0.3))
+def test_unit_pwlh_inverse_is_the_bisection(case):
+    knots, target = case
+    h = PiecewiseLinearHomeo(knots)
+    for y in with_neighbours(target):
+        assert outcome(h._inv, y) == outcome(_bisect_pl, h.knots, y, 0.0, 1.0), y
+
+
+def test_order_inverts_its_pwlh_in_one_step(monkeypatch):
+    # the verify-grid benchmark's order map at seed 0, where 105 of the
+    # 10001 solves (1.05%) fall back to the bisection loop; an edit that
+    # falls back more often than twice that fails here
+    def counted(counter, fn):
+        def wrapper(*args):
+            counter[0] += 1
+            return fn(*args)
+        return wrapper
+
+    solves, loops = [0], [0]
+    monkeypatch.setattr(PiecewiseLinearHomeo, "_inv", counted(solves, PiecewiseLinearHomeo._inv))
+    monkeypatch.setattr(homeos, "_bisect_pl", counted(loops, _bisect_pl))
+    m = parse_map_spec("conj:pwl:0,1;1,0|pwlh:0,0;0.5067648328211651,0.4429604824702486;1,1")
+    assert periodicity_order(m, 6, 5000) == 2
+    assert solves[0] == 10001
+    assert loops[0] < 2 * 0.0105 * solves[0], loops[0]
 
 
 @pytest.mark.parametrize("spec,lo,hi,tol", [

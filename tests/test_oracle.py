@@ -1,5 +1,6 @@
-"""The paper's h, the arcsine CDF, the C01 conjugacy and the closed-form
-iterates of C04 against a 60-digit mpmath oracle.
+"""The paper's h, the arcsine CDF, the C01 conjugacy, the closed-form
+iterates of C04 and the fractional iterates of C05 against a 60-digit
+mpmath oracle.
 
 The bounds are regression bounds: they may be tightened, never loosened.
 h(x) = (2/pi) arcsin sqrt(x) rounds sqrt(x) first, and asin amplifies that
@@ -18,7 +19,8 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from intervaldyn.chaos_rng import arcsine_cdf  # noqa: E402
-from intervaldyn.closed_form import (boole_iterate, herschel_iterate,  # noqa: E402
+from intervaldyn.closed_form import (boole_iterate, fractional_iterate_hyperbola,  # noqa: E402
+                                     fractional_iterate_quadratic, herschel_iterate,
                                      hyperbola_iterate)
 from intervaldyn.homeos import UlamArcsin, apply_homeo  # noqa: E402
 from intervaldyn.maps import Logistic, Tent, eval_map  # noqa: E402
@@ -176,3 +178,78 @@ def test_hyperbola_iterate_stays_within_its_envelope(e, a, lo, hi):
             worst = max(worst, (scaled_error(hyperbola_iterate(e, a, x, n), exact), x, n))
             exact = mp.sqrt((1 - e2) * (a2 - exact * exact))
     assert worst[0] <= HYPERBOLA_ENVELOPE, worst
+
+
+# --- fractional iterates (C05) ----------------------------------------------------
+
+# Envelopes, measured and rounded up. One step of the 1/n-th iterate of
+# 2x^2 - 1, cosh(2^(1/n) arccosh x), is within 1.1e-15 relative on
+# [1, 1e3] for n = 1..10, near 1 included; one of the hyperbola family's
+# within 2.5e-16. Composed n times on C05's grids, n = 2..4, they are
+# within 1.5e-14 and 2.7e-15 of 2x^2 - 1 and of sqrt((e^2 - 1)(x^2 - a^2)),
+# and the single iterates C05 compares them with, herschel_iterate(x, 1)
+# and hyperbola_iterate(e, a, x, 1), within 4.1e-15 and 8.0e-16.
+QUADRATIC_ROOT_ENVELOPE = 2e-15
+HYPERBOLA_ROOT_ENVELOPE = 3e-16
+COMPOSED_QUADRATIC_ENVELOPE = 2e-14
+COMPOSED_HYPERBOLA_ENVELOPE = 3e-15
+HERSCHEL_ONE_STEP_ENVELOPE = 5e-15
+HYPERBOLA_ONE_STEP_ENVELOPE = 1e-15
+# C05 (tests/test_acceptance.py) compares the composition with the single
+# iterate, so its bounds are the sums of these: 2.5e-14 and 4e-15.
+SQRT3 = math.sqrt(3.0)
+
+
+def c05_grid(lo: float, hi: float) -> list[float]:
+    """The 200 points of [lo, hi] that test_c05_fractional_iterates composes at."""
+    return [lo + (hi - lo) * i / 199 for i in range(200)]
+
+
+def test_fractional_iterate_quadratic_stays_within_its_envelope():
+    xs = (points(1.0, 3.0, seed=9, below_hi=0) + points(3.0, 1e3, seed=10, count=300, below_hi=0)
+          + [1.0 + 10.0 ** -k for k in range(1, 16)])
+    worst = (0.0, math.nan, 0)
+    for x in xs:
+        for n in range(1, 11):
+            exact = mp.cosh(mp.mpf(2) ** (mp.mpf(1) / n) * mp.acosh(mp.mpf(x)))
+            worst = max(worst, (scaled_error(fractional_iterate_quadratic(x, n), exact), x, n))
+    assert worst[0] <= QUADRATIC_ROOT_ENVELOPE, worst
+
+
+@pytest.mark.parametrize("e, a, lo, hi", [(SQRT3, 1.0, 2.0, 5.0), (2.0, 3.0, 4.0, 8.0)],
+                         ids=["sqrt3-1", "2-3"])
+def test_fractional_iterate_hyperbola_stays_within_its_envelope(e, a, lo, hi):
+    # sqrt(P x^2 - c (P - 1) a^2) with P = (e^2 - 1)^(1/n), c = (e^2 - 1)/(e^2 - 2)
+    e2, a2 = mp.mpf(e) ** 2, mp.mpf(a) ** 2
+    c = (e2 - 1) / (e2 - 2)
+    worst = (0.0, math.nan, 0)
+    for x in points(lo, hi, seed=11, count=1000, below_hi=0):
+        for n in range(1, 11):
+            p = (e2 - 1) ** (mp.mpf(1) / n)
+            exact = mp.sqrt(p * x * x - c * (p - 1) * a2)
+            worst = max(worst, (scaled_error(fractional_iterate_hyperbola(e, a, x, n), exact), x, n))
+    assert worst[0] <= HYPERBOLA_ROOT_ENVELOPE, worst
+
+
+def test_c05_sides_each_match_the_oracle():
+    # each side of C05's comparison against the exact single iterate, so
+    # that an error both sides share cannot cancel
+    composed_q = single_q = composed_h = single_h = 0.0
+    e2 = mp.mpf(SQRT3) ** 2
+    for n in (2, 3, 4):
+        for x in c05_grid(1.01, 3.0):
+            exact, y = 2 * mp.mpf(x) ** 2 - 1, x
+            for _ in range(n):
+                y = fractional_iterate_quadratic(y, n)
+            composed_q = max(composed_q, float(abs(y - exact)))
+            single_q = max(single_q, float(abs(herschel_iterate(x, 1) - exact)))
+        for x in c05_grid(2.0, 5.0):
+            exact, y = mp.sqrt((e2 - 1) * (mp.mpf(x) ** 2 - 1)), x
+            for _ in range(n):
+                y = fractional_iterate_hyperbola(SQRT3, 1.0, y, n)
+            composed_h = max(composed_h, float(abs(y - exact)))
+            single_h = max(single_h, float(abs(hyperbola_iterate(SQRT3, 1.0, x, 1) - exact)))
+    assert composed_q <= COMPOSED_QUADRATIC_ENVELOPE, composed_q
+    assert single_q <= HERSCHEL_ONE_STEP_ENVELOPE, single_q
+    assert composed_h <= COMPOSED_HYPERBOLA_ENVELOPE, composed_h
+    assert single_h <= HYPERBOLA_ONE_STEP_ENVELOPE, single_h

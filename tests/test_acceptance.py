@@ -405,6 +405,13 @@ _GOLDEN_EDGE_CASES = [
     ["rng", "ks", "--n", "10000", "--seed", "0.5", "--cdf", "uniform"],
     ["rng", "ks", "--n", "10000", "--seed", "0.5", "--cdf", "square"],
     ["rng", "ks", "--n", "5000", "--seed", "0.75", "--cdf", "uniform"],
+    # samples of n + 1 values: one KS chunk of 4096 values, one and two
+    # past it, and two chunks and one value; and the JSON writer's last
+    # block of 4096 values one value short, full, and of 1 or 2 values
+    *[["rng", "ks", "--n", n, "--seed", "0.123456789", "--cdf", cdf]
+      for n in ("4095", "4096", "4097", "8192") for cdf in ("arcsine", "uniform", "square")],
+    *[["rng", "generate", "--n", n, "--seed", "0.123456789"]
+      for n in ("4094", "4095", "4096", "4097")],
     # residual checks whose g (verify) or h (semiverify) has a domain that
     # cannot be built: the error names the first grid point
     ["conjugacy", "verify", "--f", "logistic", "--g", "conj:tent|(pwlh:0,0;0.5,1 o ulam)",

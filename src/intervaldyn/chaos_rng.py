@@ -20,7 +20,8 @@ for sampling purposes.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from bisect import bisect_left
+from itertools import chain, compress, count, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, EmptySampleError, ParameterError, check_count
@@ -132,53 +133,63 @@ def transform_to(values: Sequence[float], dist: DistributionSpec) -> list[float]
     return [dist.inverse_cdf(u) for u in values]
 
 
-# values per run of the KS sort: about n / BLOCK runs, so that one run at
-# a time is held as float objects, never a whole sample
+# values per chunk of the KS sort: about n / BLOCK chunks and runs, so that
+# one run at a time is held as float objects, never a whole sample
 BLOCK = 4096
 
 
-def _sorted_runs(sample: Sequence[float]) -> Iterator[list[float]]:
+def _sorted_runs(sample: Iterable[float]) -> Iterator[list[float]]:
     """sorted(sample) as consecutive runs, each sorted when it is reached.
 
-    One pass puts value v into run int((v - lo) * scale) of about
-    len(sample) / BLOCK array('d') runs. The index is monotone in v, so
-    the runs join up in sorted order, and a run keeps the sample order of
-    equal values (0.0 and -0.0), as the stable sort does. A sample of
-    anything but floats, or one whose sum, width or scale is not finite
-    (NaN, the infinities, an overflowing or subnormal width), is sorted
-    whole as one run.
+    The sample is read once, in array('d') chunks of BLOCK values that stay
+    in sample order until the last is read. If every value is a finite
+    float, each chunk is then sorted in turn, and the n // BLOCK + 2 runs
+    split [min, max] into equal value ranges: a run is cut from every
+    chunk by bisection at its edges and sorted. The chunks are in sample
+    order, so a run keeps the sample order of equal values (0.0 and -0.0),
+    as the stable sort does. A sample of anything but floats, or with a
+    chunk whose sum is not finite (NaN, the infinities, an overflowing
+    sum), is sorted whole as one run.
     """
-    if getattr(sample, "typecode", None) == "d" or all(type(v) is float for v in sample):
-        if math.isfinite(sum(sample)):
-            from array import array
-            lo, hi = min(sample), max(sample)
-            count = len(sample) // BLOCK + 1
-            scale = count / (hi - lo) if hi > lo else math.inf
-            if 0.0 < scale < math.inf:
-                runs = [array("d") for _ in range(count + 1)]  # v = hi may reach index count
-                for v in sample:
-                    runs[int((v - lo) * scale)].append(v)
-                yield from map(sorted, runs)
-                return
-    yield sorted(sample)
+    from array import array
+    values, chunks = iter(sample), []
+    while chunk := list(islice(values, BLOCK)):
+        if set(map(type, chunk)) != {float} or not math.isfinite(sum(chunk)):
+            yield sorted(chain(*chunks, chunk, values))
+            return
+        chunks.append(array("d", chunk))
+    for k, chunk in enumerate(chunks):
+        chunks[k] = array("d", sorted(chunk))
+    lo = min((c[0] for c in chunks), default=0.0)
+    ranges = sum(map(len, chunks)) // BLOCK + 1
+    # an overflowing width is inf and a subnormal one 0.0: the edges stay in order
+    width = (max((c[-1] for c in chunks), default=0.0) - lo) / ranges
+    starts = [0] * len(chunks)  # one cursor per chunk
+    for edge in [lo + width * r for r in range(1, ranges + 1)] + [math.inf]:
+        ends = [bisect_left(c, edge, a) for c, a in zip(chunks, starts)]
+        yield sorted(chain.from_iterable(c[a:b] for c, a, b in zip(chunks, starts, ends)))
+        starts = ends
 
 
-def ks_distance(sample: Sequence[float], cdf: Callable[[float], float]) -> float:
+def ks_distance(sample: Iterable[float], cdf: Callable[[float], float]) -> float:
     """Two-sided empirical-CDF discrepancy sup_i max(|i/n - F(s_i)|,
     |(i-1)/n - F(s_i)|) over the sorted sample.
 
     i/n >= (i-1)/n holds exactly in binary64, so the larger of the two
     absolute values is always one of the signed differences i/n - F and
     F - (i-1)/n; one pass over the sorted sample takes the maximum of
-    those. The sample is sorted a run at a time (_sorted_runs), in the
-    order sorted() gives. A NaN sample or CDF value raises DomainError
-    (NaN has no place in the sort order).
+    those. The sample may be any iterable, read once; it is sorted a run
+    at a time (_sorted_runs), in the order sorted() gives. A NaN sample
+    or CDF value raises DomainError (NaN has no place in the sort order).
     """
-    n = len(sample)
+    read = count(1)  # compress(sample, read) passes every value on and counts it
+    values = chain.from_iterable(_sorted_runs(compress(sample, read)))
+    least = next(values, None)  # the whole sample is read before the first value
+    n = next(read) - 1
     if n == 0:
         raise EmptySampleError("cannot compute a KS distance of an empty sample")
     d = below = 0.0  # below = (i-1)/n
-    for i, v in enumerate(chain.from_iterable(_sorted_runs(sample)), 1):
+    for i, v in enumerate(chain([least], values), 1):
         f = cdf(v)
         if v != v or f != f:
             raise DomainError(f"KS needs numbers, got sample value {v!r} with CDF value {f!r}")

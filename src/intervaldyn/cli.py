@@ -107,14 +107,18 @@ def to_json(value, indent: int = 0) -> Iterator[str]:
         yield f"[\n{inner}"
         for start in range(0, len(value), BLOCK):
             block = value[start:start + BLOCK]
-            if floats:
-                # v - v is 0.0 for a finite v, and NaN for NaN and the infinities
-                items = [format(v, ".17g") if v - v == 0.0 else fmt_float(v) for v in block]
-            else:
-                items = ["".join(to_json(v, indent + 1)) for v in block]
             if start:
                 yield sep
-            yield sep.join(items)
+            if floats and math.isfinite(sum(block)):
+                # every value finite: one %-format, the digits of format(v, ".17g"),
+                # with no string per value
+                yield sep.join(["%.17g"] * len(block)) % tuple(block)
+            elif floats:
+                # v - v is 0.0 for a finite v, and NaN for NaN and the infinities
+                yield sep.join([format(v, ".17g") if v - v == 0.0 else fmt_float(v)
+                                for v in block])
+            else:
+                yield sep.join(["".join(to_json(v, indent + 1)) for v in block])
         yield f"\n{pad}]"
 
 
@@ -405,23 +409,23 @@ def _run_density(p: dict) -> Result:
     return Result(EXIT_OK, result, ("depth", "count", "largest_gap"), pset.levels)
 
 
-def _rng_sample(n: int, seed: float, stage: str) -> Sequence[float]:
-    """The sample of a pipeline stage as one array('d'). The orbit streams
-    through the arcsine CDF and on through the inverse CDF, so that no
-    stage is ever held as a tuple or a list."""
-    from array import array
+def _rng_sample(n: int, seed: float, stage: str) -> Iterator[float]:
+    """The sample of a pipeline stage, one value at a time: the orbit
+    streams through the arcsine CDF and on through the inverse CDF, so
+    that no stage is ever held as a tuple or a list."""
     from . import chaos_rng
     values = chaos_rng.logistic_values(seed, n)
     if stage != "raw":
         values = chaos_rng.uniform_values(values)
     if stage == "square":
         values = map(chaos_rng.square_distribution().inverse_cdf, values)
-    return array("d", values)
+    return values
 
 
 def _run_rng_generate(p: dict) -> Result:
+    from array import array
     seed = p["seed"] if p["seed"] is not None else _default_seed()
-    values = _rng_sample(p["n"], seed, p["stage"])
+    values = array("d", _rng_sample(p["n"], seed, p["stage"]))
     return Result(EXIT_OK, {"values": values}, ("k", "x"), enumerate(values),
                   inputs={**p, "seed": seed})
 
@@ -433,6 +437,7 @@ def _run_rng_ks(p: dict) -> Result:
     stage, cdf = {"arcsine": ("raw", chaos_rng.arcsine_cdf),
                   "uniform": ("uniform", lambda x: x),
                   "square": ("square", lambda x: x * x)}[p["cdf"]]
+    # the stream itself: the KS sort holds the only copy of the sample
     statistic = chaos_rng.ks_distance(_rng_sample(p["n"], seed, stage), cdf)
     exceeded = p["tol"] is not None and statistic >= p["tol"]
     return Result(EXIT_TOLERANCE if exceeded else EXIT_OK, {"statistic": statistic},

@@ -228,13 +228,22 @@ _ODD_FLOATS = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, 1.1125369292536007e-
                math.nan, math.inf, -math.inf]
 
 
-def _assert_ks_matches_sorted(sample, cdf, blocks=(1, 2, 3, 4096)):
-    # a small BLOCK puts a few values in each of many runs
+def _generator(sample):
+    return (v for v in sample)
+
+
+# a sample as a list, an array('d'), an iterator and a generator: the
+# last two can be read only once, and have no length
+_KS_KINDS = [list, partial(array, "d"), iter, _generator]
+
+
+def _assert_ks_matches_sorted(sample, cdf, blocks=(1, 2, 3, 4096), kinds=_KS_KINDS):
+    # a small BLOCK puts a few values in each of many chunks and runs
+    expected = _ks_outcome(_ks_sorted, sample, cdf)
     for block in blocks:
         with mock.patch.object(chaos_rng, "BLOCK", block):
-            for kind in (list, partial(array, "d")):
-                assert (_ks_outcome(ks_distance, kind(sample), cdf)
-                        == _ks_outcome(_ks_sorted, sample, cdf)), (block, kind)
+            for k, kind in enumerate(kinds):
+                assert _ks_outcome(ks_distance, kind(sample), cdf) == expected, (block, k)
 
 
 @given(st.lists(st.one_of(st.floats(), st.sampled_from(_ODD_FLOATS),
@@ -245,19 +254,24 @@ def test_ks_distance_is_one_pass_over_sorted(sample, cdf):
 
 
 @pytest.mark.parametrize("sample", [
-    # a subnormal width: runs / width overflows
+    # a subnormal range: its width underflows to 0.0
     [1.1125369292536007e-308, 0.0, 1.1125369292536007e-308],
-    # zeros of both signs on a run edge: index (0 - -1) * 2 = 2 of 4 runs at BLOCK 2
+    # zeros of both signs on the run edge -1.0 + 0.5 * 2 = 0.0 at BLOCK 2
     [0.0, -0.0, 1.0, -1.0, -0.0, 0.0],
     [-0.0, 0.0, -1.0, 1.0, 0.0, -0.0, 0.5, -0.5],
+    # zeros of both signs across chunk edges, and on the run edge 0.0 at
+    # BLOCK 1 and 2 (1.0, 0.0, -0.0 | -1.0, 0.0, -0.0 | 0.5 at BLOCK 3)
+    [1.0, 0.0, -0.0, -1.0, 0.0, -0.0, 0.5],
+    # on the run edge 0.0 at BLOCK 2 and 3, alternating across every chunk edge
+    [-0.0, 0.0] * 4 + [-1.0, 1.0],
     # the sum overflows, and the width does
     [1e308, 1e308],
     [1e308, -1e308, 0.5],
     # one value, and all values equal
     [0.25],
     [0.75] * 9,
-], ids=["subnormal-width", "zeros-on-edge", "zeros-mixed", "sum-overflows", "width-overflows",
-        "one", "equal"])
+], ids=["subnormal-width", "zeros-on-edge", "zeros-mixed", "zeros-across-chunks",
+        "zeros-alternating", "sum-overflows", "width-overflows", "one", "equal"])
 def test_ks_distance_edge_samples_match_sorted(sample):
     for cdf in _KS_CDFS:
         _assert_ks_matches_sorted(sample, cdf)
@@ -269,6 +283,18 @@ def test_ks_distance_nonfinite_values_match_sorted(bad):
     for k in range(len(base) + 1):
         for cdf in _KS_CDFS:
             _assert_ks_matches_sorted(base[:k] + [bad] + base[k:], cdf, blocks=(1, 2))
+
+
+@pytest.mark.parametrize("sample", [
+    [0.5, 1, 0.25, -0.0, 0],
+    [True, 0.5, False, 0.0],
+    [0.5, 0.25, 0.75, "a", 0.0],
+    [0.5, 0.25, 0.75, None],
+], ids=["ints", "bools", "str", "none"])
+def test_ks_distance_non_float_samples_match_sorted(sample):
+    # no array('d'), which would make each number a float
+    for cdf in (lambda x: x, lambda x: x * x):
+        _assert_ks_matches_sorted(sample, cdf, kinds=[list, iter, _generator])
 
 
 def test_ks_distance_of_a_long_logistic_sample():

@@ -514,13 +514,14 @@ def test_a_closed_stdout_pipe_exits_3_with_one_line():
 # run holds its sample or orbit as doubles and its text one block at a
 # time, so each ceiling is c * 8n bytes plus a constant, with c about the
 # number of doubles per value the run holds; an object per value (about
-# 32 bytes) or the whole text held at once exceeds it. cobweb --format
-# json holds the path's point pairs (CobwebPath.points), about 20 * 8
-# bytes a step.
+# 32 bytes) or the whole text held at once exceeds it, and so do a second
+# copy of the rng ks sample and a string per value of a JSON block.
+# cobweb --format json holds the path's point pairs (CobwebPath.points),
+# about 20 * 8 bytes a step.
 @pytest.mark.parametrize("argv, n, doubles, constant", [
-    (["rng", "generate", "--n", "{n}", "--seed", "0.123456789"], 100000, 1.25, 750_000),
+    (["rng", "generate", "--n", "{n}", "--seed", "0.123456789"], 100000, 1.25, 350_000),
     (["rng", "ks", "--n", "{n}", "--seed", "0.123456789", "--cdf", "arcsine"],
-     100000, 2.5, 500_000),
+     100000, 1.25, 450_000),
     (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "svg"],
      50000, 1.25, 750_000),
     (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "json"],

@@ -582,6 +582,36 @@ def test_float_lists_render_across_block_edges(length, kind):
         assert "".join(to_json(kind(values), indent)) == ref_float_list(values, indent)
 
 
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+       st.integers(0, 2))
+def test_finite_float_lists_render_element_by_element(values, indent):
+    # a block of finite values whose sum is finite is one %-format
+    values += [-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308]
+    for sequence in (values, tuple(values), array("d", values)):
+        assert "".join(to_json(sequence, indent)) == ref_float_list(values, indent)
+
+
+# subnormals, both zeros, the largest finite floats and digits of every
+# length; +-1.7e308 alternate, so that a block's sum stays finite
+FINITE_VALUES = [5e-324, -2.2250738585072009e-308, -0.0, 0.0, 1e16, 0.1, 1.7e308,
+                 123456789.125, -1.7e308, 2.0**-1074 * 3]
+
+
+@pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("kind", [list, tuple, partial(array, "d")], ids=["list", "tuple", "array"])
+def test_finite_float_blocks_render_across_block_edges(length, kind):
+    values = [FINITE_VALUES[k % len(FINITE_VALUES)] if k % 2 else k / 7.0 - 100.0
+              for k in range(length)]
+    assert all(math.isfinite(sum(values[s:s + BLOCK])) for s in range(0, length, BLOCK))
+    # and a block of finite values whose sum overflows, which is formatted
+    # value by value
+    overflowing = [1.7e308, 1.7e308] + values[2:]
+    assert math.isinf(sum(overflowing[:BLOCK]))
+    for sample in (values, overflowing):
+        for indent in (0, 2):
+            assert "".join(to_json(kind(sample), indent)) == ref_float_list(sample, indent)
+
+
 @pytest.mark.parametrize("length", BLOCK_LENGTHS)
 def test_mixed_lists_render_across_block_edges(length):
     cycle = [0.5, True, None, "a,b", 3, -0.0, [1.5, math.inf], {"k": math.nan}]

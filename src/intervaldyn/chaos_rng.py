@@ -141,15 +141,15 @@ BLOCK = 4096
 def _sorted_runs(sample: Iterable[float]) -> Iterator[list[float]]:
     """sorted(sample) as consecutive runs, each sorted when it is reached.
 
-    The sample is read once, in array('d') chunks of BLOCK values that stay
-    in sample order until the last is read. If every value is a finite
-    float, each chunk is then sorted in turn, and the n // BLOCK + 2 runs
-    split [min, max] into equal value ranges: a run is cut from every
-    chunk by bisection at its edges and sorted. The chunks are in sample
-    order, so a run keeps the sample order of equal values (0.0 and -0.0),
-    as the stable sort does. A sample of anything but floats, or with a
-    chunk whose sum is not finite (NaN, the infinities, an overflowing
-    sum), is sorted whole as one run.
+    The sample is read once, in array('d') chunks of BLOCK values kept in
+    sample order until the last is read. If every value is a finite float,
+    each chunk is then sorted in turn, and a run is cut from every chunk
+    by bisection at the edges of n // BLOCK + 1 equal value ranges of
+    [min, max], one more from the last edge up, and sorted. Chunks are in
+    sample order, so a run keeps the sample order of equal values (0.0
+    and -0.0), as the stable sort does. A sample of anything but floats,
+    or with a chunk whose sum is not finite (NaN, the infinities, an
+    overflowing sum), is sorted whole as one run.
     """
     from array import array
     values, chunks = iter(sample), []
@@ -162,7 +162,7 @@ def _sorted_runs(sample: Iterable[float]) -> Iterator[list[float]]:
         chunks[k] = array("d", sorted(chunk))
     lo = min((c[0] for c in chunks), default=0.0)
     ranges = sum(map(len, chunks)) // BLOCK + 1
-    # an overflowing width is inf and a subnormal one 0.0: the edges stay in order
+    # lo = hi = 0.0 with no chunks; a width of inf (overflow) or 0.0 keeps the edges in order
     width = (max((c[-1] for c in chunks), default=0.0) - lo) / ranges
     starts = [0] * len(chunks)  # one cursor per chunk
     for edge in [lo + width * r for r in range(1, ranges + 1)] + [math.inf]:

@@ -113,10 +113,6 @@ def to_json(value, indent: int = 0) -> Iterator[str]:
                 # every value finite: one %-format, the digits of format(v, ".17g"),
                 # with no string per value
                 yield sep.join(["%.17g"] * len(block)) % tuple(block)
-            elif floats:
-                # v - v is 0.0 for a finite v, and NaN for NaN and the infinities
-                yield sep.join([format(v, ".17g") if v - v == 0.0 else fmt_float(v)
-                                for v in block])
             else:
                 yield sep.join(["".join(to_json(v, indent + 1)) for v in block])
         yield f"\n{pad}]"

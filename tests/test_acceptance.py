@@ -461,6 +461,14 @@ _GOLDEN_EDGE_CASES = [
      "--samples", "200"],
     ["conjugacy", "order", "--map", "conj:pwl:0,2;2,0|pwlh:0,0;0.5,1.5;2,2", "--samples", "200"],
     ["orbit", "--map", "conj:pwl:0,2;2,0|pwlh:0,0;0.5,1.5;2,2", "--x0", "0.3", "--n", "4"],
+    # zero-preimage levels: the logistic and a conjugated tent through
+    # _bisect_monotone, the tent at the depth cap, a deep pwl pullback, and
+    # a pwl map lifted off 0 whose every level is empty
+    ["density", "--map", "logistic", "--depth", "10"],
+    ["density", "--map", "conj:tent|power:g=1.5", "--depth", "9"],
+    ["density", "--map", "tent", "--depth", "20"],
+    ["density", "--map", "pwl:0,0;0.4123,1;1,0", "--depth", "14"],
+    ["density", "--map", "pwl:0,1e-10;0.5,1;1,1e-10", "--depth", "5"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

@@ -9,17 +9,20 @@ lands on 0 after finitely many steps. Whether that set fills [0, 1]
 densely is the operative criterion for g being conjugate to the tent
 map itself; here only the finite-depth gap statistic is computed, and
 the density verdict is a caller-thresholded heuristic, not a theorem.
-The tent map's preimages are computed exactly (t/2 and 1 - t/2); every
-other map's branches are inverted by monotone bisection, a
+The tent map's levels are written down in closed form, j / 2^(k-1);
+every other map's branches are inverted by monotone bisection, a
 piecewise-linear map's by the knot-window bisection homeos._bisect_pl,
-which returns the same bits.
+which returns the same bits, and each distinct target is pulled back
+once, however many levels it belongs to.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
+from operator import sub
 from typing import Callable, Optional, Sequence
 
 from .errors import ParameterError, check_count, check_positive
@@ -143,19 +146,17 @@ def _branch_structure(m: MapDescriptor) -> float:
 
 
 def _pullback(g2: MapDescriptor) -> Callable[[float], list[float]]:
-    """The preimages of a target t under g2's two branches.
+    """The preimages of a target t under g2's two branches, for any map
+    but the tent, whose levels zero_preimage_set writes down directly.
 
-    The tent's branches invert exactly: t/2 and 1 - t/2, which are the
-    values bisection reaches for the dyadic targets a pullback of 0
-    produces. Any other map is located by _branch_structure and each
-    branch is inverted by monotone bisection whenever t lies in its
-    range. A piecewise-linear map's branches are solved by
-    homeos._bisect_pl, which returns what _bisect_monotone returns on
-    eval_map bit for bit: the brackets lie within the knots' abscissae
-    [0, 1], where eval_map snaps nothing and only interpolates.
+    The map is located by _branch_structure, and each branch is inverted
+    by monotone bisection whenever t lies in its range. A piecewise-linear
+    map's branches are solved by homeos._bisect_pl, which returns what
+    _bisect_monotone returns on eval_map bit for bit: the brackets lie
+    within the knots' abscissae [0, 1], where eval_map snaps nothing and
+    only interpolates. Each solve is a function of t alone, so a target
+    pulled back twice gets the same preimages twice.
     """
-    if isinstance(g2, Tent):
-        return lambda t: [0.5 * t, 1.0 - 0.5 * t]
     v = _branch_structure(g2)
     if isinstance(g2, PiecewiseLinear):
         solve = partial(_bisect_pl, g2.knots)
@@ -174,6 +175,17 @@ def _pullback(g2: MapDescriptor) -> Callable[[float], list[float]]:
     return pullback
 
 
+def _tent_preimage_set(depth: int) -> PreimageSet:
+    """The tent's levels, exactly: level k is {j / 2^(k-1) : 0 <= j <= 2^(k-1)},
+    which is what pulling {0} back through t/2 and 1 - t/2 gives, since
+    every one of those halvings and differences is exact."""
+    step = 0.5 ** (depth - 1)
+    return PreimageSet(depth=depth, points=tuple(j * step for j in range(2 ** (depth - 1) + 1)),
+                       largest_gap=step,
+                       levels=tuple((k, 2 ** (k - 1) + 1, 0.5 ** (k - 1))
+                                    for k in range(1, depth + 1)))
+
+
 def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
     """All points of [0, 1] mapped to 0 within `depth` applications of g2.
 
@@ -181,22 +193,47 @@ def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
     branch on [0, v] and its decreasing branch on [v, 1] (see
     _pullback). Since g2(0) = 0 the preimage levels are nested, so the
     depth-k set is just the k-th pullback of {0}, and one pass records
-    every level's count and largest gap.
+    every level's count and largest gap. Nesting also means that about
+    half of each level's targets were the previous level's targets too:
+    their preimages are copied from the previous level's flat results,
+    found by a merge of the two sorted target lists, so each distinct
+    target is solved once. A target is reused only where it equals an
+    earlier one, so every preimage, and the first DomainError, is what
+    pulling back every target afresh would give. The tent's levels are
+    written down in closed form (_tent_preimage_set).
     """
     depth = check_count(depth, "depth", cap=_MAX_PREIMAGE_DEPTH)
+    if isinstance(g2, Tent):
+        return _tent_preimage_set(depth)
     pullback = _pullback(g2)
     level = [0.0]
-    points: list[float] = []
+    # the previous level's targets, and their preimages in target order:
+    # those of done[i] are found[ends[i]:ends[i + 1]]
+    done: list[float] = []
+    found: list[float] = []
+    ends = array("q", [0])
     gap = 1.0
     levels = []
     for k in range(1, depth + 1):
         if level:  # once a level is empty every deeper one is too
-            level = _dedup_sorted([p for t in level for p in pullback(t)], _DEDUP_TOL)
-            points = [p for p in level if p >= 0.0 and p <= 1.0]  # UNIT.contains(p)
-            gap = max([points[0] - 0.0] + [b - a for a, b in zip(points, points[1:])]
-                      + [1.0 - points[-1]]) if points else 1.0
-        levels.append((k, len(points), gap))
-    return PreimageSet(depth=depth, points=tuple(points), largest_gap=gap,
+            out: list[float] = []
+            out_ends = array("q", [0])
+            i, n = 0, len(done)
+            for t in level:
+                while i < n and done[i] < t:
+                    i += 1
+                if i < n and done[i] == t:
+                    out += found[ends[i]:ends[i + 1]]
+                else:
+                    out += pullback(t)
+                out_ends.append(len(out))
+            done, found, ends = level, out, out_ends
+            # every solve lies in its branch's bracket, so within [0, 1]
+            level = _dedup_sorted(out[:], _DEDUP_TOL)
+            gap = max(chain((level[0],), map(sub, islice(level, 1, None), level),
+                            (1.0 - level[-1],))) if level else 1.0
+        levels.append((k, len(level), gap))
+    return PreimageSet(depth=depth, points=tuple(level), largest_gap=gap,
                        levels=tuple(levels))
 
 

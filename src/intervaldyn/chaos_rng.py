@@ -144,8 +144,12 @@ def _sorted_runs(sample: Iterable[float]) -> Iterator[list[float]]:
     The sample is read once, in array('d') chunks of BLOCK values kept in
     sample order until the last is read. If every value is a finite float,
     each chunk is then sorted in turn, and a run is cut from every chunk
-    by bisection at the edges of n // BLOCK + 1 equal value ranges of
-    [min, max], one more from the last edge up, and sorted. Chunks are in
+    by bisection at n // BLOCK + 1 edges, one more from the last edge up,
+    and sorted. The edges are quantiles of a pool of every s-th value of
+    each sorted chunk, s = BLOCK // (number of chunks): a chunk holds
+    fewer than s values more than its pool share between two edges, so
+    each run holds at most about 2 * BLOCK values, whatever the sample's
+    density (equal values, which no edge splits, aside). Chunks are in
     sample order, so a run keeps the sample order of equal values (0.0
     and -0.0), as the stable sort does. A sample of anything but floats,
     or with a chunk whose sum is not finite (NaN, the infinities, an
@@ -160,12 +164,15 @@ def _sorted_runs(sample: Iterable[float]) -> Iterator[list[float]]:
         chunks.append(array("d", chunk))
     for k, chunk in enumerate(chunks):
         chunks[k] = array("d", sorted(chunk))
-    lo = min((c[0] for c in chunks), default=0.0)
+    if not chunks:
+        return
     ranges = sum(map(len, chunks)) // BLOCK + 1
-    # lo = hi = 0.0 with no chunks; a width of inf (overflow) or 0.0 keeps the edges in order
-    width = (max((c[-1] for c in chunks), default=0.0) - lo) / ranges
+    stride = max(1, BLOCK // len(chunks))
+    pool = sorted(chain.from_iterable(c[::stride] for c in chunks))
+    edges = [pool[len(pool) * r // (ranges + 1)] for r in range(1, ranges + 1)]
+    del pool  # the runs need only the edges
     starts = [0] * len(chunks)  # one cursor per chunk
-    for edge in [lo + width * r for r in range(1, ranges + 1)] + [math.inf]:
+    for edge in edges + [math.inf]:
         ends = [bisect_left(c, edge, a) for c, a in zip(chunks, starts)]
         yield sorted(chain.from_iterable(c[a:b] for c, a, b in zip(chunks, starts, ends)))
         starts = ends

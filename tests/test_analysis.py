@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -132,6 +133,27 @@ def test_zero_preimage_logistic_works_like_tent():
     pset = zero_preimage_set(Logistic(), 6)
     assert len(pset.points) == 2**5 + 1
     assert pset.largest_gap < 0.1
+
+
+# The tracemalloc peak of zero_preimage_set, measured with Python 3.11:
+# the tent at depth 20 peaks at 17.0 MB, of which its 2^19 + 1 points are
+# 16.8 MB (a float object and a tuple slot each); pwl at depth 15 peaks at
+# 0.94 MB. Pulling back every target of every level peaked at 43.4 and
+# 1.35 MB; holding the previous level's preimages as a list per target
+# peaks at 1.52 MB, and as a dict of such lists at 1.89 MB.
+@pytest.mark.parametrize("g2, depth, ceiling", [
+    (Tent(), 20, 19_000_000),
+    (PiecewiseLinear([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)]), 15, 1_200_000),
+], ids=["tent", "pwl"])
+def test_zero_preimage_memory_ceilings(g2, depth, ceiling):
+    zero_preimage_set(g2, 2)  # untraced, for the imports and caches
+    tracemalloc.start()
+    try:
+        zero_preimage_set(g2, depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling, peak
 
 
 def test_density_report():

@@ -300,6 +300,10 @@ def test_ks_distance_non_float_samples_match_sorted(sample):
 def test_ks_distance_of_a_long_logistic_sample():
     # the CLI's rng ks --n 200000 sample: an array('d') sorted in many runs
     sample = array("d", chaos_rng.logistic_values(0.123456789, 200000))
-    assert sum(1 for _ in chaos_rng._sorted_runs(sample)) == 200001 // chaos_rng.BLOCK + 2
+    runs = list(map(len, chaos_rng._sorted_runs(sample)))
+    assert len(runs) == 200001 // chaos_rng.BLOCK + 2
+    # edges at the chunks' quantiles, although the arcsine density piles
+    # values up at both ends of [0, 1]
+    assert max(runs) <= 2 * chaos_rng.BLOCK
     assert list(chain.from_iterable(chaos_rng._sorted_runs(sample))) == sorted(sample)
     assert ks_distance(sample, arcsine_cdf) == _ks_sorted(sample, arcsine_cdf)

@@ -316,6 +316,27 @@ def ref_levels(m, v, depth):
         yield [p for p in level if UNIT.contains(p)]
 
 
+def ref_preimage_sets(g2, depth):
+    """The zero-preimage sets of g2 at depths 1..depth, one per level, as
+    zero_preimage_set built them before it solved each target once: every
+    target of every level pulled back again, the tent's through t/2 and
+    1 - t/2, then flattened, sorted and deduplicated."""
+    if isinstance(g2, Tent):
+        def pullback(t):
+            return [0.5 * t, 1.0 - 0.5 * t]
+    else:
+        pullback = analysis._pullback(g2)
+    level, points, gap, levels = [0.0], [], 1.0, []
+    for k in range(1, depth + 1):
+        if level:
+            level = _dedup_sorted([p for t in level for p in pullback(t)], 1e-12)
+            points = [p for p in level if UNIT.contains(p)]
+            gap = largest_gap(points) if points else 1.0
+        levels.append((k, len(points), gap))
+        yield analysis.PreimageSet(depth=k, points=tuple(points), largest_gap=gap,
+                                   levels=tuple(levels))
+
+
 def ref_fixed_points(m, lo, hi, tol):
     """Scan a 10^4-point grid for strict sign changes of f(x) - x; in each,
     evaluate the bracket's ends again and halve it to width tol or to
@@ -905,6 +926,69 @@ def test_pl_solves_never_call_bisect_monotone(monkeypatch):
     iterate(parse_map_spec("conj:tent|pwlh:0,0;0.3,0.6;1,1"), 0.3, 20)
     with pytest.raises(AssertionError):
         zero_preimage_set(Logistic(), 2)
+
+
+def test_tent_levels_in_closed_form_match_every_target_pulled_back():
+    # bit for bit: the points as bytes (their repr takes a second at depth
+    # 20) and as floats, the rest by repr
+    for ref in ref_preimage_sets(Tent(), 20):
+        pset = zero_preimage_set(Tent(), ref.depth)
+        assert array("d", pset.points).tobytes() == array("d", ref.points).tobytes(), ref.depth
+        assert set(map(type, pset.points)) == {float}
+        assert repr((pset.depth, pset.largest_gap, pset.levels)) == \
+            repr((ref.depth, ref.largest_gap, ref.levels))
+
+
+# tent-shaped pwl maps of [0, 1]: a peak of height 1 or not, reached
+# through knots on dyadics or anywhere, and rises and falls with flat pieces
+_KNOT_X = st.one_of(st.integers(1, 63).map(lambda k: k / 64), st.floats(0.01, 0.99))
+_KNOT_FRACTION = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def tent_shaped_knots(draw):
+    xs = sorted(draw(st.lists(_KNOT_X, min_size=1, max_size=6, unique=True)))
+    peak = draw(st.integers(0, len(xs) - 1))
+    top = draw(st.one_of(st.just(1.0), st.floats(0.5, 1.5)))
+    rise = sorted(draw(st.lists(_KNOT_FRACTION, min_size=peak, max_size=peak)))
+    fall = sorted(draw(st.lists(_KNOT_FRACTION, min_size=len(xs) - peak - 1,
+                                max_size=len(xs) - peak - 1)), reverse=True)
+    ys = [top * f for f in rise] + [top] + [top * f for f in fall]
+    return ((0.0, 0.0),) + tuple(zip(xs, ys)) + ((1.0, 0.0),)
+
+
+def _preimage_outcome(fn, m, depth):
+    try:
+        return "ok", repr(fn(m, depth))
+    except IntervalDynError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(deadline=None)
+@given(tent_shaped_knots(), st.integers(1, 10))
+@example(((0.0, 0.0), (0.4123, 1.0), (1.0, 0.0)), 10)
+@example(((0.0, 0.0), (0.3, 1.0), (0.6, 1.0), (1.0, 0.0)), 8)
+def test_pl_preimage_levels_match_every_target_pulled_back(knots, depth):
+    m = PiecewiseLinear(knots)
+    assert _preimage_outcome(zero_preimage_set, m, depth) == _preimage_outcome(
+        lambda m, depth: list(ref_preimage_sets(m, depth))[-1], m, depth)
+
+
+@pytest.mark.parametrize("spec", PL_DENSITY_SPECS)
+def test_pl_pullback_solves_each_target_once(monkeypatch, spec):
+    # the targets of level k are level k - 1, which holds every earlier
+    # level: at most one solve per branch for each point of level
+    # depth - 1, 2 * 513 = 1026 at depth 11, where pulling back every
+    # target of every level made 2068
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return _bisect_pl(*args)
+    monkeypatch.setattr(analysis, "_bisect_pl", counted)
+    depth = 11
+    pset = zero_preimage_set(parse_map_spec(spec), depth)
+    assert len(solves) <= 2 * pset.levels[depth - 2][1] == 1026
 
 
 # piecewise-linear solves: coarse dyadic knots, so that midpoints hit

@@ -147,7 +147,7 @@ def _branch_structure(m: MapDescriptor) -> float:
 
 def _pullback(g2: MapDescriptor) -> Callable[[float], list[float]]:
     """The preimages of a target t under g2's two branches, for any map
-    but the tent, whose levels zero_preimage_set writes down directly.
+    but the tent, whose levels zero_preimage_set writes down.
 
     The map is located by _branch_structure, and each branch is inverted
     by monotone bisection whenever t lies in its range. A piecewise-linear
@@ -175,17 +175,6 @@ def _pullback(g2: MapDescriptor) -> Callable[[float], list[float]]:
     return pullback
 
 
-def _tent_preimage_set(depth: int) -> PreimageSet:
-    """The tent's levels, exactly: level k is {j / 2^(k-1) : 0 <= j <= 2^(k-1)},
-    which is what pulling {0} back through t/2 and 1 - t/2 gives, since
-    every one of those halvings and differences is exact."""
-    step = 0.5 ** (depth - 1)
-    return PreimageSet(depth=depth, points=tuple(j * step for j in range(2 ** (depth - 1) + 1)),
-                       largest_gap=step,
-                       levels=tuple((k, 2 ** (k - 1) + 1, 0.5 ** (k - 1))
-                                    for k in range(1, depth + 1)))
-
-
 def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
     """All points of [0, 1] mapped to 0 within `depth` applications of g2.
 
@@ -193,25 +182,25 @@ def zero_preimage_set(g2: MapDescriptor, depth: int) -> PreimageSet:
     branch on [0, v] and its decreasing branch on [v, 1] (see
     _pullback). Since g2(0) = 0 the preimage levels are nested, so the
     depth-k set is just the k-th pullback of {0}, and one pass records
-    every level's count and largest gap. Nesting also means that about
-    half of each level's targets were the previous level's targets too:
-    their preimages are copied from the previous level's flat results,
-    found by a merge of the two sorted target lists, so each distinct
-    target is solved once. A target is reused only where it equals an
-    earlier one, so every preimage, and the first DomainError, is what
-    pulling back every target afresh would give. The tent's levels are
-    written down in closed form (_tent_preimage_set).
+    every level's count and largest gap. Nesting also puts the previous
+    level's targets among each level's: their preimages are copied from
+    the previous level's results, found by a merge of the two sorted
+    target lists, so each distinct target is solved once. A solve depends
+    on its target alone, so every point, and the first DomainError, is
+    what solving every target afresh gives. The tent's levels are
+    written down: t/2 and 1 - t/2 are exact, so level k is {j / 2^(k-1)}.
     """
     depth = check_count(depth, "depth", cap=_MAX_PREIMAGE_DEPTH)
     if isinstance(g2, Tent):
-        return _tent_preimage_set(depth)
+        step = 0.5 ** (depth - 1)
+        return PreimageSet(depth=depth, points=tuple(j * step for j in range(2 ** (depth - 1) + 1)),
+                           largest_gap=step, levels=tuple((k, 2 ** (k - 1) + 1, 0.5 ** (k - 1))
+                                                          for k in range(1, depth + 1)))
     pullback = _pullback(g2)
     level = [0.0]
     # the previous level's targets, and their preimages in target order:
     # those of done[i] are found[ends[i]:ends[i + 1]]
-    done: list[float] = []
-    found: list[float] = []
-    ends = array("q", [0])
+    done, found, ends = [], [], array("q", [0])
     gap = 1.0
     levels = []
     for k in range(1, depth + 1):

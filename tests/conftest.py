@@ -24,18 +24,20 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 TEST_TIMEOUT_S = 120
 # the terminal's stderr, copied before any test runs: pytest captures fd 2
 # during a test, and a stack written there would end with the process
-_stderr_fd = 2
+STDERR_FD = pytest.StashKey[int]()
 
 
 def pytest_configure(config):
-    global _stderr_fd
-    _stderr_fd = os.dup(2)
+    config.stash[STDERR_FD] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[STDERR_FD])
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_protocol(item, nextitem):
-    faulthandler.dump_traceback_later(TEST_TIMEOUT_S, exit=True, file=_stderr_fd)
-    try:
-        yield
-    finally:
-        faulthandler.cancel_dump_traceback_later()
+    faulthandler.dump_traceback_later(TEST_TIMEOUT_S, exit=True,
+                                      file=item.config.stash[STDERR_FD])
+    yield  # a hookwrapper's yield hands back the outcome and never raises
+    faulthandler.cancel_dump_traceback_later()

@@ -138,8 +138,8 @@ def test_zero_preimage_logistic_works_like_tent():
 # The tracemalloc peak of zero_preimage_set, measured with Python 3.11:
 # the tent at depth 20 peaks at 17.0 MB, of which its 2^19 + 1 points are
 # 16.8 MB (a float object and a tuple slot each); pwl at depth 15 peaks at
-# 0.94 MB. Pulling back every target of every level peaked at 43.4 and
-# 1.35 MB; holding the previous level's preimages as a list per target
+# 0.93 MB. Pulling back every target of every level peaked at 43.4 and
+# 1.33 MB; holding the previous level's preimages as a list per target
 # peaks at 1.52 MB, and as a dict of such lists at 1.89 MB.
 @pytest.mark.parametrize("g2, depth, ceiling", [
     (Tent(), 20, 19_000_000),

@@ -49,10 +49,6 @@ class CobwebPath(Frozen):
     converged: bool
     limit: Optional[float]
 
-    def orbit_values(self) -> list[float]:
-        """The orbit x0, f(x0), ... read off the diagonal points."""
-        return [self.points[0][0]] + [p[1] for p in self.points[1::2]]
-
 
 def _cobweb_orbit(m: MapDescriptor, x0: float,
                   steps: int) -> tuple[Sequence[float], bool, Optional[float]]:

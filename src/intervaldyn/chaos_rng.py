@@ -3,8 +3,11 @@
 Iterates of 4x(1-x) from a generic seed distribute along the arcsine
 law, whose CDF is the same (2/pi) arcsin sqrt(x) that conjugates the
 logistic map to the tent map - one function in two roles. Applying it
-pointwise therefore uniformizes an orbit, and composing with an inverse
-CDF transports the sample to any target distribution on [0, 1].
+pointwise (uniform_values) therefore uniformizes an orbit
+(logistic_values), and mapping a DistributionSpec's inverse CDF over the
+result transports the sample to any target distribution on [0, 1]. Each
+stage is a stream, read one value at a time, so no stage of a long
+sample is held as a list; ks_distance reads such a stream once.
 
 The catch: in alpha-coordinates (x = sin^2(pi*alpha)) the dynamics is
 the doubling map, a pure left shift of binary digits. A b-bit machine
@@ -22,13 +25,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import chain, compress, count, islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import DomainError, EmptySampleError, ParameterError, check_count
 from .frozen import Frozen
 from .homeos import UlamArcsin, apply_homeo, _bisect_monotone
 from .interval import linspace
-from .maps import Logistic, Orbit, orbit, trajectory
+from .maps import Logistic, trajectory
 
 DEFAULT_SEED = 0.123456789
 
@@ -53,9 +56,6 @@ class FixedPointWord(Frozen):
             raise ParameterError(f"word width must be an integer in 1..63, got {self.bits!r}")
         if self.value != int(self.value) or not (0 <= self.value < 2**self.bits):
             raise ParameterError(f"value {self.value!r} does not fit in {self.bits} bits")
-
-    def fraction(self) -> float:
-        return self.value / 2.0**self.bits
 
 
 class DistributionSpec(Frozen):
@@ -93,23 +93,12 @@ def square_distribution() -> DistributionSpec:
     return DistributionSpec(cdf=lambda x: x * x, inverse_cdf=math.sqrt)
 
 
-def _logistic_start(x0: float, n: int) -> tuple[Logistic, float, int]:
-    """The map, seed and step count of a logistic sequence, once the seed
-    lies strictly inside (0, 1) and n is a positive integer."""
+def logistic_values(x0: float, n: int) -> Iterator[float]:
+    """The orbit of the logistic map from x0 in (0, 1), n + 1 values, one
+    at a time; the seed and the count are checked at the call."""
     if math.isnan(x0) or not (0.0 < x0 < 1.0):
         raise DomainError(f"seed must lie strictly inside (0, 1), got {x0!r}")
-    return Logistic(), x0, check_count(n, "step count")
-
-
-def logistic_sequence(x0: float, n: int) -> Orbit:
-    """Orbit of the logistic map from x0 in (0, 1), length n+1."""
-    return orbit(*_logistic_start(x0, n))
-
-
-def logistic_values(x0: float, n: int) -> Iterator[float]:
-    """The values of logistic_sequence(x0, n), one at a time; the seed and
-    the count are checked at the call."""
-    return trajectory(*_logistic_start(x0, n))
+    return trajectory(Logistic(), x0, check_count(n, "step count"))
 
 
 def uniform_values(values: Iterable[float]) -> Iterator[float]:
@@ -117,20 +106,6 @@ def uniform_values(values: Iterable[float]) -> Iterator[float]:
     fwd = _ULAM._fwd  # arcsine_cdf, inlined: one call per point
     for v in values:
         yield fwd(v) if 0.0 < v < 1.0 else apply_homeo(_ULAM, v)
-
-
-def uniformize(o: Orbit) -> list[float]:
-    """Transport a logistic orbit to [0, 1] uniform coordinates by applying
-    the arcsine CDF pointwise."""
-    if o.map_id != "logistic":
-        raise ParameterError(f"expected a logistic orbit, got one from {o.map_id!r}")
-    return list(uniform_values(o.values))
-
-
-def transform_to(values: Sequence[float], dist: DistributionSpec) -> list[float]:
-    """Push uniform samples through the inverse CDF; the output's empirical
-    CDF approximates dist.cdf."""
-    return [dist.inverse_cdf(u) for u in values]
 
 
 # values per chunk of the KS sort: about n / BLOCK chunks and runs, so that

@@ -18,9 +18,9 @@ from typing import Callable, Optional, Sequence, Union
 
 from .errors import DomainError, check_count, check_interval, check_positive, check_samples
 from .frozen import Frozen
-from .homeos import Homeomorphism, Mobius, apply_homeo
+from .homeos import Homeomorphism, apply_homeo
 from .interval import Interval, linspace
-from .maps import Conjugated, MapDescriptor, trajectory
+from .maps import MapDescriptor, trajectory
 
 
 class ConjugacyReport(Frozen):
@@ -88,15 +88,6 @@ class Conflict(Frozen):
                 f"collide while images differ by {self.image_gap!r}")
 
 
-def conjugate_map(f: MapDescriptor, h: Homeomorphism) -> Conjugated:
-    """The map f rewritten in h-coordinates, x -> h(f(h^{-1}(x))).
-
-    Any incompatibility between the coordinate change and f's domain
-    surfaces as DomainError at evaluation time.
-    """
-    return Conjugated(base=f, change=h)
-
-
 def verify_conjugacy(
     f: MapDescriptor,
     g: MapDescriptor,
@@ -156,16 +147,6 @@ def periodicity_order(
         if all(returns(x, p) for x in grid):  # stops at the first point that fails p
             return p
     return None
-
-
-def mobius_involution(a: float, b: float, lo: float = 0.0, hi: float = 1.0) -> Mobius:
-    """The family phi(x) = -(a + x)/(1 + b x) on a pole-free interval.
-
-    Direct composition shows phi(phi(x)) simplifies to x whenever
-    a*b != 1, so each member is an involution; the periodicity checks
-    let the numbers confirm this.
-    """
-    return Mobius(a=a, b=b, lo=lo, hi=hi)
 
 
 def herschel_relation_residual(

@@ -83,13 +83,12 @@ class Orbit(Frozen):
 
     seed: float
     values: tuple[float, ...]
-    map_id: str
 
 
 def orbit(m: MapDescriptor, x0: float, n: int) -> Orbit:
     """Orbit of length n+1 starting at x0."""
     values = tuple(trajectory(m, x0, check_count(n, "orbit length")))
-    return Orbit(seed=values[0], values=values, map_id=m.describe())
+    return Orbit(seed=values[0], values=values)
 
 
 def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[float]:

@@ -14,25 +14,22 @@ import random
 import sys
 import time
 
-import pytest
 
-from intervaldyn import (Affine, AlphaArcsin, CompositionH, Conflict, Cosine,
-                         Doubling, FixedPointWord, HalfTent, Hyperbola,
-                         Logistic, Power, Quadratic, SineSquared, Tent,
+from intervaldyn import (Affine, AlphaArcsin, CompositionH, Conflict, Conjugated,
+                         Cosine, Doubling, FixedPointWord, HalfTent, Hyperbola,
+                         Logistic, Mobius, Power, Quadratic, SineSquared, Tent,
                          UlamArcsin, affine_map, apply_homeo, arcsine_cdf,
-                         boole_iterate, cobweb_path, conjugate_map,
+                         boole_iterate, cobweb_path,
                          crosscheck_closed_form, doubling_collapse, eval_map,
                          fractional_iterate_hyperbola,
                          fractional_iterate_quadratic, herschel_iterate,
                          herschel_relation_residual, hyperbola_iterate,
-                         identity_map, iterate, ks_distance, logistic_sequence,
-                         mobius_involution, orbit_consistency,
+                         identity_map, iterate, ks_distance, orbit_consistency,
                          periodicity_order, propagate_partial_conjugacy,
-                         reflect_map, square_distribution, transform_to,
-                         uniformize, verify_conjugacy, verify_semiconjugacy,
+                         reflect_map, verify_conjugacy, verify_semiconjugacy,
                          zero_preimage_set)
 from intervaldyn.chaos_rng import DEFAULT_SEED
-from intervaldyn.cli import COMMANDS, main
+from intervaldyn.cli import COMMANDS, _rng_sample, main
 from intervaldyn.homeos import PiecewiseLinearHomeo
 
 SQRT3 = math.sqrt(3.0)
@@ -45,11 +42,6 @@ def report(name: str, ok: bool, detail: str):
     assert ok, line
 
 
-@pytest.fixture(scope="module")
-def million_orbit():
-    return logistic_sequence(DEFAULT_SEED, 10**6)
-
-
 def test_c01_central_conjugacy():
     started = time.perf_counter()
     r = verify_conjugacy(Logistic(), Tent(), UlamArcsin(), 10**4)
@@ -60,7 +52,7 @@ def test_c01_central_conjugacy():
 
 
 def test_c02_alpha_chain():
-    g = conjugate_map(Logistic(), AlphaArcsin())
+    g = Conjugated(Logistic(), AlphaArcsin())
     ht = HalfTent()
     worst_map = 0.0
     for i in range(10**4):
@@ -156,7 +148,7 @@ def test_c07_mobius_family():
     for a, b in pairs:
         pole = -1.0 / b if b != 0.0 else None
         lo = pole + 0.1 if pole is not None and 0.0 <= pole <= 3.0 else 0.0
-        phi = mobius_involution(a, b, lo=lo, hi=lo + 3.0)
+        phi = Mobius(a, b, lo=lo, hi=lo + 3.0)
         for i in range(200):
             x = lo + 3.0 * i / 199
             worst_inv = max(worst_inv, abs(apply_homeo(phi, apply_homeo(phi, x)) - x))
@@ -180,7 +172,7 @@ def test_c08_periodicity_orders():
             xs = sorted(rng.uniform(0.05, 0.95) for _ in range(k))
             ys = sorted(rng.uniform(0.05, 0.95) for _ in range(k))
             h = PiecewiseLinearHomeo([(0.0, 0.0)] + list(zip(xs, ys)) + [(1.0, 1.0)])
-        ok = ok and periodicity_order(conjugate_map(reflect_map(), h), 5, 10**3, 1e-10) == 2
+        ok = ok and periodicity_order(Conjugated(reflect_map(), h), 5, 10**3, 1e-10) == 2
     ok = ok and periodicity_order(Logistic(), 6, 10**3, 1e-10) is None
     ok = ok and periodicity_order(Tent(), 6, 10**3, 1e-10) is None
     report("C08 periodicity orders", ok,
@@ -233,12 +225,14 @@ def test_c11_ulam_density_criterion():
            "height-0.8 tent: gap 1 at every depth <= 6")
 
 
-def test_c12_distribution_checks(million_orbit):
-    d_raw = ks_distance(million_orbit.values, arcsine_cdf)
-    uni = uniformize(million_orbit)
-    d_uni = ks_distance(uni, lambda x: x)
-    squared = transform_to(uni, square_distribution())
-    d_sq = ks_distance(squared, lambda x: x * x)
+def test_c12_distribution_checks():
+    # each stage of the pipeline that rng generate and rng ks stream
+    def ks(stage, cdf):
+        return ks_distance(_rng_sample(10**6, DEFAULT_SEED, stage), cdf)
+
+    d_raw = ks("raw", arcsine_cdf)
+    d_uni = ks("uniform", lambda x: x)
+    d_sq = ks("square", lambda x: x * x)
     ok = d_raw < 0.01 and d_uni < 0.01 and d_sq < 0.01
     report("C12 distribution checks", ok,
            f"10^6 steps from {DEFAULT_SEED}: arcsine {d_raw:.4f}, uniform {d_uni:.4f}, "

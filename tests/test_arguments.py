@@ -13,16 +13,17 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from intervaldyn import (DomainError, Doubling, FixedPointWord, Interval, Logistic,
-                         MapDescriptor, ParameterError, Quadratic,
+                         MapDescriptor, Mobius, ParameterError, Quadratic,
                          RangeError, Reflect, SineSquared, Tent, UlamArcsin, boole_iterate,
                          cobweb_path, crosscheck_closed_form, density_report,
                          doubling_collapse, fixed_points, fractional_iterate_hyperbola,
                          fractional_iterate_quadratic, herschel_iterate,
                          herschel_relation_residual, hyperbola_iterate,
-                         iterate, logistic_sequence, mobius_involution, orbit,
+                         iterate, orbit,
                          orbit_consistency, periodicity_order, propagate_partial_conjugacy,
                          reflect_map, sensitivity_report, verify_conjugacy,
                          verify_semiconjugacy, zero_preimage_set)
+from intervaldyn.chaos_rng import logistic_values
 from intervaldyn.errors import check_cap, check_count, check_interval, check_samples
 from intervaldyn.interval import UNIT, linspace
 
@@ -69,7 +70,7 @@ _COUNTED = {
     "orbit_consistency": lambda n: orbit_consistency(Logistic(), Tent(), [(0.3, 0.4)], n, 1e-9),
     "propagate_partial_conjugacy": lambda n: propagate_partial_conjugacy(
         Logistic(), Tent(), 0.1, 0.2, UlamArcsin(), n, 5, 1e-3),
-    "logistic_sequence": lambda n: logistic_sequence(0.3, n),
+    "logistic_values": lambda n: logistic_values(0.3, n),
     "doubling_collapse": lambda n: doubling_collapse(_WORD, n),
     "herschel_iterate": lambda n: herschel_iterate(0.5, n),
     "boole_iterate": lambda n: boole_iterate(0.5, n),
@@ -144,7 +145,7 @@ _SAMPLED = {
     "crosscheck_closed_form": lambda n: crosscheck_closed_form(
         Quadratic(), boole_iterate, -1.0, 1.0, 2, n),
     "herschel_relation_residual": lambda n: herschel_relation_residual(
-        lambda t: 1.0 + 2.0 * t, mobius_involution(1.0, 2.0, 0.0, 3.0), 0.0, 3.0, n),
+        lambda t: 1.0 + 2.0 * t, Mobius(1.0, 2.0, 0.0, 3.0), 0.0, 3.0, n),
     "propagate_partial_conjugacy": lambda n: propagate_partial_conjugacy(
         Logistic(), Tent(), 0.1, 0.2, UlamArcsin(), 2, n, 1e-3),
 }
@@ -196,7 +197,7 @@ _GRIDDED = {
     "herschel_relation_residual": lambda lo, hi: herschel_relation_residual(
         lambda t: 0.0, Reflect(), lo, hi, 5),
     "propagate_partial_conjugacy": lambda lo, hi: propagate_partial_conjugacy(
-        Quadratic(), Quadratic(), lo, hi, mobius_involution(0.0, 0.0), 2, 5, 1e-3),
+        Quadratic(), Quadratic(), lo, hi, Mobius(0.0, 0.0), 2, 5, 1e-3),
 }
 
 
@@ -224,7 +225,7 @@ class _Identity(MapDescriptor):
 # every library function that grids a map's domain, called with the map
 _DOMAIN_GRIDDED = {
     "interior_grid": lambda m: m.domain().interior_grid(5),
-    "verify_conjugacy": lambda m: verify_conjugacy(m, m, mobius_involution(0.0, 0.0), 5),
+    "verify_conjugacy": lambda m: verify_conjugacy(m, m, Mobius(0.0, 0.0), 5),
     "periodicity_order": lambda m: periodicity_order(m, 2, 5),
 }
 _UNGRIDDABLE_DOMAINS = [(-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)]

@@ -11,45 +11,38 @@ from intervaldyn import (DistributionSpec, DomainError, Doubling,
                          EmptySampleError, FixedPointWord, Logistic,
                          ParameterError, SineSquared, Tent, apply_homeo,
                          arcsine_cdf, doubling_collapse, eval_map, ks_distance,
-                         logistic_sequence, orbit, square_distribution,
-                         transform_to, uniformize)
+                         orbit, square_distribution)
 from intervaldyn import chaos_rng
+from intervaldyn.chaos_rng import logistic_values, uniform_values
 from intervaldyn.homeos import UlamArcsin
 
 
 def test_logistic_sequence_examples():
-    assert logistic_sequence(0.75, 5).values == (0.75,) * 6
-    assert logistic_sequence(0.2, 1).values == (0.2, pytest.approx(0.64, abs=1e-15))
+    assert list(logistic_values(0.75, 5)) == [0.75] * 6
+    assert list(logistic_values(0.2, 1)) == [0.2, pytest.approx(0.64, abs=1e-15)]
+    # the seed is checked at the call, before any value is read
     with pytest.raises(DomainError):
-        logistic_sequence(0.0, 5)
+        logistic_values(0.0, 5)
     with pytest.raises(DomainError):
-        logistic_sequence(1.0, 5)
+        logistic_values(1.0, 5)
 
 
 def test_uniformize_examples():
-    values = uniformize(logistic_sequence(0.75, 3))
+    values = list(uniform_values(logistic_values(0.75, 3)))
     assert values == pytest.approx([2.0 / 3.0] * 4, abs=1e-15)
 
     # endpoint fixing: an orbit pinned at 0 stays at 0
     zero_orbit = orbit(Logistic(), 0.0, 3)
-    assert uniformize(zero_orbit) == [0.0] * 4
-
-    with pytest.raises(ParameterError):
-        uniformize(orbit(Tent(), 0.2, 3))
+    assert list(uniform_values(zero_orbit.values)) == [0.0] * 4
 
 
 def test_uniformize_uses_the_conjugacy_function():
     # one function, two roles: the uniformizing transform is the
     # invariant-measure CDF is the conjugating coordinate change
-    o = logistic_sequence(0.37, 20)
+    o = list(logistic_values(0.37, 20))
     ulam = UlamArcsin()
-    assert uniformize(o) == [apply_homeo(ulam, v) for v in o.values]
-    assert all(arcsine_cdf(v) == apply_homeo(ulam, v) for v in o.values)
-
-
-def test_transform_to_examples():
-    assert transform_to([0.1, 0.7], DistributionSpec(lambda x: x, lambda u: u)) == [0.1, 0.7]
-    assert transform_to([0.25], square_distribution()) == [0.5]
+    assert list(uniform_values(o)) == [apply_homeo(ulam, v) for v in o]
+    assert all(arcsine_cdf(v) == apply_homeo(ulam, v) for v in o)
 
 
 def test_distribution_spec_validation():
@@ -139,7 +132,6 @@ def test_fixed_point_word_validation():
         FixedPointWord(64, 0)
     with pytest.raises(ParameterError):
         FixedPointWord(8, 256)
-    assert FixedPointWord(8, 128).fraction() == 0.5
 
 
 def test_semiconjugacy_transport():
@@ -159,8 +151,7 @@ def test_semiconjugacy_transport():
 
 
 def test_uniformized_sequence_commutes_with_tent():
-    o = logistic_sequence(0.123456789, 1000)
-    uni = uniformize(o)
+    uni = list(uniform_values(logistic_values(0.123456789, 1000)))
     t = Tent()
     worst = max(abs(eval_map(t, u) - nxt) for u, nxt in zip(uni, uni[1:]))
     assert worst < 1e-10
@@ -168,9 +159,9 @@ def test_uniformized_sequence_commutes_with_tent():
 
 def test_statistics_smoke_at_modest_n():
     # full 10^6-sample bounds live in the acceptance suite
-    o = logistic_sequence(0.123456789, 20000)
-    assert ks_distance(o.values, arcsine_cdf) < 0.05
-    uni = uniformize(o)
+    o = list(logistic_values(0.123456789, 20000))
+    assert ks_distance(o, arcsine_cdf) < 0.05
+    uni = list(uniform_values(o))
     assert ks_distance(uni, lambda x: x) < 0.05
     counts = [0] * 10
     for u in uni:

@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from intervaldyn import (Affine, AlphaArcsin, Conflict, Cosine, DomainError,
-                         HalfTent, Logistic, ParameterError, Power, Quadratic,
+from intervaldyn import (Affine, AlphaArcsin, Conflict, Conjugated, Cosine, DomainError,
+                         HalfTent, Logistic, Mobius, ParameterError, Power, Quadratic,
                          Reflect, Tent, UlamArcsin, affine_map, apply_homeo,
-                         conjugate_map, eval_map, herschel_relation_residual,
-                         identity_map, iterate, mobius_involution,
+                         eval_map, herschel_relation_residual,
+                         identity_map, iterate,
                          orbit_consistency, periodicity_order,
                          propagate_partial_conjugacy, reflect_map,
                          verify_conjugacy, verify_semiconjugacy)
@@ -33,17 +33,17 @@ def test_reflect_does_not_conjugate_tent_to_itself():
 
 
 def test_conjugate_map_examples():
-    g = conjugate_map(Logistic(), AlphaArcsin())
+    g = Conjugated(Logistic(), AlphaArcsin())
     assert eval_map(g, 0.1) == pytest.approx(0.2, abs=1e-13)
 
     f = Tent()
-    ident = conjugate_map(f, Affine(1.0, 0.0))
+    ident = Conjugated(f, Affine(1.0, 0.0))
     for i in range(101):
         x = (i + 0.5) / 102
         assert eval_map(ident, x) == pytest.approx(eval_map(f, x), abs=1e-15)
 
     # the parabola on [-1, 1] turned upside down is the logistic parabola
-    g = conjugate_map(Quadratic(), Affine(-0.5, 0.5))
+    g = Conjugated(Quadratic(), Affine(-0.5, 0.5))
     for i in range(1000):
         x = (i + 0.5) / 1000
         assert abs(eval_map(g, x) - eval_map(Logistic(), x)) < 1e-12
@@ -56,7 +56,7 @@ def test_conjugate_map_round_trip_property():
         (Tent(), Power(2.0)),
     ]
     for f, h in cases:
-        report = verify_conjugacy(f, conjugate_map(f, h), h, 10**3)
+        report = verify_conjugacy(f, Conjugated(f, h), h, 10**3)
         assert report.max_residual < 1e-12
 
 
@@ -90,7 +90,7 @@ def test_iterated_commutation():
 def test_periodicity_order_examples():
     assert periodicity_order(reflect_map(), 5, 10**3, 1e-12) == 2
     assert periodicity_order(identity_map(), 5, 10**3, 1e-12) == 1
-    conj = conjugate_map(reflect_map(), Power(2.0))
+    conj = Conjugated(reflect_map(), Power(2.0))
     assert periodicity_order(conj, 5, 10**3, 1e-10) == 2
     assert periodicity_order(Logistic(), 6, 10**3, 1e-10) is None
     assert periodicity_order(Tent(), 6, 10**3, 1e-10) is None
@@ -99,16 +99,16 @@ def test_periodicity_order_examples():
 def test_periodicity_order_preserved_by_conjugation():
     # order-p maps stay order-p in any coordinates (p = 1 and 2)
     for h in (Power(2.0), Power(0.5), PiecewiseLinearHomeo([(0.0, 0.0), (0.7, 0.2), (1.0, 1.0)])):
-        assert periodicity_order(conjugate_map(identity_map(), h), 5, 200, 1e-9) == 1
-        assert periodicity_order(conjugate_map(reflect_map(), h), 5, 200, 1e-9) == 2
+        assert periodicity_order(Conjugated(identity_map(), h), 5, 200, 1e-9) == 1
+        assert periodicity_order(Conjugated(reflect_map(), h), 5, 200, 1e-9) == 2
 
 
 def test_mobius_involution_examples():
-    phi = mobius_involution(0.0, 0.0)
+    phi = Mobius(0.0, 0.0)
     for x in (0.0, 0.25, 1.0):
         assert apply_homeo(phi, x) == -x
 
-    phi = mobius_involution(1.0, 2.0, lo=0.0, hi=3.0)
+    phi = Mobius(1.0, 2.0, lo=0.0, hi=3.0)
     assert apply_homeo(phi, 0.0) == -1.0
     worst = 0.0
     for i in range(1000):
@@ -117,7 +117,7 @@ def test_mobius_involution_examples():
     assert worst < 1e-12
 
     with pytest.raises(ParameterError):
-        mobius_involution(0.5, 2.0)
+        Mobius(0.5, 2.0)
 
 
 def _round_trip_error_bound(a, b, x):
@@ -141,7 +141,7 @@ _COEFFICIENT = st.floats(-4.0, 4.0)
 def test_mobius_involution_is_an_involution_on_its_interval(a, b, lo, width, t):
     hi = lo + width
     try:
-        phi = mobius_involution(a, b, lo=lo, hi=hi)
+        phi = Mobius(a, b, lo=lo, hi=hi)
     except ParameterError:  # a*b too close to 1, or the pole in [lo, hi]
         assume(False)
     x = min(lo + t * width, hi)
@@ -152,10 +152,10 @@ def test_mobius_involution_is_an_involution_on_its_interval(a, b, lo, width, t):
 
 def test_herschel_relation_residual_examples():
     a, b = 1.0, 2.0
-    phi = mobius_involution(a, b, lo=0.0, hi=3.0)
+    phi = Mobius(a, b, lo=0.0, hi=3.0)
     assert herschel_relation_residual(lambda t: a + b * t, phi, 0.0, 3.0, 1000) < 1e-12
 
-    neg = mobius_involution(0.0, 0.0)
+    neg = Mobius(0.0, 0.0)
     assert herschel_relation_residual(lambda t: 0.0, neg, -2.0, 2.0, 100) == 0.0
 
     assert herschel_relation_residual(lambda t: t, Reflect(), 0.0, 1.0, 100) > 0.5
@@ -210,10 +210,10 @@ def test_mobius_family_involution_property():
         phi = None
         # any pole-free interval works; shift if the pole lands in [0, 3]
         if pole is not None and 0.0 <= pole <= 3.0:
-            phi = mobius_involution(a, b, lo=pole + 0.1, hi=pole + 3.1)
+            phi = Mobius(a, b, lo=pole + 0.1, hi=pole + 3.1)
             grid_lo = pole + 0.1
         else:
-            phi = mobius_involution(a, b, lo=0.0, hi=3.0)
+            phi = Mobius(a, b, lo=0.0, hi=3.0)
             grid_lo = 0.0
         worst = 0.0
         for i in range(200):

@@ -30,15 +30,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from intervaldyn import (CompositionH, Conjugated, DistributionSpec, DomainError, Hyperbola,
-                         IntervalDynError, Logistic, ParameterError, PiecewiseLinear, Quadratic,
-                         Reflect, Tent, UlamArcsin, Unimodal, apply_homeo, boole_iterate,
-                         cobweb_path, crosscheck_closed_form, eval_map, fixed_points,
-                         herschel_iterate, herschel_relation_residual, hyperbola_iterate,
-                         iterate, mobius_involution, orbit, orbit_consistency, periodicity_order,
+                         IntervalDynError, Logistic, Mobius, ParameterError, PiecewiseLinear,
+                         Quadratic, Reflect, Tent, UlamArcsin, Unimodal, apply_homeo,
+                         boole_iterate, cobweb_path, crosscheck_closed_form, eval_map,
+                         fixed_points, herschel_iterate, herschel_relation_residual,
+                         hyperbola_iterate, iterate, orbit, orbit_consistency, periodicity_order,
                          sensitivity_report, verify_conjugacy, verify_semiconjugacy,
                          zero_preimage_set)
 from intervaldyn import analysis, closed_form, homeos, render
-from intervaldyn.chaos_rng import arcsine_cdf, uniformize
+from intervaldyn.chaos_rng import arcsine_cdf, uniform_values
 from intervaldyn.cli import BLOCK, _csv_cell, parse_map_spec, to_csv, to_json
 from intervaldyn.closed_form import (MAX_ITERATIONS, CrosscheckReport, _herschel_values,
                                      _scaled_deviation)
@@ -47,7 +47,7 @@ from intervaldyn.errors import check_count, check_interval, check_positive, chec
 from intervaldyn.homeos import (PiecewiseLinearHomeo, _bisect_monotone, _bisect_pl, _interpolate,
                                 invert_homeo, parse_homeo_spec)
 from intervaldyn.interval import ENDPOINT_TOL, UNIT, Interval, _dedup_sorted, linspace
-from intervaldyn.maps import MapDescriptor, Orbit
+from intervaldyn.maps import MapDescriptor
 from intervaldyn.render import VIEW, _window, cobweb_svg
 
 # every map family the CLI grammar reaches, plus a map that leaves its domain
@@ -542,7 +542,7 @@ def test_cobweb_polylines_match_reference(spec):
     m = parse_map_spec(spec)
     for x0 in SEEDS + END_SEEDS:
         assert (outcome(cobweb_polylines, m, x0, 30)
-                == outcome(lambda: ref_polylines(m, cobweb_path(m, x0, 30).orbit_values()))), x0
+                == outcome(lambda: ref_polylines(m, [x for x, _ in cobweb_path(m, x0, 30).points[::2]]))), x0
 
 
 # points of [0, 1], points up to 2e-12 outside it (snapped, or rejected
@@ -560,8 +560,7 @@ def test_arcsine_cdf_is_the_ulam_homeo(v):
 
 @given(st.lists(ULAM_POINTS, min_size=1, max_size=20))
 def test_uniformize_is_the_ulam_homeo_pointwise(values):
-    o = Orbit(seed=values[0], values=tuple(values), map_id="logistic")
-    assert (outcome(uniformize, o)
+    assert (outcome(lambda: list(uniform_values(values)))
             == outcome(lambda: [apply_homeo(UlamArcsin(), v) for v in values]))
 
 
@@ -787,7 +786,7 @@ _HERSCHEL_OUTERS = {
        st.sampled_from([(0.0, 3.0), (0.3, 2.9), (-2.0, 2.0), (0.0, 1.0), (0.25, 0.75),
                         (-0.5, 1.5), (1.0, 0.0), (0.5, 0.5)]),
        st.integers(1, 24))
-@example("affine", mobius_involution(1.0, 2.0, 0.0, 3.0), (0.0, 3.0), 1000)
+@example("affine", Mobius(1.0, 2.0, 0.0, 3.0), (0.0, 3.0), 1000)
 @example("identity", parse_homeo_spec("(pwlh:0,0;0.5,1 o ulam)"), (0.0, 1.0), 10)
 @example("raises", Reflect(), (-0.5, 1.5), 9)
 def test_herschel_matches_per_call_lookups(outer, phi, ends, samples):
@@ -1298,10 +1297,10 @@ def test_fixed_points_grid_matches_reference(spec, lo, hi, tol):
 
 
 def test_herschel_grid_matches_reference():
-    phi = mobius_involution(1.0, 2.0, lo=0.0, hi=3.0)
+    phi = Mobius(1.0, 2.0, lo=0.0, hi=3.0)
     cases = [(lambda t: 1.0 + 2.0 * t, phi, 0.0, 3.0, 1000),
              (lambda t: 1.0 + 2.0 * t, phi, 0.3, 2.9, 7),
-             (lambda t: 0.0, mobius_involution(0.0, 0.0), -2.0, 2.0, 100),
+             (lambda t: 0.0, Mobius(0.0, 0.0), -2.0, 2.0, 100),
              (lambda t: t, Reflect(), 0.1, 0.8, 101),
              (lambda t: t, Reflect(), 0.0, 1.0, 1)]
     for f_outer, *rest in cases:

@@ -20,7 +20,7 @@ from intervaldyn.maps import (Conjugated, Cosine, Doubling, HalfTent, Hyperbola,
 # a fresh instance of each class per call
 INSTANCES = {
     "Interval": lambda: Interval(0.0, 1.0, hi_closed=False),
-    "Orbit": lambda: Orbit(seed=0.25, values=(0.25, 0.75), map_id="logistic"),
+    "Orbit": lambda: Orbit(seed=0.25, values=(0.25, 0.75)),
     "Logistic": Logistic,
     "Tent": Tent,
     "HalfTent": HalfTent,
@@ -61,7 +61,7 @@ INSTANCES = {
 # recorded from the dataclass versions of these classes
 REPRS = {
     "Interval": "Interval(lo=0.0, hi=1.0, lo_closed=True, hi_closed=False)",
-    "Orbit": "Orbit(seed=0.25, values=(0.25, 0.75), map_id='logistic')",
+    "Orbit": "Orbit(seed=0.25, values=(0.25, 0.75))",
     "Logistic": "Logistic()",
     "Tent": "Tent()",
     "HalfTent": "HalfTent()",

@@ -77,7 +77,6 @@ def test_orbit_recompute_bit_exact():
     for prev, cur in zip(o.values, o.values[1:]):
         assert iterate(Logistic(), prev, 1) == cur
         assert Logistic().domain().contains(cur)
-    assert o.map_id == "logistic"
     assert o.seed == o.values[0]
 
 

@@ -19,14 +19,13 @@ EXPORTS = {
     "analysis": ["CobwebPath", "DensityReport", "PreimageSet", "cobweb_path", "density_report",
                  "zero_preimage_set"],
     "chaos_rng": ["DEFAULT_SEED", "DistributionSpec", "FixedPointWord", "arcsine_cdf",
-                  "doubling_collapse", "ks_distance", "logistic_sequence",
-                  "square_distribution", "transform_to", "uniformize"],
+                  "doubling_collapse", "ks_distance", "square_distribution"],
     "closed_form": ["CrosscheckReport", "boole_iterate", "crosscheck_closed_form",
                     "fractional_iterate_hyperbola", "fractional_iterate_quadratic",
                     "herschel_constant", "herschel_iterate", "hyperbola_iterate"],
-    "conjugacy": ["Conflict", "ConjugacyReport", "conjugate_map", "herschel_relation_residual",
-                  "mobius_involution", "orbit_consistency", "periodicity_order",
-                  "propagate_partial_conjugacy", "verify_conjugacy", "verify_semiconjugacy"],
+    "conjugacy": ["Conflict", "ConjugacyReport", "herschel_relation_residual",
+                  "orbit_consistency", "periodicity_order", "propagate_partial_conjugacy",
+                  "verify_conjugacy", "verify_semiconjugacy"],
     "errors": ["DomainError", "EmptySampleError", "ImaginaryResidueError", "IntervalDynError",
                "ParameterError", "RangeError", "UsageError"],
     "homeos": ["Affine", "AlphaArcsin", "CompositionH", "Homeomorphism", "Mobius",

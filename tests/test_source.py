@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private name a module defines at its top level is used in the package.
 
 Each module is parsed with ast, never imported. An import at any level
 counts, a function-local one included, and a use anywhere in the module
-counts as its use.
+counts as its use. A private name (_function, _Class, _CONSTANT) counts
+as used when some module of the package reads it, by name or as an
+attribute, outside the definition that binds it; so a helper whose last
+caller is deleted fails the check.
 """
 
 import ast
@@ -48,3 +52,56 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "def f():\n    from typing import Sequence\n    return pi\n")
     assert sorted(set(imported_names(tree)) - used_names(tree)) == ["Sequence", "os", "tau"]
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Each private, non-dunder name bound at the module's top level by a
+    def, a class or an assignment, with the statement that binds it."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                defined[name] = node
+    return defined
+
+
+def orphaned_private_names(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Per module, the private names of private_definitions that no module
+    reads outside the definition binding them."""
+    reads = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             or isinstance(node, ast.Attribute)]
+    orphans = {}
+    for module, tree in trees.items():
+        for name, definition in private_definitions(tree).items():
+            inside = set(map(id, ast.walk(definition)))
+            if not any(read == name and id(node) not in inside for read, node in reads):
+                orphans.setdefault(module, []).append(name)
+    return orphans
+
+
+def test_every_private_name_is_used():
+    trees = {}
+    for path in MODULES:
+        with open(path, encoding="utf-8") as f:
+            trees[os.path.basename(path)] = ast.parse(f.read(), filename=path)
+    orphans = orphaned_private_names(trees)
+    assert not orphans, f"private names that nothing in the package uses: {orphans}"
+
+
+def test_the_check_sees_an_orphaned_private_name():
+    trees = {"a.py": ast.parse("_USED = 1\n_ORPHAN, _PAIRED = 2, 3\n__all__ = []\n"
+                               "def _start():\n    return _USED\n"
+                               "def _recursive(n):\n    return _recursive(n - 1)\n"
+                               "class _Kept:\n    pass\n"
+                               "def public():\n    return _start(), _PAIRED\n"),
+             "b.py": ast.parse("from . import a\nkept = a._Kept\n")}
+    assert orphaned_private_names(trees) == {"a.py": ["_ORPHAN", "_recursive"]}

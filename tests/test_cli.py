@@ -963,13 +963,15 @@ def _fuzz_values(arg):
 
 
 @st.composite
-def _fuzzed_argv(draw):
+def _fuzzed_argv(draw, complete=False):
+    """An argv of a subcommand; complete keeps every required argument."""
     name = draw(st.sampled_from(list(COMMANDS)))
     argv = name.split()
     for arg in COMMANDS[name][2]:
         # a required argument is dropped now and then, an optional one often
         if draw(st.integers(0, 5 if arg.options.get("required") else 1)) == 0:
-            continue
+            if not (complete and arg.options.get("required")):
+                continue
         argv.append(arg.flag)
         if arg.options.get("action") != "store_true":
             argv.append(draw(st.sampled_from(_fuzz_values(arg))))
@@ -986,6 +988,44 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert code in (0, 1, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
     assert "Traceback" not in err.getvalue()
+
+
+def _stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _failed_verdict(doc):
+    result, tol = doc["result"], doc["inputs"].get("tol")
+    if not isinstance(result, dict):  # a bare value: iterate's, say
+        return False
+    return (result.get("within_tolerance") is False or result.get("status") == "conflict"
+            or ("statistic" in result and tol is not None and result["statistic"] >= tol))
+
+
+# one failed verdict of each kind; few fuzzed argvs reach exit 1
+@example(["conjugacy", "verify", "--f", "tent", "--g", "tent", "--h", "reflect"])
+@example(["closed-form", "check", "--formula", "boole", "--lo", "-0.9", "--hi", "0.9",
+          "--tol", "1e-300"])
+@example(["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "affine:p=1,q=0",
+          "--lo", "0.1", "--hi", "0.11", "--depth", "6", "--grid", "41", "--tol", "1e-3",
+          "--format", "csv"])
+@example(["rng", "ks", "--n", "2000", "--cdf", "uniform", "--tol", "1e-9"])
+@given(_fuzzed_argv(complete=True))
+def test_fuzzed_argv_keeps_the_verdict_contract(argv):
+    # exit 1 means a failed verdict and nothing else; exits 2 and 3 print nothing
+    code, out = _stdout_of(argv)
+    if code in (2, 3):
+        assert out == ""
+        return
+    if "--format" in argv:  # csv and svg carry no verdict: read the same run's json
+        i = argv.index("--format")
+        json_code, out = _stdout_of(argv[:i] + argv[i + 2:])
+        assert json_code == code
+    assert code in (0, 1)
+    assert _failed_verdict(json.loads(out)) == (code == 1)
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -2,7 +2,8 @@
 
 A cobweb path traces an orbit against the diagonal: from (x, x) go
 vertically to the graph point (x, f(x)), then horizontally back to the
-diagonal at (f(x), f(x)), and repeat.
+diagonal at (f(x), f(x)), and repeat. The orbit is walked once
+(_cobweb_orbit); the path's diagonal points, points[::2], are its values.
 
 The zero-preimage set of a tent-shaped map g collects every point that
 lands on 0 after finitely many steps. Whether that set fills [0, 1]

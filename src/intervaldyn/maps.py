@@ -318,7 +318,9 @@ class Unimodal(MapDescriptor, Frozen):
 
 
 class Conjugated(MapDescriptor, Frozen):
-    """The base map rewritten in h-coordinates: x -> h(f(h^{-1}(x)))."""
+    """The base map rewritten in h-coordinates: x -> h(f(h^{-1}(x))). A
+    change whose inverse leaves the base map's domain raises DomainError
+    when the map is evaluated there."""
 
     base: MapDescriptor
     change: Homeomorphism

@@ -19,8 +19,8 @@ from intervaldyn import (Affine, AlphaArcsin, CompositionH, Conflict, Conjugated
                          Cosine, Doubling, FixedPointWord, HalfTent, Hyperbola,
                          Logistic, Mobius, Power, Quadratic, SineSquared, Tent,
                          UlamArcsin, affine_map, apply_homeo, arcsine_cdf,
-                         boole_iterate, cobweb_path,
-                         crosscheck_closed_form, doubling_collapse, eval_map,
+                         boole_iterate, cobweb_path, crosscheck_closed_form,
+                         doubling_collapse, eval_map,
                          fractional_iterate_hyperbola,
                          fractional_iterate_quadratic, herschel_iterate,
                          herschel_relation_residual, hyperbola_iterate,

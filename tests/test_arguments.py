@@ -18,8 +18,7 @@ from intervaldyn import (DomainError, Doubling, FixedPointWord, Interval, Logist
                          cobweb_path, crosscheck_closed_form, density_report,
                          doubling_collapse, fixed_points, fractional_iterate_hyperbola,
                          fractional_iterate_quadratic, herschel_iterate,
-                         herschel_relation_residual, hyperbola_iterate,
-                         iterate, orbit,
+                         herschel_relation_residual, hyperbola_iterate, iterate, orbit,
                          orbit_consistency, periodicity_order, propagate_partial_conjugacy,
                          reflect_map, sensitivity_report, verify_conjugacy,
                          verify_semiconjugacy, zero_preimage_set)

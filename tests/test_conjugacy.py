@@ -7,8 +7,7 @@ from hypothesis import assume, given, strategies as st
 from intervaldyn import (Affine, AlphaArcsin, Conflict, Conjugated, Cosine, DomainError,
                          HalfTent, Logistic, Mobius, ParameterError, Power, Quadratic,
                          Reflect, Tent, UlamArcsin, affine_map, apply_homeo,
-                         eval_map, herschel_relation_residual,
-                         identity_map, iterate,
+                         eval_map, herschel_relation_residual, identity_map, iterate,
                          orbit_consistency, periodicity_order,
                          propagate_partial_conjugacy, reflect_map,
                          verify_conjugacy, verify_semiconjugacy)

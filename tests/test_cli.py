@@ -968,10 +968,10 @@ def _fuzzed_argv(draw, complete=False):
     name = draw(st.sampled_from(list(COMMANDS)))
     argv = name.split()
     for arg in COMMANDS[name][2]:
-        # a required argument is dropped now and then, an optional one often
-        if draw(st.integers(0, 5 if arg.options.get("required") else 1)) == 0:
-            if not (complete and arg.options.get("required")):
-                continue
+        required = arg.options.get("required")
+        # a required argument is dropped now and then, unless complete, an optional one often
+        if draw(st.integers(0, 5 if required else 1)) == 0 and not (complete and required):
+            continue
         argv.append(arg.flag)
         if arg.options.get("action") != "store_true":
             argv.append(draw(st.sampled_from(_fuzz_values(arg))))

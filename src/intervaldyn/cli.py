@@ -83,12 +83,13 @@ def _json_scalar(value) -> str:
 
 def to_json(value, indent: int = 0) -> Iterator[str]:
     """value as JSON text, yielded in pieces: "".join(to_json(value)) is the
-    text. A dict yields its values' pieces; a list, tuple or array('d') is
-    joined BLOCK elements at a time, each block formatted when it is reached."""
+    text. A dict yields its values' pieces; a list, tuple, array('d') or
+    iterator is read BLOCK elements at a time, each block formatted when it
+    is reached. A callable is called when it is reached."""
+    if callable(value):
+        value = value()
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    # an array('d') is told by its typecode, so that this module need not import array
-    floats = getattr(value, "typecode", None) == "d"
     if isinstance(value, dict):
         sep = "{\n"
         for k, v in value.items():
@@ -96,26 +97,27 @@ def to_json(value, indent: int = 0) -> Iterator[str]:
             yield from to_json(v, indent + 1)
             sep = ",\n"
         yield f"\n{pad}}}" if value else "{}"
-    elif not (floats or isinstance(value, (list, tuple))):
-        yield _json_scalar(value)
-    elif not value:
-        yield "[]"
+        return
+    # an array('d') is told by its typecode, so that this module need not import array
+    if isinstance(value, (list, tuple)) or getattr(value, "typecode", None) == "d":
+        blocks = ((value,) if 0 < len(value) <= BLOCK else  # a short one is not sliced
+                  (value[start:start + BLOCK] for start in range(0, len(value), BLOCK)))
+    elif hasattr(value, "__next__"):  # an iterator
+        blocks = iter(lambda: tuple(islice(value, BLOCK)), ())
     else:
-        # orbits and samples: one format per value
-        floats = floats or all(type(v) is float for v in value)
-        sep = f",\n{inner}"
-        yield f"[\n{inner}"
-        for start in range(0, len(value), BLOCK):
-            block = value[start:start + BLOCK]
-            if start:
-                yield sep
-            if floats and math.isfinite(sum(block)):
-                # every value finite: one %-format, the digits of format(v, ".17g"),
-                # with no string per value
-                yield sep.join(["%.17g"] * len(block)) % tuple(block)
-            else:
-                yield sep.join(["".join(to_json(v, indent + 1)) for v in block])
-        yield f"\n{pad}]"
+        yield _json_scalar(value)
+        return
+    sep, head = f",\n{inner}", f"[\n{inner}"
+    for block in blocks:
+        yield head
+        head = sep
+        if set(map(type, block)) == {float} and math.isfinite(sum(block)):
+            # every value a finite float: one %-format, the digits of
+            # format(v, ".17g"), with no string per value
+            yield sep.join(["%.17g"] * len(block)) % tuple(block)
+        else:
+            yield sep.join(["".join(to_json(v, indent + 1)) for v in block])
+    yield f"\n{pad}]" if head is sep else "[]"
 
 
 def _csv_cell(v) -> str:
@@ -419,9 +421,11 @@ def _rng_sample(n: int, seed: float, stage: str) -> Iterator[float]:
 
 
 def _run_rng_generate(p: dict) -> Result:
-    from array import array
     seed = p["seed"] if p["seed"] is not None else _default_seed()
-    values = array("d", _rng_sample(p["n"], seed, p["stage"]))
+    # The writer draws the stream and holds no copy. Only this stream is safe
+    # to write after run() returns: logistic_values checks seed and count at
+    # the call, and from a seed in (0, 1) no stage can leave [0, 1].
+    values = _rng_sample(p["n"], seed, p["stage"])
     return Result(EXIT_OK, {"values": values}, ("k", "x"), enumerate(values),
                   inputs={**p, "seed": seed})
 
@@ -567,8 +571,8 @@ COMMANDS = {
 def run(config: RunConfig) -> tuple[int, Iterable[str]]:
     """Execute a parsed configuration; returns the exit code and the output
     text as an iterable of pieces. Every check has run when it returns,
-    and the text is formatted as it is read. Spec arguments are read
-    here, and the JSON inputs echo describe()."""
+    and the text is formatted (and rng generate's sample drawn) as it is
+    read. Spec arguments are read here, and the JSON inputs echo describe()."""
     started = time.perf_counter()
     handler, _, args = COMMANDS[config.command]
     params, inputs = dict(config.params), dict(config.params)
@@ -581,7 +585,6 @@ def run(config: RunConfig) -> tuple[int, Iterable[str]]:
         orbit, _, _ = analysis._cobweb_orbit(params["map"], params["x0"], params["steps"])
         return EXIT_OK, render.cobweb_svg(params["map"], orbit)
     result = handler(params)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
     if config.fmt == "csv":
         rows = result.csv_rows
         if rows is None:
@@ -591,8 +594,9 @@ def run(config: RunConfig) -> tuple[int, Iterable[str]]:
         "subcommand": config.command,
         "inputs": inputs if result.inputs is None else result.inputs,
         "result": result.fields,
-        # measured timing is opt-in so that default output is byte-reproducible
-        "elapsed_ms": elapsed_ms if config.timing else None,
+        # opt-in so that default output is byte-reproducible; taken when written
+        "elapsed_ms": (lambda: (time.perf_counter() - started) * 1000.0)
+        if config.timing else None,
     }
     return result.code, chain(to_json(document), ["\n"])
 

@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intervaldyn import (Hyperbola, ParameterError, fractional_iterate_hyperbola,
+from intervaldyn import (Hyperbola, ParameterError, cli, fractional_iterate_hyperbola,
                          hyperbola_iterate, homeos, maps)
 from intervaldyn.cli import (COMMANDS, _build_parser, _Cap, _named_command, fmt_float, main,
                              parse_args, parse_homeo_spec, parse_map_spec)
@@ -99,7 +100,7 @@ def test_byte_identical_across_processes():
     for seed in ("0", "12345"):
         proc = subprocess.run(argv, capture_output=True, text=True,
                               env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed,
-                                   "PYTHONPATH": path})
+                                   "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
@@ -129,7 +130,8 @@ def test_runs_without_numpy():
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, GOLDEN_PATH],
                           capture_output=True, text=True,
-                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": path})
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": path,
+                               "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
 
 
@@ -479,7 +481,9 @@ def test_output_file(tmp_path, capsys):
       "--steps", "2", "--format", "svg"],
      "error: cannot draw the cobweb window [-5e+307, 1.5707963267948966e+308]: "
      "it is not finite\n"),
-], ids=["bad-seed", "svg-window", "svg-spread"])
+    # rng generate streams its sample into the writer, but counts it at the call
+    (["rng", "generate", "--n", "0"], "error: step count must be a positive integer, got 0\n"),
+], ids=["bad-seed", "svg-window", "svg-spread", "zero-count"])
 def test_a_failing_run_writes_nothing(argv, message, tmp_path, capsys):
     # every check runs before the output is opened; only the text is
     # formatted as it is written
@@ -499,7 +503,8 @@ def test_a_closed_stdout_pipe_exits_3_with_one_line():
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "intervaldyn", "rng", "generate",
                              "--n", "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": path})
+                            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": path,
+                                 "PYTHONDONTWRITEBYTECODE": "1"})
     try:
         assert proc.stdout.read(10) == b'{\n  "subco'
         proc.stdout.close()
@@ -516,17 +521,21 @@ def test_a_closed_stdout_pipe_exits_3_with_one_line():
 # number of doubles per value the run holds; an object per value (about
 # 32 bytes) or the whole text held at once exceeds it, and so do a second
 # copy of the rng ks sample and a string per value of a JSON block.
-# cobweb --format json holds the path's point pairs (CobwebPath.points),
-# about 20 * 8 bytes a step.
+# rng generate writes its sample as it is drawn and holds none of it, so
+# its ceiling is one constant at two sizes (a held array('d') exceeds it
+# at both). cobweb --format json holds the path's point pairs
+# (CobwebPath.points), about 20 * 8 bytes a step.
 @pytest.mark.parametrize("argv, n, doubles, constant", [
-    (["rng", "generate", "--n", "{n}", "--seed", "0.123456789"], 100000, 1.25, 350_000),
+    (["rng", "generate", "--n", "{n}", "--seed", "0.123456789"], 100000, 0, 500_000),
+    (["rng", "generate", "--n", "{n}", "--seed", "0.123456789", "--stage", "square"],
+     200000, 0, 500_000),
     (["rng", "ks", "--n", "{n}", "--seed", "0.123456789", "--cdf", "arcsine"],
      100000, 1.25, 450_000),
     (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "svg"],
      50000, 1.25, 750_000),
     (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "json"],
      50000, 20, 1_500_000),
-], ids=["rng-generate", "rng-ks", "cobweb-svg", "cobweb-json"])
+], ids=["rng-generate", "rng-generate-2n", "rng-ks", "cobweb-svg", "cobweb-json"])
 def test_orbit_stream_memory_ceilings(argv, n, doubles, constant, tmp_path):
     target = str(tmp_path / "out")
     # a small run first, untraced, for the imports and caches
@@ -571,6 +580,46 @@ def test_timing_flag_gives_number(capsys):
     code, out, _ = run_cli(["iterate", "--map", "tent", "--x0", "0.1", "--n", "1",
                             "--timing"], capsys)
     assert json.loads(out)["elapsed_ms"] >= 0.0
+
+
+def test_timing_covers_the_streamed_draw(monkeypatch, capsys):
+    # a fake clock: each reading and each value drawn take 1 ms, so the
+    # 51 values of --n 50 put elapsed_ms at 51 or more only if the time
+    # is taken after the writer has read the stream
+    ticks = [0]
+
+    def clock():
+        ticks[0] += 1
+        return (ticks[0] - 1) / 1000.0
+
+    def sample(n, seed, stage):
+        for v in rng_sample(n, seed, stage):
+            ticks[0] += 1
+            yield v
+
+    rng_sample = cli._rng_sample
+    monkeypatch.setattr(cli.time, "perf_counter", clock)
+    monkeypatch.setattr(cli, "_rng_sample", sample)
+    code, out, _ = run_cli(["rng", "generate", "--n", "50", "--timing"], capsys)
+    assert code == 0
+    assert json.loads(out)["elapsed_ms"] >= 51
+
+
+# rng generate writes its stream after run() has returned, which is safe
+# only because the stream cannot fail once logistic_values has checked
+# the seed and the count: no seed in (0, 1) leaves [0, 1] at any stage
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.sampled_from(["raw", "uniform", "square"]),
+       st.integers(1, 2000))
+@example(5e-324, "uniform", 2000)
+@example(math.nextafter(1.0, 0.0), "square", 2000)
+@example(math.nextafter(0.5, 0.0), "uniform", 10)
+@example(0.5, "square", 10)  # 1, then the fixed point 0
+@settings(deadline=None)
+def test_rng_stream_stays_in_the_unit_interval(seed, stage, n):
+    values = list(cli._rng_sample(n, seed, stage))
+    assert len(values) == n + 1
+    assert all(0.0 <= v <= 1.0 for v in values)
 
 
 def test_sensitivity_cli_csv(capsys):
@@ -1015,11 +1064,24 @@ def _failed_verdict(doc):
 @example(["rng", "ks", "--n", "2000", "--cdf", "uniform", "--tol", "1e-9"])
 @given(_fuzzed_argv(complete=True))
 def test_fuzzed_argv_keeps_the_verdict_contract(argv):
-    # exit 1 means a failed verdict and nothing else; exits 2 and 3 print nothing
+    # exit 1 means a failed verdict and nothing else; exits 2 and 3 print
+    # nothing, and leave an --output file as it was; exits 0 and 1 write
+    # it with what they print
     code, out = _stdout_of(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "out")
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write("earlier output\n")
+        assert _stdout_of(argv + ["--output", target]) == (code, "")
+        with open(target, encoding="utf-8") as handle:
+            written = handle.read()
     if code in (2, 3):
         assert out == ""
+        assert written == "earlier output\n"
         return
+    # only a measured time may differ between the two runs
+    timed = re.compile(r'"elapsed_ms": [^\n]*')
+    assert timed.sub("", written) == timed.sub("", out)
     if "--format" in argv:  # csv and svg carry no verdict: read the same run's json
         i = argv.index("--format")
         json_code, out = _stdout_of(argv[:i] + argv[i + 2:])

@@ -79,9 +79,13 @@ def test_a_subcommand_imports_only_what_it_runs(argv, unused):
 
 
 def test_an_rng_sample_imports_array():
-    # a sample is held as one array('d')
-    modules = imported("-m", "intervaldyn", "rng", "generate", "--n", "3", "--seed", "0.3")
+    # the KS sort holds its sample in array('d') chunks; rng generate
+    # writes the sample as it is drawn and holds none of it
+    modules = imported("-m", "intervaldyn", "rng", "ks", "--n", "3", "--seed", "0.3",
+                       "--cdf", "arcsine")
     assert "array" in modules
+    modules = imported("-m", "intervaldyn", "rng", "generate", "--n", "3", "--seed", "0.3")
+    assert "chaos_rng" in package_modules(modules) and "array" not in modules
 
 
 def test_a_residual_check_imports_array():

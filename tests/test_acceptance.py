@@ -465,6 +465,19 @@ _GOLDEN_EDGE_CASES = [
     ["density", "--map", "pwl:0,1e-10;0.5,1;1,1e-10", "--depth", "5"],
 ]
 
+# arguments that no case above sets, in json and csv only: each changes
+# the verdict or the result it sets
+_GOLDEN_ARGUMENT_CASES = [
+    ["closed-form", "check", "--formula", "boole", "--lo", "-1", "--hi", "1",
+     "--n-max", "6", "--samples", "100", "--tol", "1e-14"],
+    ["conjugacy", "semiverify", "--f", "quadratic", "--g", "pwl:0,0;10,20",
+     "--h", "cosine", "--lo", "0", "--hi", "10", "--samples", "500", "--tol", "1e-16"],
+    ["conjugacy", "order", "--map", "pwl:0,1;1,0", "--p-max", "1"],
+    ["conjugacy", "order", "--map", "conj:pwl:0,1;1,0|pwlh:0,0;0.2,0.3;0.7,0.6;1,1",
+     "--samples", "200", "--tol", "1e-17"],
+    ["density", "--map", "tent", "--depth", "6", "--threshold", "0.05"],
+]
+
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")
 
 # argparse wraps help text to the terminal width; the goldens are made and
@@ -493,9 +506,12 @@ _GOLDEN_USAGE_CASES = (
 
 def golden_argvs() -> list[list[str]]:
     """Every C15 and edge case in each output format (svg is a usage
-    error except for cobweb), then the help screens and usage errors."""
-    return [argv + ["--format", fmt] for argv in _CLI_DETERMINISM_CASES + _GOLDEN_EDGE_CASES
-            for fmt in ("json", "csv", "svg")] + [list(argv) for argv in _GOLDEN_USAGE_CASES]
+    error except for cobweb), then the help screens and usage errors, then
+    the argument cases in json and csv."""
+    return ([argv + ["--format", fmt] for argv in _CLI_DETERMINISM_CASES + _GOLDEN_EDGE_CASES
+             for fmt in ("json", "csv", "svg")] + [list(argv) for argv in _GOLDEN_USAGE_CASES]
+            + [argv + ["--format", fmt] for argv in _GOLDEN_ARGUMENT_CASES
+               for fmt in ("json", "csv")])
 
 
 def run_golden(argv: list[str]) -> tuple[int, str, str]:

@@ -155,11 +155,12 @@ class RunConfig(Frozen):
 class Arg:
     """One argument of a subcommand, in the order that --help, argparse's
     messages and the JSON inputs list them: the keywords argparse takes,
-    the reader run() applies to a map or homeo spec, and the check that
-    parse_args makes of the value."""
+    the reader run() applies to a map or homeo spec, and the check, or
+    tuple of checks, that parse_args makes of the value."""
 
-    def __init__(self, flag: str, spec: Optional[Callable] = None, check=None, **options):
-        self.flag, self.spec, self.check, self.options = flag, spec, check, options
+    def __init__(self, flag: str, spec: Optional[Callable] = None, check=(), **options):
+        self.flag, self.spec, self.options = flag, spec, options
+        self.checks = check if isinstance(check, tuple) else (check,)
         self.dest = flag[2:].replace("-", "_")
 
 
@@ -198,10 +199,14 @@ _P_MAX_CAP = _Cap(10**3)
 # a negative factor counts as 0, so that the library names the bad size
 _CELLS_CAP = _Cap(10**6, "--grid * (--depth + 1)",
                   lambda p: max(p["grid"], 0) * max(p["depth"] + 1, 0))
+# periodicity_order walks p steps from each grid point for each p up to
+# --p-max; the same budget of map steps as _ITERATE_CAP
+_ORDER_STEPS_CAP = _Cap(10**8, "--samples * --p-max * (--p-max + 1) / 2",
+                        lambda p: max(p["samples"], 0) * math.comb(max(p["p_max"], 0) + 1, 2))
 
 # parse_args makes the checks in this order, whatever the order of the
 # arguments, so that which error wins stays fixed; a check must be listed
-_CHECKS = (_positive, _finite, _SIZE_CAP, _ITERATE_CAP, _P_MAX_CAP, _CELLS_CAP)
+_CHECKS = (_positive, _finite, _SIZE_CAP, _ITERATE_CAP, _P_MAX_CAP, _CELLS_CAP, _ORDER_STEPS_CAP)
 
 # argparse alone takes "--x0 -1e-3" for an unknown option -1e-3
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
@@ -271,9 +276,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError("svg output is only available for the cobweb subcommand")
     _, _, args = COMMANDS[command]
     params = {arg.dest: getattr(ns, arg.dest) for arg in args}
-    checked = [arg for arg in args if arg.check]
-    for arg in sorted(checked, key=lambda arg: _CHECKS.index(arg.check)):
-        arg.check(arg, params)
+    checks = [(check, arg) for arg in args for check in arg.checks]
+    for check, arg in sorted(checks, key=lambda pair: _CHECKS.index(pair[0])):
+        check(arg, params)
     return RunConfig(command=command, params=params, fmt=ns.format,
                      output=ns.output, timing=ns.timing)
 
@@ -531,7 +536,7 @@ COMMANDS = {
         _TOL)),
     "conjugacy order": (_run_conjugacy_order, "smallest p with f^p = identity", (
         _MAP,
-        Arg("--p-max", check=_P_MAX_CAP, type=int, default=6),
+        Arg("--p-max", check=(_P_MAX_CAP, _ORDER_STEPS_CAP), type=int, default=6),
         Arg("--samples", check=_SIZE_CAP, type=int, default=1000),
         Arg("--tol", check=_positive, type=float, default=1e-10))),
     "conjugacy propagate": (

@@ -39,15 +39,6 @@ def _characteristic_roots(x: float) -> tuple[complex, complex]:
     return complex(x, s), complex(x, -s)
 
 
-def herschel_constant(x: float) -> complex:
-    """C = x + sqrt(x^2 - 1) with the principal complex root when x^2 < 1,
-    the larger characteristic root; its product with the conjugate root
-    x - sqrt(x^2 - 1) is exactly 1."""
-    if not math.isfinite(x):
-        raise DomainError(f"need a finite argument, got {x!r}")
-    return _characteristic_roots(x)[0]
-
-
 def _herschel_values(x: float, n_max: int) -> Iterator[float]:
     """herschel_iterate(x, n) for n = 0..n_max, from one squaring chain.
     The pair of roots stays exactly conjugate, or real, so for a real x

@@ -75,7 +75,9 @@ def _snapped(raw: Callable[[float], float],
 
 class Conflict(Frozen):
     """Evidence that no single-valued change of coordinates fits the data:
-    two arguments that coincide on one side while their images stand apart."""
+    two f-orbit values, left <= right, that collide while the values paired
+    with them stand image_gap apart; step, when known, is the first step at
+    which an orbit reaches left."""
 
     left: float
     right: float
@@ -84,8 +86,24 @@ class Conflict(Frozen):
 
     def __str__(self) -> str:
         where = f" at step {self.step}" if self.step is not None else ""
-        return (f"conflict{where}: arguments {self.left!r} and {self.right!r} "
+        return (f"conflict{where}: values {self.left!r} and {self.right!r} "
                 f"collide while images differ by {self.image_gap!r}")
+
+
+def _first_collision(entries: list[tuple[float, float]], tol: float) -> Optional[Conflict]:
+    """The one obstruction rule. Sort the (x, y) entries in place and return
+    the first two, in that order, whose x values lie within tol while their
+    y values stand more than 10*tol apart, as a Conflict between the two x
+    values; None when no two entries do."""
+    entries.sort()
+    for i in range(len(entries)):
+        j = i + 1
+        while j < len(entries) and entries[j][0] - entries[i][0] < tol:
+            gap = abs(entries[j][1] - entries[i][1])
+            if gap > 10.0 * tol:
+                return Conflict(left=entries[i][0], right=entries[j][0], image_gap=gap)
+            j += 1
+    return None
 
 
 def verify_conjugacy(
@@ -176,28 +194,26 @@ def orbit_consistency(
     n: int,
     tol: float,
 ) -> Optional[Conflict]:
-    """Test whether a putative pairing a -> b between f-arguments and
-    g-arguments can extend to a function intertwining the two maps.
+    """Test whether a putative pairing a -> b between f-values and g-values
+    can extend to a function intertwining the two maps.
 
-    If two f-orbits collide at step k (within tol) while the paired
-    g-orbits stay at least 10*tol apart, no single-valued h can map one
-    side onto the other; the offending step is reported. Returns None
-    when no such obstruction shows up.
+    The entries (f^k(a), g^k(b)), k = 0..n, of every pair go through
+    _first_collision, so a collision of two orbits or within one, at one
+    step or at two, counts. The Conflict's step is the first step at which
+    an f-orbit, pairs taken in argument order, reaches left. Returns None
+    when no obstruction shows up.
     """
     n = check_count(n, "step count", 0)
     check_positive(tol, "tolerance")
-    f_orbits, g_orbits = [], []
+    entries: list[tuple[float, float]] = []
     for a, b in pairs:
-        f_orbits.append(list(trajectory(f, a, n)))
-        g_orbits.append(list(trajectory(g, b, n)))
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            for k in range(n + 1):
-                if abs(f_orbits[i][k] - f_orbits[j][k]) < tol:
-                    gap = abs(g_orbits[i][k] - g_orbits[j][k])
-                    if gap >= 10.0 * tol:
-                        return Conflict(left=pairs[i][0], right=pairs[j][0], image_gap=gap, step=k)
-    return None
+        entries.extend(zip(trajectory(f, a, n), trajectory(g, b, n)))
+    conflict = _first_collision(entries, tol)
+    if conflict is None:
+        return None
+    step = next(k for a, _ in pairs for k, x in enumerate(trajectory(f, a, n))
+                if x == conflict.left)
+    return Conflict(conflict.left, conflict.right, conflict.image_gap, step)
 
 
 def propagate_partial_conjugacy(
@@ -215,10 +231,10 @@ def propagate_partial_conjugacy(
     A value h(x) = y forces h(f^k(x)) = g^k(y), so seeding h on
     [seed_lo, seed_hi] determines it on every forward image of the seed.
     The table {(f^k(x), g^k(h_seed(x)))} is returned sorted by first
-    coordinate, unless two entries collide within tol on the first
-    coordinate while standing more than 10*tol apart on the second, in
-    which case the propagation is self-contradictory and the collision
-    is returned instead. An orbit that leaves its domain raises DomainError.
+    coordinate, unless _first_collision finds two entries that contradict
+    each other, in which case the propagation is self-contradictory and
+    that Conflict, with no step, is returned instead. An orbit that leaves
+    its domain raises DomainError.
     """
     depth = check_count(depth, "depth")
     grid = check_samples(grid, "seed points")
@@ -227,12 +243,5 @@ def propagate_partial_conjugacy(
     entries: list[tuple[float, float]] = []
     for x in linspace(seed_lo, seed_hi, grid):
         entries.extend(zip(trajectory(f, x, depth), trajectory(g, apply_homeo(h_seed, x), depth)))
-    entries.sort()
-    for i in range(len(entries)):
-        j = i + 1
-        while j < len(entries) and entries[j][0] - entries[i][0] < tol:
-            gap = abs(entries[j][1] - entries[i][1])
-            if gap > 10.0 * tol:
-                return Conflict(left=entries[i][0], right=entries[j][0], image_gap=gap)
-            j += 1
-    return entries
+    conflict = _first_collision(entries, tol)
+    return entries if conflict is None else conflict

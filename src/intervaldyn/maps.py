@@ -351,19 +351,3 @@ def parse_map_spec(spec: str) -> MapDescriptor:
         return Conjugated(parse_map_spec(base), parse_homeo_spec(change))
     return _parse_family(s, _FAMILIES, "map")
 
-
-# --- convenience builders used by tests and the CLI -------------------------
-
-
-def reflect_map() -> PiecewiseLinear:
-    """x -> 1 - x on [0, 1] as a map descriptor."""
-    return PiecewiseLinear([(0.0, 1.0), (1.0, 0.0)])
-
-
-def identity_map(lo: float = 0.0, hi: float = 1.0) -> PiecewiseLinear:
-    return PiecewiseLinear([(lo, lo), (hi, hi)])
-
-
-def affine_map(p: float, q: float, lo: float, hi: float) -> PiecewiseLinear:
-    """x -> p x + q restricted to [lo, hi], realized exactly on two knots."""
-    return PiecewiseLinear([(lo, p * lo + q), (hi, p * hi + q)])

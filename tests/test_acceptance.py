@@ -17,16 +17,16 @@ import time
 
 from intervaldyn import (Affine, AlphaArcsin, CompositionH, Conflict, Conjugated,
                          Cosine, Doubling, FixedPointWord, HalfTent, Hyperbola,
-                         Logistic, Mobius, Power, Quadratic, SineSquared, Tent,
-                         UlamArcsin, affine_map, apply_homeo, arcsine_cdf,
+                         Logistic, Mobius, PiecewiseLinear, Power, Quadratic,
+                         SineSquared, Tent, UlamArcsin, apply_homeo, arcsine_cdf,
                          boole_iterate, cobweb_path, crosscheck_closed_form,
                          doubling_collapse, eval_map,
                          fractional_iterate_hyperbola,
                          fractional_iterate_quadratic, herschel_iterate,
                          herschel_relation_residual, hyperbola_iterate,
-                         identity_map, iterate, ks_distance, orbit_consistency,
+                         iterate, ks_distance, orbit_consistency,
                          periodicity_order, propagate_partial_conjugacy,
-                         reflect_map, verify_conjugacy, verify_semiconjugacy,
+                         verify_conjugacy, verify_semiconjugacy,
                          zero_preimage_set)
 from intervaldyn.chaos_rng import DEFAULT_SEED
 from intervaldyn.cli import COMMANDS, _rng_sample, main
@@ -127,7 +127,7 @@ def test_c05_fractional_iterates():
 
 
 def test_c06_semiconjugacies():
-    cos_leg = verify_semiconjugacy(Quadratic(), affine_map(2.0, 0.0, 0.0, 10.0),
+    cos_leg = verify_semiconjugacy(Quadratic(), PiecewiseLinear([(0.0, 0.0), (10.0, 20.0)]),
                                    Cosine(), 0.0, 10.0, 10**4)
     sin_leg = verify_semiconjugacy(Logistic(), Doubling(), SineSquared(),
                                    0.0, 1.0, 10**4)
@@ -162,8 +162,9 @@ def test_c07_mobius_family():
 
 def test_c08_periodicity_orders():
     rng = random.Random(20250808)
-    ok = periodicity_order(reflect_map(), 5, 10**3, 1e-10) == 2
-    ok = ok and periodicity_order(identity_map(), 5, 10**3, 1e-10) == 1
+    reflect = PiecewiseLinear([(0.0, 1.0), (1.0, 0.0)])
+    ok = periodicity_order(reflect, 5, 10**3, 1e-10) == 2
+    ok = ok and periodicity_order(PiecewiseLinear([(0.0, 0.0), (1.0, 1.0)]), 5, 10**3, 1e-10) == 1
     for trial in range(10):
         if trial % 2 == 0:
             h = Power(rng.uniform(0.4, 3.0))
@@ -172,7 +173,7 @@ def test_c08_periodicity_orders():
             xs = sorted(rng.uniform(0.05, 0.95) for _ in range(k))
             ys = sorted(rng.uniform(0.05, 0.95) for _ in range(k))
             h = PiecewiseLinearHomeo([(0.0, 0.0)] + list(zip(xs, ys)) + [(1.0, 1.0)])
-        ok = ok and periodicity_order(Conjugated(reflect_map(), h), 5, 10**3, 1e-10) == 2
+        ok = ok and periodicity_order(Conjugated(reflect, h), 5, 10**3, 1e-10) == 2
     ok = ok and periodicity_order(Logistic(), 6, 10**3, 1e-10) is None
     ok = ok and periodicity_order(Tent(), 6, 10**3, 1e-10) is None
     report("C08 periodicity orders", ok,
@@ -181,7 +182,7 @@ def test_c08_periodicity_orders():
 
 def test_c09_fold_obstruction():
     conflict = orbit_consistency(Logistic(), Tent(), [(0.3, 0.3), (0.7, 0.6)], 1, 1e-9)
-    ok = isinstance(conflict, Conflict) and conflict.step == 1
+    ok = isinstance(conflict, Conflict) and conflict.left == 0.84 and conflict.step == 1
 
     h = UlamArcsin()
     table = propagate_partial_conjugacy(Logistic(), Tent(), 0.1, 0.11, h, 6, 41, 1e-3)
@@ -189,7 +190,8 @@ def test_c09_fold_obstruction():
     worst = max(abs(y - apply_homeo(h, x)) for x, y in table) if ok else math.inf
     ok = ok and worst < 1e-9
     report("C09 fold obstruction and propagation", ok,
-           f"(0.3, 0.7) conflict at step 1; true-seed table stays {worst:.3e} < 1e-9 off its graph")
+           f"the orbits of 0.3 and 0.7 collide at 0.84 at step 1; "
+           f"true-seed table stays {worst:.3e} < 1e-9 off its graph")
 
 
 def test_c10_cobweb_convergence():
@@ -476,6 +478,8 @@ _GOLDEN_ARGUMENT_CASES = [
     ["conjugacy", "order", "--map", "conj:pwl:0,1;1,0|pwlh:0,0;0.2,0.3;0.7,0.6;1,1",
      "--samples", "200", "--tol", "1e-17"],
     ["density", "--map", "tent", "--depth", "6", "--threshold", "0.05"],
+    # each argument within its cap, and the map steps of the whole check over theirs
+    ["conjugacy", "order", "--map", "tent", "--p-max", "1000", "--samples", "1000000"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

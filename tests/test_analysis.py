@@ -4,8 +4,8 @@ import tracemalloc
 import pytest
 
 from intervaldyn import (Conjugated, Cosine, Logistic, ParameterError, PiecewiseLinear,
-                         Power, Tent, Unimodal, cobweb_path, density_report,
-                         identity_map, orbit, zero_preimage_set)
+                         Power, Tent, Unimodal, cobweb_path, density_report, orbit,
+                         zero_preimage_set)
 
 
 def _truncated_tent():
@@ -111,7 +111,7 @@ def test_zero_preimage_levels_match_each_depth(g2):
 
 def test_zero_preimage_rejects_non_tent_shapes():
     with pytest.raises(ParameterError):
-        zero_preimage_set(identity_map(), 3)  # no interior maximum
+        zero_preimage_set(PiecewiseLinear([(0.0, 0.0), (1.0, 1.0)]), 3)  # no interior maximum
     with pytest.raises(ParameterError):
         zero_preimage_set(Cosine(), 3)  # wrong domain
     with pytest.raises(ParameterError):

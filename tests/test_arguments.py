@@ -13,20 +13,21 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from intervaldyn import (DomainError, Doubling, FixedPointWord, Interval, Logistic,
-                         MapDescriptor, Mobius, ParameterError, Quadratic,
+                         MapDescriptor, Mobius, ParameterError, PiecewiseLinear, Quadratic,
                          RangeError, Reflect, SineSquared, Tent, UlamArcsin, boole_iterate,
                          cobweb_path, crosscheck_closed_form, density_report,
                          doubling_collapse, fixed_points, fractional_iterate_hyperbola,
                          fractional_iterate_quadratic, herschel_iterate,
                          herschel_relation_residual, hyperbola_iterate, iterate, orbit,
                          orbit_consistency, periodicity_order, propagate_partial_conjugacy,
-                         reflect_map, sensitivity_report, verify_conjugacy,
+                         sensitivity_report, verify_conjugacy,
                          verify_semiconjugacy, zero_preimage_set)
 from intervaldyn.chaos_rng import logistic_values
 from intervaldyn.errors import check_cap, check_count, check_interval, check_samples
 from intervaldyn.interval import UNIT, linspace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REFLECT = PiecewiseLinear([(0.0, 1.0), (1.0, 0.0)])  # x -> 1 - x
 
 
 def test_tolerance_and_threshold_messages():
@@ -65,7 +66,7 @@ _COUNTED = {
     "sensitivity_report": lambda n: sensitivity_report(Logistic(), 0.3, 1e-9, n),
     "cobweb_path": lambda n: cobweb_path(Logistic(), 0.3, n),
     "zero_preimage_set": lambda n: zero_preimage_set(Tent(), n),
-    "periodicity_order": lambda n: periodicity_order(reflect_map(), n, 10),
+    "periodicity_order": lambda n: periodicity_order(REFLECT, n, 10),
     "orbit_consistency": lambda n: orbit_consistency(Logistic(), Tent(), [(0.3, 0.4)], n, 1e-9),
     "propagate_partial_conjugacy": lambda n: propagate_partial_conjugacy(
         Logistic(), Tent(), 0.1, 0.2, UlamArcsin(), n, 5, 1e-3),
@@ -100,7 +101,7 @@ _TOLERANCES = {
     "orbit_consistency": lambda tol: orbit_consistency(Logistic(), Tent(), [(0.3, 0.4)], 2, tol),
     "propagate_partial_conjugacy": lambda tol: propagate_partial_conjugacy(
         Logistic(), Tent(), 0.1, 0.2, UlamArcsin(), 2, 5, tol),
-    "periodicity_order": lambda tol: periodicity_order(reflect_map(), 2, 10, tol),
+    "periodicity_order": lambda tol: periodicity_order(REFLECT, 2, 10, tol),
 }
 
 
@@ -140,7 +141,7 @@ _SAMPLED = {
     "verify_conjugacy": lambda n: verify_conjugacy(Logistic(), Tent(), UlamArcsin(), n),
     "verify_semiconjugacy": lambda n: verify_semiconjugacy(
         Logistic(), Doubling(), SineSquared(), 0.0, 1.0, n),
-    "periodicity_order": lambda n: periodicity_order(reflect_map(), 2, n),
+    "periodicity_order": lambda n: periodicity_order(REFLECT, 2, n),
     "crosscheck_closed_form": lambda n: crosscheck_closed_form(
         Quadratic(), boole_iterate, -1.0, 1.0, 2, n),
     "herschel_relation_residual": lambda n: herschel_relation_residual(

@@ -945,7 +945,10 @@ _CAPPED = [
     (["conjugacy", "order", "--map", "pwl:0,1;1,0"], "--samples",
      ["--samples", "1000000"], ["--samples", "1000001"]),
     (["conjugacy", "order", "--map", "pwl:0,1;1,0"], "--p-max",
-     ["--p-max", "1000"], ["--p-max", "1001"]),
+     ["--p-max", "1000", "--samples", "199"], ["--p-max", "1001", "--samples", "199"]),
+    # no product of --samples and a triangular number is 10^8 itself
+    (["conjugacy", "order", "--map", "pwl:0,1;1,0"], "--samples * --p-max * (--p-max + 1) / 2",
+     ["--p-max", "1000", "--samples", "199"], ["--p-max", "1000", "--samples", "200"]),
     (["conjugacy", "propagate", "--f", "logistic", "--g", "tent", "--h", "ulam",
       "--lo", "0.1", "--hi", "0.2"], "--grid * (--depth + 1)",
      ["--grid", "100000", "--depth", "9"], ["--grid", "100001", "--depth", "9"]),
@@ -965,8 +968,8 @@ def test_size_caps_reject_before_computing(base, size, at_cap, over_cap, capsys)
 
 
 def test_size_caps_table_is_tested():
-    table = {(name, arg.check.size or arg.flag) for name, (_, _, args) in COMMANDS.items()
-             for arg in args if isinstance(arg.check, _Cap)}
+    table = {(name, check.size or arg.flag) for name, (_, _, args) in COMMANDS.items()
+             for arg in args for check in arg.checks if isinstance(check, _Cap)}
     tested = {(parse_args(base + at_cap).command, size) for base, size, at_cap, _ in _CAPPED}
     assert tested == table
 

@@ -5,10 +5,17 @@ import pytest
 from intervaldyn import (DomainError, Hyperbola, ParameterError, Quadratic,
                          RangeError, boole_iterate, crosscheck_closed_form,
                          eval_map, fractional_iterate_hyperbola,
-                         fractional_iterate_quadratic, herschel_constant,
-                         herschel_iterate, hyperbola_iterate, iterate)
+                         fractional_iterate_quadratic, herschel_iterate,
+                         hyperbola_iterate, iterate)
+from intervaldyn.closed_form import _characteristic_roots
 
 SQRT3 = math.sqrt(3.0)
+
+
+def herschel_constant(x):
+    """C = x + sqrt(x^2 - 1), the principal complex root when x^2 < 1: the
+    larger characteristic root, whose powers give herschel_iterate."""
+    return _characteristic_roots(x)[0]
 
 
 def test_herschel_constant_examples():

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from intervaldyn import (Affine, AlphaArcsin, Conflict, Conjugated, Cosine, DomainError,
-                         HalfTent, Logistic, Mobius, ParameterError, Power, Quadratic,
-                         Reflect, Tent, UlamArcsin, affine_map, apply_homeo,
-                         eval_map, herschel_relation_residual, identity_map, iterate,
-                         orbit_consistency, periodicity_order,
-                         propagate_partial_conjugacy, reflect_map,
-                         verify_conjugacy, verify_semiconjugacy)
+                         HalfTent, Logistic, Mobius, ParameterError, PiecewiseLinear, Power,
+                         Quadratic, Reflect, Tent, UlamArcsin, apply_homeo, eval_map,
+                         herschel_relation_residual, iterate, orbit_consistency,
+                         periodicity_order, propagate_partial_conjugacy, verify_conjugacy,
+                         verify_semiconjugacy)
 from intervaldyn.homeos import PiecewiseLinearHomeo
+
+REFLECT = PiecewiseLinear([(0.0, 1.0), (1.0, 0.0)])  # x -> 1 - x
+IDENTITY = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0)])
 
 
 def test_verify_conjugacy_logistic_tent():
@@ -60,7 +62,7 @@ def test_conjugate_map_round_trip_property():
 
 
 def test_verify_semiconjugacy_cosine_double_angle():
-    doubling_line = affine_map(2.0, 0.0, 0.0, 10.0)
+    doubling_line = PiecewiseLinear([(0.0, 0.0), (10.0, 20.0)])
     report = verify_semiconjugacy(Quadratic(), doubling_line, Cosine(), 0.0, 10.0, 10**4)
     assert report.max_residual < 1e-12
 
@@ -72,7 +74,7 @@ def test_verify_semiconjugacy_sin_squared():
 
 
 def test_verify_semiconjugacy_identity():
-    report = verify_semiconjugacy(Tent(), Tent(), identity_map(), 0.0, 1.0, 10**3)
+    report = verify_semiconjugacy(Tent(), Tent(), IDENTITY, 0.0, 1.0, 10**3)
     assert report.max_residual == 0.0
 
 
@@ -87,9 +89,9 @@ def test_iterated_commutation():
 
 
 def test_periodicity_order_examples():
-    assert periodicity_order(reflect_map(), 5, 10**3, 1e-12) == 2
-    assert periodicity_order(identity_map(), 5, 10**3, 1e-12) == 1
-    conj = Conjugated(reflect_map(), Power(2.0))
+    assert periodicity_order(REFLECT, 5, 10**3, 1e-12) == 2
+    assert periodicity_order(IDENTITY, 5, 10**3, 1e-12) == 1
+    conj = Conjugated(REFLECT, Power(2.0))
     assert periodicity_order(conj, 5, 10**3, 1e-10) == 2
     assert periodicity_order(Logistic(), 6, 10**3, 1e-10) is None
     assert periodicity_order(Tent(), 6, 10**3, 1e-10) is None
@@ -98,8 +100,8 @@ def test_periodicity_order_examples():
 def test_periodicity_order_preserved_by_conjugation():
     # order-p maps stay order-p in any coordinates (p = 1 and 2)
     for h in (Power(2.0), Power(0.5), PiecewiseLinearHomeo([(0.0, 0.0), (0.7, 0.2), (1.0, 1.0)])):
-        assert periodicity_order(Conjugated(identity_map(), h), 5, 200, 1e-9) == 1
-        assert periodicity_order(Conjugated(reflect_map(), h), 5, 200, 1e-9) == 2
+        assert periodicity_order(Conjugated(IDENTITY, h), 5, 200, 1e-9) == 1
+        assert periodicity_order(Conjugated(REFLECT, h), 5, 200, 1e-9) == 2
 
 
 def test_mobius_involution_examples():
@@ -230,4 +232,4 @@ def test_conjugacy_report_argmax_consistency():
 
 def test_semiconjugacy_domain_error_reports_point():
     with pytest.raises(DomainError):
-        verify_semiconjugacy(Logistic(), Tent(), identity_map(), 0.0, 2.0, 100)
+        verify_semiconjugacy(Logistic(), Tent(), IDENTITY, 0.0, 2.0, 100)

@@ -279,18 +279,24 @@ def ref_periodicity_order(m, p_max, samples, tol):
 
 
 def ref_orbit_consistency(f, g, pairs, n, tol):
-    f_orbits, g_orbits = [], []
-    for a, b in pairs:
-        f_orbits.append([ref_iterate(f, a, k) for k in range(n + 1)])
-        g_orbits.append([ref_iterate(g, b, k) for k in range(n + 1)])
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            for k in range(n + 1):
-                if abs(f_orbits[i][k] - f_orbits[j][k]) < tol:
-                    gap = abs(g_orbits[i][k] - g_orbits[j][k])
-                    if gap >= 10.0 * tol:
-                        return Conflict(left=pairs[i][0], right=pairs[j][0], image_gap=gap, step=k)
-    return None
+    """The obstruction rule by brute force: every two entries (f^k(a), g^k(b)),
+    across pairs and steps, are compared, with no early break. Of the two
+    entries of each conflict taken in sorted order, the conflict whose pair
+    sorts first is reported, at the first step, pairs taken in argument
+    order, at which an f-orbit reaches its left value."""
+    entries = [(ref_iterate(f, a, k), ref_iterate(g, b, k)) for a, b in pairs
+               for k in range(n + 1)]
+    conflicts = []
+    for i, p in enumerate(entries):
+        for q in entries[:i]:
+            lo, hi = sorted([p, q])
+            if hi[0] - lo[0] < tol and abs(hi[1] - lo[1]) > 10.0 * tol:
+                conflicts.append((lo, hi))
+    if not conflicts:
+        return None
+    lo, hi = min(conflicts)
+    step = next(k for a, _ in pairs for k in range(n + 1) if ref_iterate(f, a, k) == lo[0])
+    return Conflict(left=lo[0], right=hi[0], image_gap=abs(hi[1] - lo[1]), step=step)
 
 
 def ref_levels(m, v, depth):
@@ -872,6 +878,25 @@ def test_orbit_consistency_matches_per_n_iterate():
     ]
     for case in cases:
         assert outcome(orbit_consistency, *case) == outcome(ref_orbit_consistency, *case), case
+
+
+# seeds that collide at once or after a step or two (the tent map sends
+# dyadic seeds to 0), and maps that fold, that fix every point, and that
+# leave the unit interval
+_CONSISTENCY_SEEDS = st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.7, 0.75, 1.0]) | st.floats(0.0, 1.0)
+_CONSISTENCY_MAPS = st.sampled_from(["logistic", "tent", "pwl:0,0;0.4,1;1,0", "pwl:0,0;1,1",
+                                     "pwl:0,1;0.5,0.5;1,0", "pwl:0,0.5;1,1.5"])
+
+
+@given(_CONSISTENCY_MAPS, _CONSISTENCY_MAPS,
+       st.lists(st.tuples(_CONSISTENCY_SEEDS, _CONSISTENCY_SEEDS), min_size=1, max_size=5),
+       st.integers(0, 6), st.integers(-12, -1), st.floats(1.0, 10.0))
+@example("tent", "tent", [(0.3, 0.0), (0.3, 0.1)], 0, -2, 1.0)  # a gap of exactly 10*tol
+@example("tent", "tent", [(0.3, 0.0), (0.3, 0.1000000000000001)], 0, -2, 1.0)
+def test_orbit_consistency_matches_every_pair_of_entries(f, g, pairs, n, exponent, mantissa):
+    tol = min(mantissa * 10.0**exponent, 0.1)
+    case = (parse_map_spec(f), parse_map_spec(g), pairs, n, tol)
+    assert outcome(orbit_consistency, *case) == outcome(ref_orbit_consistency, *case)
 
 
 def largest_gap(points):

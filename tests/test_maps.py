@@ -6,8 +6,7 @@ import pytest
 from intervaldyn import (Conjugated, Cosine, DomainError, Doubling,
                          HalfTent, Hyperbola, Logistic, ParameterError,
                          PiecewiseLinear, Power, Quadratic, SineSquared, Tent,
-                         Unimodal, Verhulst, affine_map, eval_map, fixed_points,
-                         identity_map, iterate, orbit, reflect_map,
+                         Unimodal, Verhulst, eval_map, fixed_points, iterate, orbit,
                          sensitivity_report)
 from intervaldyn.homeos import (AlphaArcsin, PiecewiseLinearHomeo, Reflect, UlamArcsin,
                                invert_homeo)
@@ -245,18 +244,18 @@ def test_determinism():
     assert iterate(m, 0.37, 17) == iterate(m, 0.37, 17)
 
 
-def test_convenience_builders():
-    assert eval_map(reflect_map(), 0.3) == 0.7
-    assert eval_map(identity_map(), 0.42) == 0.42
-    assert eval_map(affine_map(2.0, 0.0, 0.0, 10.0), 3.25) == 6.5
+def test_two_knot_piecewise_linear_maps():
+    assert eval_map(PiecewiseLinear([(0.0, 1.0), (1.0, 0.0)]), 0.3) == 0.7
+    assert eval_map(PiecewiseLinear([(0.0, 0.0), (1.0, 1.0)]), 0.42) == 0.42
+    assert eval_map(PiecewiseLinear([(0.0, 0.0), (10.0, 20.0)]), 3.25) == 6.5
     # the knots reject an empty or reversed interval and a NaN end
     for lo, hi in ((1.0, 0.0), (0.5, 0.5)):
         with pytest.raises(ParameterError, match="^knot abscissae must be strictly increasing$"):
-            affine_map(2.0, 0.0, lo, hi)
+            PiecewiseLinear([(lo, 2.0 * lo), (hi, 2.0 * hi)])
     for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ParameterError, match="^knots must be finite$"):
-            affine_map(2.0, 0.0, lo, hi)
-    r = reflect_map()
+            PiecewiseLinear([(lo, 2.0 * lo), (hi, 2.0 * hi)])
+    r = PiecewiseLinear([(0.0, 1.0), (1.0, 0.0)])
     # 1 - (1 - x) is not bit-exact for x without an exact complement
     assert eval_map(r, eval_map(r, 0.3)) == pytest.approx(0.3, abs=1e-15)
 
@@ -270,7 +269,7 @@ def test_describe_round_trips_identity():
 
 def test_reflect_homeo_matches_reflect_map():
     from intervaldyn.homeos import apply_homeo
-    r_h, r_m = Reflect(), reflect_map()
+    r_h, r_m = Reflect(), PiecewiseLinear([(0.0, 1.0), (1.0, 0.0)])
     for i in range(101):
         x = i / 100
         assert apply_homeo(r_h, x) == eval_map(r_m, x)

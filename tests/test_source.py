@@ -1,12 +1,16 @@
-"""Every name a package module imports is used in that module, and every
-private name a module defines at its top level is used in the package.
+"""Every name a package module imports is used in that module, every
+private name a module defines at its top level is used in the package,
+and every public name is read by another module or allowlisted.
 
 Each module is parsed with ast, never imported. An import at any level
 counts, a function-local one included, and a use anywhere in the module
 counts as its use. A private name (_function, _Class, _CONSTANT) counts
 as used when some module of the package reads it, by name or as an
 attribute, outside the definition that binds it; so a helper whose last
-caller is deleted fails the check.
+caller is deleted fails the check. A public name (one that __init__'s
+_EXPORTS table serves) counts as used when a module other than its own
+reads it, by name or as an attribute; each other one needs an entry in
+PUBLIC_ONLY, so that a new public name comes with a reason.
 """
 
 import ast
@@ -104,3 +108,82 @@ def test_the_check_sees_an_orphaned_private_name():
                                "def public():\n    return _start(), _PAIRED\n"),
              "b.py": ast.parse("from . import a\nkept = a._Kept\n")}
     assert orphaned_private_names(trees) == {"a.py": ["_ORPHAN", "_recursive"]}
+
+
+# the public names that no other module reads, each with the reason it is
+# public: a spec family that the CLI reaches by name, the type of a result
+# or an error that a public function gives its caller, or a paper claim
+PUBLIC_ONLY = {
+    "CobwebPath": "cobweb_path returns it",
+    "DensityReport": "density_report returns it",
+    "PreimageSet": "zero_preimage_set returns it",
+    "DistributionSpec": "square_distribution returns it",
+    "CrosscheckReport": "crosscheck_closed_form returns it",
+    "ConjugacyReport": "verify_conjugacy and verify_semiconjugacy return it",
+    "Orbit": "orbit returns it",
+    "RangeError": "every size over its cap raises it, so a caller can catch it by name",
+    "fractional_iterate_hyperbola": "C05, the fractional iterates of the hyperbola map",
+    "fractional_iterate_quadratic": "C05, the fractional iterates of 2x^2 - 1",
+    "herschel_relation_residual": "C07, the functional relation of the Mobius family",
+    "orbit_consistency": "C09, the fold obstruction",
+    "Affine": "the homeo spec family affine:p=,q=",
+    "AlphaArcsin": "the homeo spec family alpha",
+    "CompositionH": "the homeo spec form (h1 o h2)",
+    "Mobius": "the homeo spec family mobius:a=,b=",
+    "PiecewiseLinearHomeo": "the homeo spec family pwlh:",
+    "Power": "the homeo spec family power:g=",
+    "Reflect": "the homeo spec family reflect",
+    "Conjugated": "the map spec form conj:<map>|<homeo>",
+    "Cosine": "the map spec family cosine",
+    "Doubling": "the map spec family doubling",
+    "HalfTent": "the map spec family halftent",
+    "SineSquared": "the map spec family sinsq",
+    "Verhulst": "the map spec family verhulst:m=,n=",
+}
+
+
+def exported_names(init: ast.Module) -> dict[str, str]:
+    """Each public name of __init__'s _EXPORTS table, with its module."""
+    for node in init.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_EXPORTS"]:
+            exports = ast.literal_eval(node.value)
+            return {name: module for module, names in exports.items() for name in names}
+    raise AssertionError("__init__.py has no _EXPORTS table")
+
+
+def orphaned_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    """The public names that no module other than their own reads."""
+    readers = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                readers.setdefault(node.id, set()).add(module)
+            elif isinstance(node, ast.Attribute):
+                readers.setdefault(node.attr, set()).add(module)
+    return sorted(name for name, module in exported_names(trees["__init__.py"]).items()
+                  if not readers.get(name, set()) - {module + ".py"})
+
+
+def test_every_public_name_is_read_or_allowlisted():
+    trees = {}
+    for path in MODULES:
+        with open(path, encoding="utf-8") as f:
+            trees[os.path.basename(path)] = ast.parse(f.read(), filename=path)
+    orphans = set(orphaned_public_names(trees))
+    assert not orphans - set(PUBLIC_ONLY), \
+        f"public names that no other module reads, and that PUBLIC_ONLY does not list: " \
+        f"{sorted(orphans - set(PUBLIC_ONLY))}"
+    assert not set(PUBLIC_ONLY) - orphans, \
+        f"PUBLIC_ONLY lists names that are not public or that another module reads: " \
+        f"{sorted(set(PUBLIC_ONLY) - orphans)}"
+
+
+def test_the_check_sees_an_orphaned_public_name():
+    trees = {"__init__.py": ast.parse('_EXPORTS = {"a": ("used", "attribute", "orphan", '
+                                      '"self_read"), "b": ("B",)}\n'),
+             "a.py": ast.parse("def used():\n    pass\ndef attribute():\n    pass\n"
+                               "def orphan():\n    pass\ndef self_read():\n    pass\n"
+                               "x = self_read()\n"),
+             "b.py": ast.parse("from .a import used\nfrom . import a\nclass B:\n    pass\n"
+                               "y = used(), a.attribute(), B\n")}
+    assert orphaned_public_names(trees) == ["B", "orphan", "self_read"]

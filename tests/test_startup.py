@@ -22,7 +22,7 @@ EXPORTS = {
                   "doubling_collapse", "ks_distance", "square_distribution"],
     "closed_form": ["CrosscheckReport", "boole_iterate", "crosscheck_closed_form",
                     "fractional_iterate_hyperbola", "fractional_iterate_quadratic",
-                    "herschel_constant", "herschel_iterate", "hyperbola_iterate"],
+                    "herschel_iterate", "hyperbola_iterate"],
     "conjugacy": ["Conflict", "ConjugacyReport", "herschel_relation_residual",
                   "orbit_consistency", "periodicity_order", "propagate_partial_conjugacy",
                   "verify_conjugacy", "verify_semiconjugacy"],
@@ -34,8 +34,8 @@ EXPORTS = {
     "interval": ["Interval"],
     "maps": ["Conjugated", "Cosine", "Doubling", "HalfTent", "Hyperbola", "Logistic",
              "MapDescriptor", "Orbit", "PiecewiseLinear", "Quadratic", "SineSquared", "Tent",
-             "Unimodal", "Verhulst", "affine_map", "eval_map", "fixed_points", "identity_map",
-             "iterate", "orbit", "reflect_map", "sensitivity_report"],
+             "Unimodal", "Verhulst", "eval_map", "fixed_points", "iterate", "orbit",
+             "sensitivity_report"],
 }
 
 

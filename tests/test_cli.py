@@ -798,6 +798,11 @@ _FAULTS = [
     (["conjugacy", "propagate", "--f", "pwl:0,0;1,2", "--g", "tent", "--h", "ulam", "--lo", "0.6",
       "--hi", "0.7", "--depth", "1", "--grid", "3"], 3,
      "error: iterate 1 escaped the domain: 1.2 lies outside [0.0, 1.0]"),
+    # order's step cap is checked after the argument caps, and wins over the spec
+    (["conjugacy", "order", "--map", "pwl:0,1;1,0", "--p-max", "1001", "--samples", "1000000"],
+     3, "error: --p-max 1001 exceeds the cap of 1000"),
+    (["conjugacy", "order", "--map", "nosuch", "--p-max", "1000", "--samples", "200"], 3,
+     "error: --samples * --p-max * (--p-max + 1) / 2 100100000 exceeds the cap of 100000000"),
 ]
 
 
@@ -959,7 +964,7 @@ _CAPPED = [
                          ids=[f"{' '.join(c[0][:2])}:{c[1]}" for c in _CAPPED])
 def test_size_caps_reject_before_computing(base, size, at_cap, over_cap, capsys):
     assert parse_args(base + at_cap).command  # accepted; not run, to keep the test small
-    with pytest.raises(RangeError, match=re.escape(size)):
+    with pytest.raises(RangeError, match=f"^{re.escape(size)} [0-9]+ exceeds the cap"):
         parse_args(base + over_cap)
     code, out, err = run_cli(base + over_cap, capsys)
     assert code == 3

@@ -14,10 +14,11 @@ calls (apply_homeo, the JSON writer per element, the SVG coordinate
 functions) that the orbit-stream fast paths inline, the CSV table row
 by row, which the writers join a block at a time, the residual checks
 with every domain looked up at every evaluation, herschel_iterate
-computed from scratch for each n, and periodicity_order through iterate
-at every point. The core must reproduce each of them exactly, errors
-included: results are compared by repr, which is bitwise for floats and
-treats NaN as equal to itself.
+computed from scratch for each n, periodicity_order through iterate at
+every point, and the obstruction rule of orbit_consistency with every
+two orbit entries compared. The core must reproduce each of them
+exactly, errors included: results are compared by repr, which is
+bitwise for floats and treats NaN as equal to itself.
 """
 
 import math

@@ -2,8 +2,8 @@
 
 A cobweb path traces an orbit against the diagonal: from (x, x) go
 vertically to the graph point (x, f(x)), then horizontally back to the
-diagonal at (f(x), f(x)), and repeat. The orbit is walked once
-(_cobweb_orbit); the path's diagonal points, points[::2], are its values.
+diagonal at (f(x), f(x)), and repeat. The orbit is walked once and
+held; the path's points are read from it.
 
 The zero-preimage set of a tent-shaped map g collects every point that
 lands on 0 after finitely many steps. Whether that set fills [0, 1]
@@ -24,7 +24,7 @@ from array import array
 from functools import partial
 from itertools import chain, islice
 from operator import sub
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import ParameterError, check_count, check_positive
 from .frozen import Frozen
@@ -39,43 +39,37 @@ _DEDUP_TOL = 1e-12
 
 
 class CobwebPath(Frozen):
-    """Alternating vertical/horizontal polyline between graph and diagonal.
+    """Alternating vertical/horizontal polyline between graph and diagonal,
+    held as its orbit values = (x0, f(x0), ...): points starts at (seed,
+    seed), every second point lies on the map's graph, and consecutive
+    points always share one coordinate."""
 
-    points[0] is (seed, seed); every second point lies on the map's
-    graph; consecutive points always share one coordinate.
-    """
-
-    points: tuple[tuple[float, float], ...]
-    seed: float
+    values: Sequence[float]
     converged: bool
     limit: Optional[float]
 
+    @property
+    def seed(self) -> float:
+        return self.values[0]
 
-def _cobweb_orbit(m: MapDescriptor, x0: float,
-                  steps: int) -> tuple[Sequence[float], bool, Optional[float]]:
-    """The orbit x0, f(x0), ... of a cobweb of steps steps, as one
-    array('d'), with whether two successive values differ by less than
-    1e-12 and, if so, the later value of the first such pair."""
-    from array import array
-    values = array("d", trajectory(m, x0, check_count(steps, "steps", cap=_MAX_COBWEB_STEPS)))
-    limit = next((nxt for cur, nxt in zip(values, islice(values, 1, None))
-                  if abs(nxt - cur) < _CONVERGENCE_TOL), None)
-    return values, limit is not None, limit
+    @property
+    def points(self) -> Iterator[tuple[float, float]]:
+        """(c0, c0) (c0, c1) (c1, c1) (c1, c2) ..., a fresh iterator on each read."""
+        cur = self.values[0]
+        yield cur, cur
+        for nxt in islice(self.values, 1, None):
+            yield cur, nxt
+            yield nxt, nxt
+            cur = nxt
 
 
 def cobweb_path(m: MapDescriptor, x0: float, steps: int) -> CobwebPath:
-    """Cobweb with 2*steps + 1 points; convergence is flagged when two
-    successive orbit values differ by less than 1e-12 (the full path is
-    still produced)."""
-    values, converged, limit = _cobweb_orbit(m, x0, steps)
-    walk = iter(values)
-    cur = next(walk)
-    points = [(cur, cur)]
-    for nxt in walk:
-        points.append((cur, nxt))
-        points.append((nxt, nxt))
-        cur = nxt
-    return CobwebPath(points=tuple(points), seed=points[0][0], converged=converged, limit=limit)
+    """Cobweb of steps steps, its orbit held as one array('d'); limit is the later
+    of the first two successive values less than 1e-12 apart, if any."""
+    values = array("d", trajectory(m, x0, check_count(steps, "steps", cap=_MAX_COBWEB_STEPS)))
+    limit = next((nxt for cur, nxt in zip(values, islice(values, 1, None))
+                  if abs(nxt - cur) < _CONVERGENCE_TOL), None)
+    return CobwebPath(values=values, converged=limit is not None, limit=limit)
 
 
 class PreimageSet(Frozen):

@@ -301,14 +301,15 @@ class Result(Frozen):
     """One subcommand's outcome for every output format. fields is the
     JSON result; the CSV table is csv_header over csv_rows, which view
     data already computed and default to one row of the fields the
-    header names. inputs, when given, replaces the parameters that the
-    JSON inputs echo."""
+    header names; figure() returns the SVG document's pieces. inputs,
+    when given, replaces the parameters that the JSON inputs echo."""
 
     code: int
     fields: object
     csv_header: tuple[str, ...]
     csv_rows: Optional[Iterable] = None
     inputs: Optional[dict] = None
+    figure: Optional[Callable[[], Iterable[str]]] = None
 
 
 # Each handler imports the library module it runs when it runs, so that a
@@ -399,8 +400,12 @@ def _run_conjugacy_propagate(p: dict) -> Result:
 def _run_cobweb(p: dict) -> Result:
     from . import analysis
     path = analysis.cobweb_path(p["map"], p["x0"], p["steps"])
+
+    def figure() -> Iterable[str]:  # render is imported for --format svg only
+        from . import render
+        return render.cobweb_svg(p["map"], path.values)
     result = {"points": path.points, "converged": path.converged, "limit": path.limit}
-    return Result(EXIT_OK, result, ("x", "y"), path.points)
+    return Result(EXIT_OK, result, ("x", "y"), path.points, figure=figure)
 
 
 def _run_density(p: dict) -> Result:
@@ -427,9 +432,8 @@ def _rng_sample(n: int, seed: float, stage: str) -> Iterator[float]:
 
 def _run_rng_generate(p: dict) -> Result:
     seed = p["seed"] if p["seed"] is not None else _default_seed()
-    # The writer draws the stream and holds no copy. Only this stream is safe
-    # to write after run() returns: logistic_values checks seed and count at
-    # the call, and from a seed in (0, 1) no stage can leave [0, 1].
+    # Drawn by the writer after run() returns, with no copy held: logistic_values
+    # checks seed and count here, and from a seed in (0, 1) no stage leaves [0, 1].
     values = _rng_sample(p["n"], seed, p["stage"])
     return Result(EXIT_OK, {"values": values}, ("k", "x"), enumerate(values),
                   inputs={**p, "seed": seed})
@@ -575,9 +579,10 @@ COMMANDS = {
 
 def run(config: RunConfig) -> tuple[int, Iterable[str]]:
     """Execute a parsed configuration; returns the exit code and the output
-    text as an iterable of pieces. Every check has run when it returns,
-    and the text is formatted (and rng generate's sample drawn) as it is
-    read. Spec arguments are read here, and the JSON inputs echo describe()."""
+    text as an iterable of pieces. Every check has run when it returns, and
+    the text is formatted as it is read from values that can fail no more:
+    rng generate's sample, drawn as it is written, and cobweb's held orbit.
+    Spec arguments are read here, and the JSON inputs echo describe()."""
     started = time.perf_counter()
     handler, _, args = COMMANDS[config.command]
     params, inputs = dict(config.params), dict(config.params)
@@ -585,11 +590,9 @@ def run(config: RunConfig) -> tuple[int, Iterable[str]]:
         if arg.spec:
             params[arg.dest] = arg.spec(params[arg.dest])
             inputs[arg.dest] = params[arg.dest].describe()
-    if config.fmt == "svg":  # cobweb only (parse_args): drawn from the orbit, without point pairs
-        from . import analysis, render
-        orbit, _, _ = analysis._cobweb_orbit(params["map"], params["x0"], params["steps"])
-        return EXIT_OK, render.cobweb_svg(params["map"], orbit)
     result = handler(params)
+    if config.fmt == "svg":  # parse_args allows it only where a handler draws a figure
+        return result.code, result.figure()
     if config.fmt == "csv":
         rows = result.csv_rows
         if rows is None:

@@ -81,14 +81,17 @@ def iterate(m: MapDescriptor, x: float, n: int) -> float:
 class Orbit(Frozen):
     """A finite iterate sequence: values[0] is the seed, values[k] = f(values[k-1])."""
 
-    seed: float
     values: tuple[float, ...]
+
+    @property
+    def seed(self) -> float:
+        return self.values[0]
 
 
 def orbit(m: MapDescriptor, x0: float, n: int) -> Orbit:
     """Orbit of length n+1 starting at x0."""
     values = tuple(trajectory(m, x0, check_count(n, "orbit length")))
-    return Orbit(seed=values[0], values=values)
+    return Orbit(values=values)
 
 
 def fixed_points(m: MapDescriptor, lo: float, hi: float, tol: float) -> list[float]:

@@ -20,7 +20,8 @@ from hypothesis import settings
 settings.register_profile("thorough", max_examples=1000, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-# the slowest tests take about 10 s, in tier-1 and under the thorough profile
+# the slowest tests take about 10 s in tier-1, and about 50 s under the
+# thorough profile (the lazy cobweb points against the held reference)
 TEST_TIMEOUT_S = 120
 # the terminal's stderr, copied before any test runs: pytest captures fd 2
 # during a test, and a stack written there would end with the process

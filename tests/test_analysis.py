@@ -36,22 +36,23 @@ def test_cobweb_fixed_point_immediate():
 
 def test_cobweb_period_two_trap():
     path = cobweb_path(Tent(), 0.2, 4)
-    assert [x for x, _ in path.points[::2]] == pytest.approx([0.2, 0.4, 0.8, 0.4, 0.8], abs=1e-14)
+    points = tuple(path.points)
+    assert [x for x, _ in points[::2]] == pytest.approx([0.2, 0.4, 0.8, 0.4, 0.8], abs=1e-14)
     assert not path.converged
     assert path.limit is None
 
 
 def test_cobweb_point_structure():
     m = Tent()
-    path = cobweb_path(m, 0.37, 25)
-    assert len(path.points) == 2 * 25 + 1
-    assert path.points[0] == (0.37, 0.37)
-    for a, b in zip(path.points, path.points[1:]):
+    points = tuple(cobweb_path(m, 0.37, 25).points)
+    assert len(points) == 2 * 25 + 1
+    assert points[0] == (0.37, 0.37)
+    for a, b in zip(points, points[1:]):
         assert a[0] == b[0] or a[1] == b[1]  # share a coordinate
-    for x, y in path.points[1::2]:  # graph points
+    for x, y in points[1::2]:  # graph points
         from intervaldyn import iterate
         assert iterate(m, x, 1) == y
-    for x, y in path.points[0::2]:  # diagonal points
+    for x, y in points[0::2]:  # diagonal points
         assert x == y
 
 
@@ -59,7 +60,7 @@ def test_cobweb_matches_orbit_exactly():
     m, x0, steps = Logistic(), 0.123456789, 50
     path = cobweb_path(m, x0, steps)
     o = orbit(m, x0, steps)
-    assert tuple(y for _, y in path.points[0::2]) == o.values
+    assert tuple(y for _, y in tuple(path.points)[0::2]) == o.values
 
 
 def test_cobweb_monotone_trap_convergence():

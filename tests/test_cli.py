@@ -523,8 +523,12 @@ def test_a_closed_stdout_pipe_exits_3_with_one_line():
 # copy of the rng ks sample and a string per value of a JSON block.
 # rng generate writes its sample as it is drawn and holds none of it, so
 # its ceiling is one constant at two sizes (a held array('d') exceeds it
-# at both). cobweb --format json holds the path's point pairs
-# (CobwebPath.points), about 20 * 8 bytes a step.
+# at both). cobweb holds its orbit as one array('d') in every format, and
+# json and csv read the point pairs from it a block at a time; at either
+# of their two sizes, their ceilings leave less than 24 bytes a step (the
+# least object and its pointer) above what they hold, so that a pair or
+# any other object held per step exceeds them (the pairs held as a tuple
+# took about 22 doubles a step, 8.8 MB at 50000 steps).
 @pytest.mark.parametrize("argv, n, doubles, constant", [
     (["rng", "generate", "--n", "{n}", "--seed", "0.123456789"], 100000, 0, 500_000),
     (["rng", "generate", "--n", "{n}", "--seed", "0.123456789", "--stage", "square"],
@@ -534,8 +538,15 @@ def test_a_closed_stdout_pipe_exits_3_with_one_line():
     (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "svg"],
      50000, 1.25, 750_000),
     (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "json"],
-     50000, 20, 1_500_000),
-], ids=["rng-generate", "rng-generate-2n", "rng-ks", "cobweb-svg", "cobweb-json"])
+     25000, 1.25, 1_600_000),
+    (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "json"],
+     50000, 1.25, 1_600_000),
+    (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "csv"],
+     25000, 1.25, 1_200_000),
+    (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "{n}", "--format", "csv"],
+     50000, 1.25, 1_200_000),
+], ids=["rng-generate", "rng-generate-2n", "rng-ks", "cobweb-svg", "cobweb-json",
+        "cobweb-json-2n", "cobweb-csv", "cobweb-csv-2n"])
 def test_orbit_stream_memory_ceilings(argv, n, doubles, constant, tmp_path):
     target = str(tmp_path / "out")
     # a small run first, untraced, for the imports and caches

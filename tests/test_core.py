@@ -520,7 +520,7 @@ def test_orbits_off_the_open_interior_match_references(x0):
 
 def cobweb_fields(m, x0, steps):
     path = cobweb_path(m, x0, steps)
-    return path.points, path.converged, path.limit
+    return tuple(path.points), path.converged, path.limit
 
 
 @pytest.mark.parametrize("spec", MAP_SPECS)
@@ -541,7 +541,7 @@ def polylines(m, orbit):
 
 def cobweb_polylines(m, x0, steps):
     # the orbit that cobweb --format svg draws
-    return polylines(m, analysis._cobweb_orbit(m, x0, steps)[0])
+    return polylines(m, cobweb_path(m, x0, steps).values)
 
 
 @pytest.mark.parametrize("spec", MAP_SPECS)
@@ -549,7 +549,27 @@ def test_cobweb_polylines_match_reference(spec):
     m = parse_map_spec(spec)
     for x0 in SEEDS + END_SEEDS:
         assert (outcome(cobweb_polylines, m, x0, 30)
-                == outcome(lambda: ref_polylines(m, [x for x, _ in cobweb_path(m, x0, 30).points[::2]]))), x0
+                == outcome(lambda: ref_polylines(
+                    m, [x for x, _ in tuple(cobweb_path(m, x0, 30).points)[::2]]))), x0
+
+
+# A cobweb of n steps has 2n + 1 points, so 2047 and 2048 steps straddle
+# one writer block of BLOCK points, and 4095 and 4096 two. The points are
+# read lazily from the held orbit; each writer must give the text of the
+# whole path held as a tuple (one writer an example, for time).
+@given(st.sampled_from(["logistic", "tent", "sinsq", "cosine"]),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.one_of(st.integers(2045, 2050), st.integers(4093, 4098)),
+       st.sampled_from(["json", "csv"]))
+@settings(deadline=None)
+def test_lazy_cobweb_points_match_the_held_reference(spec, x0, steps, fmt):
+    m = parse_map_spec(spec)
+    path = cobweb_path(m, x0, steps)
+    points, converged, limit = ref_cobweb(m, x0, steps)
+    assert (tuple(path.points), path.converged, path.limit) == (points, converged, limit)
+    write = {"json": lambda pairs: to_json(pairs, 1),
+             "csv": lambda pairs: to_csv(("x", "y"), pairs)}[fmt]
+    assert "".join(write(path.points)) == "".join(write(points))
 
 
 # points of [0, 1], points up to 2e-12 outside it (snapped, or rejected

@@ -20,7 +20,7 @@ from intervaldyn.maps import (Conjugated, Cosine, Doubling, HalfTent, Hyperbola,
 # a fresh instance of each class per call
 INSTANCES = {
     "Interval": lambda: Interval(0.0, 1.0, hi_closed=False),
-    "Orbit": lambda: Orbit(seed=0.25, values=(0.25, 0.75)),
+    "Orbit": lambda: Orbit(values=(0.25, 0.75)),
     "Logistic": Logistic,
     "Tent": Tent,
     "HalfTent": HalfTent,
@@ -42,8 +42,7 @@ INSTANCES = {
     "PiecewiseLinearHomeo": lambda: PiecewiseLinearHomeo([(0, 0), (0.3, 0.6), (1, 1)]),
     "Reflect": Reflect,
     "CompositionH": lambda: CompositionH(outer=Affine(2.0, 0.0), inner=AlphaArcsin()),
-    "CobwebPath": lambda: CobwebPath(points=((0.5, 0.5), (0.5, 1.0)), seed=0.5,
-                                     converged=False, limit=None),
+    "CobwebPath": lambda: CobwebPath(values=(0.5, 1.0), converged=False, limit=None),
     "PreimageSet": lambda: PreimageSet(depth=1, points=(0.0, 1.0), largest_gap=1.0),
     "DensityReport": lambda: DensityReport(largest_gap=0.5, count=3, dense_estimate=False),
     "FixedPointWord": lambda: FixedPointWord(8, 5),
@@ -61,7 +60,7 @@ INSTANCES = {
 # recorded from the dataclass versions of these classes
 REPRS = {
     "Interval": "Interval(lo=0.0, hi=1.0, lo_closed=True, hi_closed=False)",
-    "Orbit": "Orbit(seed=0.25, values=(0.25, 0.75))",
+    "Orbit": "Orbit(values=(0.25, 0.75))",
     "Logistic": "Logistic()",
     "Tent": "Tent()",
     "HalfTent": "HalfTent()",
@@ -83,8 +82,7 @@ REPRS = {
     "PiecewiseLinearHomeo": "PiecewiseLinearHomeo(knots=((0.0, 0.0), (0.3, 0.6), (1.0, 1.0)))",
     "Reflect": "Reflect()",
     "CompositionH": "CompositionH(outer=Affine(p=2.0, q=0.0), inner=AlphaArcsin())",
-    "CobwebPath": ("CobwebPath(points=((0.5, 0.5), (0.5, 1.0)), seed=0.5, converged=False, "
-                   "limit=None)"),
+    "CobwebPath": "CobwebPath(values=(0.5, 1.0), converged=False, limit=None)",
     "PreimageSet": "PreimageSet(depth=1, points=(0.0, 1.0), largest_gap=1.0, levels=())",
     "DensityReport": "DensityReport(largest_gap=0.5, count=3, dense_estimate=False)",
     "FixedPointWord": "FixedPointWord(bits=8, value=5)",
@@ -98,7 +96,8 @@ REPRS = {
     "RunConfig": ("RunConfig(command='iterate', params={'n': 1}, fmt='json', output=None, "
                   "timing=False)"),
     "_Cap": "_Cap(limit=10, size='--size', value_of=None)",
-    "Result": "Result(code=0, fields={'x': 1.0}, csv_header=('x',), csv_rows=None, inputs=None)",
+    "Result": ("Result(code=0, fields={'x': 1.0}, csv_header=('x',), csv_rows=None, inputs=None, "
+               "figure=None)"),
 }
 
 # classes whose fields hold the same values, which must still differ

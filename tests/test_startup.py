@@ -65,17 +65,22 @@ def test_the_cli_module_alone_imports_no_library_module():
     assert not modules & {"dataclasses", "array"}
 
 
+# unused names the package modules a subcommand does not load and, as
+# "array", the standard module, which only a held orbit or sample needs
 @pytest.mark.parametrize("argv, unused", [
     (["rng", "collapse", "--bits", "4", "--value", "3"],
-     {"conjugacy", "analysis", "closed_form", "render"}),
+     {"conjugacy", "analysis", "closed_form", "render", "array"}),
     (["iterate", "--map", "logistic", "--x0", "0.3", "--n", "1"],
-     {"analysis", "chaos_rng", "closed_form", "conjugacy", "render"}),
-], ids=["rng-collapse", "iterate"])
+     {"analysis", "chaos_rng", "closed_form", "conjugacy", "render", "array"}),
+    # render is imported only when the svg document is asked for
+    (["cobweb", "--map", "logistic", "--x0", "0.3", "--steps", "3", "--format", "json"],
+     {"chaos_rng", "closed_form", "conjugacy", "render"}),
+], ids=["rng-collapse", "iterate", "cobweb-json"])
 def test_a_subcommand_imports_only_what_it_runs(argv, unused):
     modules = imported("-m", "intervaldyn", *argv)
     assert "cli" in package_modules(modules)
-    assert not package_modules(modules) & unused
-    assert not modules & {"dataclasses", "array"}
+    assert not (package_modules(modules) | modules) & unused
+    assert "dataclasses" not in modules
 
 
 def test_an_rng_sample_imports_array():

@@ -4,10 +4,11 @@ Iterates of 4x(1-x) from a generic seed distribute along the arcsine
 law, whose CDF is the same (2/pi) arcsin sqrt(x) that conjugates the
 logistic map to the tent map - one function in two roles. Applying it
 pointwise (uniform_values) therefore uniformizes an orbit
-(logistic_values), and mapping a DistributionSpec's inverse CDF over the
-result transports the sample to any target distribution on [0, 1]. Each
-stage is a stream, read one value at a time, so no stage of a long
-sample is held as a list; ks_distance reads such a stream once.
+(logistic_values), and sqrt, the inverse of the CDF x^2, carries the
+uniform sample on to the square law. STAGES names the three stages and
+the CDF each one follows, and stage_values streams a stage one value at
+a time, so no stage of a long sample is held as a list; ks_distance
+reads such a stream once.
 
 The catch: in alpha-coordinates (x = sin^2(pi*alpha)) the dynamics is
 the doubling map, a pure left shift of binary digits. A b-bit machine
@@ -27,10 +28,9 @@ from bisect import bisect_left
 from itertools import chain, compress, count, islice
 from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import DomainError, EmptySampleError, ParameterError, check_count
+from .errors import DomainError, EmptySampleError, ParameterError, _whole, check_count
 from .frozen import Frozen
-from .homeos import UlamArcsin, apply_homeo, _bisect_monotone
-from .interval import linspace
+from .homeos import UlamArcsin, apply_homeo
 from .maps import Logistic, trajectory
 
 DEFAULT_SEED = 0.123456789
@@ -52,45 +52,10 @@ class FixedPointWord(Frozen):
     value: int
 
     def __post_init__(self) -> None:
-        if self.bits < 1 or self.bits > 63 or self.bits != int(self.bits):
+        if not (_whole(self.bits) and 1 <= self.bits <= 63):
             raise ParameterError(f"word width must be an integer in 1..63, got {self.bits!r}")
-        if self.value != int(self.value) or not (0 <= self.value < 2**self.bits):
+        if not (_whole(self.value) and 0 <= self.value < 2**self.bits):
             raise ParameterError(f"value {self.value!r} does not fit in {self.bits} bits")
-
-
-class DistributionSpec(Frozen):
-    """A target distribution on [0, 1] given by its CDF.
-
-    The CDF must be non-decreasing with F(0) = 0 and F(1) = 1 (checked
-    on a 1000-point grid); a missing inverse is filled in by monotone
-    bisection.
-    """
-
-    cdf: Callable[[float], float]
-    inverse_cdf: Callable[[float], float]
-
-    def __init__(self, cdf: Callable[[float], float],
-                 inverse_cdf: Optional[Callable[[float], float]] = None) -> None:
-        object.__setattr__(self, "cdf", cdf)
-        if inverse_cdf is None:
-            inverse_cdf = lambda u: _bisect_monotone(cdf, u, 0.0, 1.0)
-        object.__setattr__(self, "inverse_cdf", inverse_cdf)
-        if abs(cdf(0.0)) > 1e-9 or abs(cdf(1.0) - 1.0) > 1e-9:
-            raise ParameterError("CDF must satisfy F(0) = 0 and F(1) = 1")
-        prev = cdf(0.0)
-        for x in linspace(0.0, 1.0, 1000)[1:]:
-            cur = cdf(x)
-            if cur < prev - 1e-12:
-                raise ParameterError(f"CDF decreases near {x!r}")
-            prev = cur
-        for u in linspace(0.0, 1.0, 1001)[1:-1]:
-            if abs(self.cdf(self.inverse_cdf(u)) - u) > 1e-9:
-                raise ParameterError(f"inverse CDF fails the round trip at u={u!r}")
-
-
-def square_distribution() -> DistributionSpec:
-    """F(x) = x^2, inverse sqrt(u)."""
-    return DistributionSpec(cdf=lambda x: x * x, inverse_cdf=math.sqrt)
 
 
 def logistic_values(x0: float, n: int) -> Iterator[float]:
@@ -106,6 +71,25 @@ def uniform_values(values: Iterable[float]) -> Iterator[float]:
     fwd = _ULAM._fwd  # arcsine_cdf, inlined: one call per point
     for v in values:
         yield fwd(v) if 0.0 < v < 1.0 else apply_homeo(_ULAM, v)
+
+
+# each stage of the pipeline -> the CDF its sample follows
+STAGES = {"raw": arcsine_cdf, "uniform": lambda x: x, "square": lambda x: x * x}
+
+
+def stage_values(x0: float, n: int, stage: str) -> Iterator[float]:
+    """The sample of a STAGES stage, n + 1 values, one at a time: the orbit
+    from x0 (raw) streams through the arcsine CDF (uniform) and on through
+    sqrt, the inverse of x^2 (square). The stage, the seed and the count
+    are checked at the call."""
+    if stage not in STAGES:
+        raise ParameterError(f"unknown stage {stage!r}, expected one of {', '.join(STAGES)}")
+    values = logistic_values(x0, n)
+    if stage != "raw":
+        values = uniform_values(values)
+    if stage == "square":
+        values = map(math.sqrt, values)
+    return values
 
 
 # values per chunk of the KS sort: about n / BLOCK chunks and runs, so that

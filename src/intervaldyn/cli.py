@@ -18,9 +18,6 @@ written "outer o inner" ("a o b o c" is "a o (b o c)"; parentheses
 group). Parameterless names take no arguments, and a key may not
 repeat. Every spec the output echoes (describe()) parses back to the
 same map or coordinate change.
-
-The environment variable CONJUGATE_SEED overrides the default ergodic
-seed of the rng subcommands; an explicit --seed beats both.
 """
 
 from __future__ import annotations
@@ -41,8 +38,6 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-SEED_ENV_VAR = "CONJUGATE_SEED"
 
 
 # --- deterministic text output ----------------------------------------------
@@ -209,7 +204,8 @@ _ORDER_STEPS_CAP = _Cap(10**8, "--samples * --p-max * (--p-max + 1) / 2",
 _CHECKS = (_positive, _finite, _SIZE_CAP, _ITERATE_CAP, _P_MAX_CAP, _CELLS_CAP, _ORDER_STEPS_CAP)
 
 # argparse alone takes "--x0 -1e-3" for an unknown option -1e-3
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$",
+                              re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,17 +280,6 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 # --- subcommand implementations ----------------------------------------------
-
-
-def _default_seed() -> float:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise UsageError(f"bad {SEED_ENV_VAR} value '{env}'") from None
-    from .chaos_rng import DEFAULT_SEED
-    return DEFAULT_SEED
 
 
 class Result(Frozen):
@@ -417,37 +402,24 @@ def _run_density(p: dict) -> Result:
     return Result(EXIT_OK, result, ("depth", "count", "largest_gap"), pset.levels)
 
 
-def _rng_sample(n: int, seed: float, stage: str) -> Iterator[float]:
-    """The sample of a pipeline stage, one value at a time: the orbit
-    streams through the arcsine CDF and on through the inverse CDF, so
-    that no stage is ever held as a tuple or a list."""
-    from . import chaos_rng
-    values = chaos_rng.logistic_values(seed, n)
-    if stage != "raw":
-        values = chaos_rng.uniform_values(values)
-    if stage == "square":
-        values = map(chaos_rng.square_distribution().inverse_cdf, values)
-    return values
-
-
 def _run_rng_generate(p: dict) -> Result:
-    seed = p["seed"] if p["seed"] is not None else _default_seed()
-    # Drawn by the writer after run() returns, with no copy held: logistic_values
+    from . import chaos_rng
+    seed = p["seed"] if p["seed"] is not None else chaos_rng.DEFAULT_SEED
+    # Drawn by the writer after run() returns, with no copy held: stage_values
     # checks seed and count here, and from a seed in (0, 1) no stage leaves [0, 1].
-    values = _rng_sample(p["n"], seed, p["stage"])
+    values = chaos_rng.stage_values(seed, p["n"], p["stage"])
     return Result(EXIT_OK, {"values": values}, ("k", "x"), enumerate(values),
                   inputs={**p, "seed": seed})
 
 
 def _run_rng_ks(p: dict) -> Result:
     from . import chaos_rng
-    seed = p["seed"] if p["seed"] is not None else _default_seed()
-    # --cdf: the pipeline stage sampled and the CDF it should follow
-    stage, cdf = {"arcsine": ("raw", chaos_rng.arcsine_cdf),
-                  "uniform": ("uniform", lambda x: x),
-                  "square": ("square", lambda x: x * x)}[p["cdf"]]
+    seed = p["seed"] if p["seed"] is not None else chaos_rng.DEFAULT_SEED
+    # --cdf names the law, and the raw orbit is the stage that follows the arcsine law
+    stage = "raw" if p["cdf"] == "arcsine" else p["cdf"]
     # the stream itself: the KS sort holds the only copy of the sample
-    statistic = chaos_rng.ks_distance(_rng_sample(p["n"], seed, stage), cdf)
+    statistic = chaos_rng.ks_distance(chaos_rng.stage_values(seed, p["n"], stage),
+                                      chaos_rng.STAGES[stage])
     exceeded = p["tol"] is not None and statistic >= p["tol"]
     return Result(EXIT_TOLERANCE if exceeded else EXIT_OK, {"statistic": statistic},
                   ("statistic",), inputs={**p, "seed": seed})

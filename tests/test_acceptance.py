@@ -28,8 +28,8 @@ from intervaldyn import (Affine, AlphaArcsin, CompositionH, Conflict, Conjugated
                          periodicity_order, propagate_partial_conjugacy,
                          verify_conjugacy, verify_semiconjugacy,
                          zero_preimage_set)
-from intervaldyn.chaos_rng import DEFAULT_SEED
-from intervaldyn.cli import COMMANDS, _rng_sample, main
+from intervaldyn.chaos_rng import DEFAULT_SEED, stage_values
+from intervaldyn.cli import COMMANDS, main
 from intervaldyn.homeos import PiecewiseLinearHomeo
 
 SQRT3 = math.sqrt(3.0)
@@ -228,9 +228,10 @@ def test_c11_ulam_density_criterion():
 
 
 def test_c12_distribution_checks():
-    # each stage of the pipeline that rng generate and rng ks stream
+    # each stage of the pipeline that rng generate and rng ks stream, against
+    # this test's own CDFs, not the library's STAGES table
     def ks(stage, cdf):
-        return ks_distance(_rng_sample(10**6, DEFAULT_SEED, stage), cdf)
+        return ks_distance(stage_values(DEFAULT_SEED, 10**6, stage), cdf)
 
     d_raw = ks("raw", arcsine_cdf)
     d_uni = ks("uniform", lambda x: x)

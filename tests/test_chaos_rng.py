@@ -1,4 +1,5 @@
 import math
+import re
 from array import array
 from functools import partial
 from itertools import chain
@@ -7,11 +8,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from intervaldyn import (DistributionSpec, DomainError, Doubling,
-                         EmptySampleError, FixedPointWord, Logistic,
-                         ParameterError, SineSquared, Tent, apply_homeo,
-                         arcsine_cdf, doubling_collapse, eval_map, ks_distance,
-                         orbit, square_distribution)
+from intervaldyn import (DomainError, Doubling, EmptySampleError,
+                         FixedPointWord, Logistic, ParameterError, SineSquared,
+                         Tent, apply_homeo, arcsine_cdf, doubling_collapse,
+                         eval_map, ks_distance, orbit, stage_values)
 from intervaldyn import chaos_rng
 from intervaldyn.chaos_rng import logistic_values, uniform_values
 from intervaldyn.homeos import UlamArcsin
@@ -45,15 +45,11 @@ def test_uniformize_uses_the_conjugacy_function():
     assert all(arcsine_cdf(v) == apply_homeo(ulam, v) for v in o)
 
 
-def test_distribution_spec_validation():
-    with pytest.raises(ParameterError):
-        DistributionSpec(cdf=lambda x: 1.0 - x)  # decreasing
-    with pytest.raises(ParameterError):
-        DistributionSpec(cdf=lambda x: 0.5 * x)  # F(1) != 1
-    # bisection fallback inverse round-trips
-    spec = DistributionSpec(cdf=lambda x: x * x * (3.0 - 2.0 * x))
-    for u in (0.1, 0.5, 0.9):
-        assert spec.cdf(spec.inverse_cdf(u)) == pytest.approx(u, abs=1e-9)
+def test_stage_values_rejects_an_unknown_stage():
+    for stage in ("arcsine", "Raw", ""):
+        with pytest.raises(ParameterError, match=rf"^unknown stage {stage!r}, expected one of "
+                                                 r"raw, uniform, square$"):
+            stage_values(0.3, 5, stage)
 
 
 def test_ks_distance_examples():
@@ -132,6 +128,18 @@ def test_fixed_point_word_validation():
         FixedPointWord(64, 0)
     with pytest.raises(ParameterError):
         FixedPointWord(8, 256)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 8.5, "a"])
+def test_fixed_point_word_rejects_every_bad_number(bad):
+    # NaN, the infinities, fractions and non-numbers fail the whole-number rule
+    # with the message of any other bad width or value, never a builtin error
+    shown = re.escape(repr(bad))
+    width = rf"^word width must be an integer in 1\.\.63, got {shown}$"
+    with pytest.raises(ParameterError, match=width):
+        FixedPointWord(bad, 0)
+    with pytest.raises(ParameterError, match=rf"^value {shown} does not fit in 8 bits$"):
+        FixedPointWord(8, bad)
 
 
 def test_semiconjugacy_transport():

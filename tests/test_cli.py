@@ -12,8 +12,8 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intervaldyn import (Hyperbola, ParameterError, cli, fractional_iterate_hyperbola,
-                         hyperbola_iterate, homeos, maps)
+from intervaldyn import (Hyperbola, ParameterError, chaos_rng, cli,
+                         fractional_iterate_hyperbola, hyperbola_iterate, homeos, maps)
 from intervaldyn.cli import (COMMANDS, _build_parser, _Cap, _named_command, fmt_float, main,
                              parse_args, parse_homeo_spec, parse_map_spec)
 from intervaldyn.errors import RangeError, UsageError
@@ -253,15 +253,14 @@ def test_rng_generate_stages(capsys):
 
 
 def test_rng_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CONJUGATE_SEED", "0.75")
-    code, out, _ = run_cli(["rng", "generate", "--n", "3"], capsys)
-    assert json.loads(out)["inputs"]["seed"] == 0.75
-    # explicit flag beats the environment
-    code, out, _ = run_cli(["rng", "generate", "--n", "3", "--seed", "0.25"], capsys)
-    assert json.loads(out)["inputs"]["seed"] == 0.25
-    monkeypatch.setenv("CONJUGATE_SEED", "not-a-number")
-    code, _, err = run_cli(["rng", "generate", "--n", "3"], capsys)
-    assert code == 2
+    # --seed is the only way to set the seed: CONJUGATE_SEED, set or malformed, changes nothing
+    monkeypatch.delenv("CONJUGATE_SEED", raising=False)
+    argv = ["rng", "generate", "--n", "3"]
+    expected = run_cli(argv, capsys)
+    assert expected[0] == 0 and json.loads(expected[1])["inputs"]["seed"] == 0.123456789
+    for value in ("0.75", "not-a-number"):
+        monkeypatch.setenv("CONJUGATE_SEED", value)
+        assert run_cli(argv, capsys) == expected
 
 
 def test_rng_ks_with_tolerance_gate(capsys):
@@ -603,14 +602,14 @@ def test_timing_covers_the_streamed_draw(monkeypatch, capsys):
         ticks[0] += 1
         return (ticks[0] - 1) / 1000.0
 
-    def sample(n, seed, stage):
-        for v in rng_sample(n, seed, stage):
+    def sample(seed, n, stage):
+        for v in stage_values(seed, n, stage):
             ticks[0] += 1
             yield v
 
-    rng_sample = cli._rng_sample
+    stage_values = chaos_rng.stage_values
     monkeypatch.setattr(cli.time, "perf_counter", clock)
-    monkeypatch.setattr(cli, "_rng_sample", sample)
+    monkeypatch.setattr(chaos_rng, "stage_values", sample)
     code, out, _ = run_cli(["rng", "generate", "--n", "50", "--timing"], capsys)
     assert code == 0
     assert json.loads(out)["elapsed_ms"] >= 51
@@ -628,7 +627,7 @@ def test_timing_covers_the_streamed_draw(monkeypatch, capsys):
 @example(0.5, "square", 10)  # 1, then the fixed point 0
 @settings(deadline=None)
 def test_rng_stream_stays_in_the_unit_interval(seed, stage, n):
-    values = list(cli._rng_sample(n, seed, stage))
+    values = list(chaos_rng.stage_values(seed, n, stage))
     assert len(values) == n + 1
     assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -671,14 +670,14 @@ _MAP_SPECS = ["logistic", "tent", "halftent", "quadratic", "doubling", "cosine",
 
 @pytest.mark.parametrize("spec", _MAP_SPECS)
 def test_non_finite_seeds_exit_cleanly(spec, capsys):
-    for x0 in ("inf", "-inf", "nan"):
+    for x0 in ("inf", "-inf", "nan", "-nan"):
         for sub, *tail in (["iterate", "--n", "3"], ["orbit", "--n", "3"],
                            ["cobweb", "--steps", "3"],
                            ["sensitivity", "--delta", "1e-9", "--n", "3"]):
             code, _, err = run_cli([sub, "--map", spec, f"--x0={x0}"] + tail, capsys)
             assert code in (0, 3), (sub, x0)
             assert len(err.splitlines()) <= 1 and "Traceback" not in err
-            if spec == "cosine" and x0 != "nan":
+            if spec == "cosine" and not x0.endswith("nan"):
                 assert code == 3 and "cos" in err
 
 
@@ -719,6 +718,11 @@ def test_negative_scientific_arguments(capsys):
     code, out, _ = run_cli(["iterate", "--map", "quadratic", "--x0", "-inf", "--n", "1"], capsys)
     assert code == 0
     assert json.loads(out)["result"] == float("inf")
+    # -nan is a number too, and fails as nan does, not as an unknown option
+    nan_error = (3, "", "error: NaN is not a point of [-inf, inf]\n")
+    assert run_cli(["iterate", "--map", "quadratic", "--x0", "nan", "--n", "1"], capsys) == nan_error
+    assert run_cli(["iterate", "--map", "quadratic", "--x0", "-nan", "--n", "1"], capsys) == nan_error
+    assert run_cli(["iterate", "--map", "quadratic", "--x0", "-NaN", "--n", "1"], capsys) == nan_error
     # an unknown option that is not a number is still a usage error
     assert run_cli(["iterate", "--map", "tent", "--x0", "-e3", "--n", "1"], capsys)[0] == 2
 
@@ -910,7 +914,7 @@ def test_one_sample_is_too_few(argv, capsys):
         3, "", "error: need at least 2 samples, got 1\n")
 
 
-@pytest.mark.parametrize("delta", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("delta", ["inf", "-inf", "nan", "-nan"])
 def test_delta_must_be_finite(delta, capsys):
     code, out, err = run_cli(["sensitivity", "--map", "quadratic", "--x0", "0.5",
                               f"--delta={delta}", "--n", "3"], capsys)
@@ -1011,7 +1015,8 @@ def test_readme_synopsis_matches_the_table():
 # Argument values for the fuzzer: the floats that broke subcommands before,
 # sizes small enough for a fast test (exhaustive collapse at 12 bits, not
 # 24), and spec typos next to valid specs.
-_FUZZ_FLOATS = ["0.3", "-0.5", "0", "-0", "2", "1e300", "1e-17", "-1e-3", "inf", "-inf", "nan"]
+_FUZZ_FLOATS = ["0.3", "-0.5", "0", "-0", "2", "1e300", "1e-17", "-1e-3", "inf", "-inf", "nan",
+                "-nan"]
 _FUZZ_SIZES = ["-1", "0", "1", "3", "12", "50"]
 _FUZZ_SPECS = {
     parse_map_spec: ["logistic", "tent", "quadratic", "cosine", "hyperbola:e=2,a=1",

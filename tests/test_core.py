@@ -30,7 +30,7 @@ from functools import partial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from intervaldyn import (CompositionH, Conjugated, DistributionSpec, DomainError, Hyperbola,
+from intervaldyn import (CompositionH, Conjugated, DomainError, Hyperbola,
                          IntervalDynError, Logistic, Mobius, ParameterError, PiecewiseLinear,
                          Quadratic, Reflect, Tent, UlamArcsin, Unimodal, apply_homeo,
                          boole_iterate, cobweb_path, crosscheck_closed_form, eval_map,
@@ -429,22 +429,6 @@ def ref_unimodal_checks(v, left, right):
         if cur > prev + 1e-12:
             raise ParameterError("right branch is not non-increasing on (v, 1]")
         prev = cur
-
-
-def ref_distribution_checks(cdf, inverse_cdf):
-    """The checks of DistributionSpec, given both functions."""
-    if abs(cdf(0.0)) > 1e-9 or abs(cdf(1.0) - 1.0) > 1e-9:
-        raise ParameterError("CDF must satisfy F(0) = 0 and F(1) = 1")
-    prev = cdf(0.0)
-    for i in range(1, 1000):
-        cur = cdf(i / 999)
-        if cur < prev - 1e-12:
-            raise ParameterError(f"CDF decreases near {i / 999!r}")
-        prev = cur
-    for i in range(1, 1000):
-        u = i / 1000
-        if abs(cdf(inverse_cdf(u)) - u) > 1e-9:
-            raise ParameterError(f"inverse CDF fails the round trip at u={u!r}")
 
 
 def verdict(fn, *args):
@@ -1357,6 +1341,7 @@ def test_herschel_grid_matches_reference():
 
 
 def test_unimodal_and_distribution_grids_match_references():
+    # Unimodal's grid only: the distribution grid went with DistributionSpec
     left, right = PiecewiseLinear([(0.0, 0.0), (0.5, 1.0)]), PiecewiseLinear([(0.5, 1.0), (1.0, 0.0)])
     dip = PiecewiseLinear([(0.0, 0.0), (0.2, 0.8), (0.3, 0.5), (0.5, 1.0)])
     bump = PiecewiseLinear([(0.5, 1.0), (0.7, 0.2), (0.8, 0.4), (1.0, 0.0)])
@@ -1367,20 +1352,6 @@ def test_unimodal_and_distribution_grids_match_references():
         core, ref = [Recorded(b) for b in branches], [Recorded(b) for b in branches]
         assert verdict(construct, Unimodal, v, *core) == verdict(ref_unimodal_checks, v, *ref)
         assert [repr(b.points) for b in core] == [repr(b.points) for b in ref], branches
-
-    def smooth(x):
-        return x * x * (3.0 - 2.0 * x)
-
-    def wobble(x):
-        return x + 0.01 * math.sin(40.0 * math.pi * x)
-
-    for cdf, inverse in ((lambda x: x, lambda u: u), (lambda x: x * x, math.sqrt),
-                         (lambda x: x * x, lambda u: u), (wobble, lambda u: u),
-                         (smooth, lambda u: _bisect_monotone(smooth, u, 0.0, 1.0))):
-        core, ref = [], []
-        assert (verdict(construct, DistributionSpec, recording(cdf, core), inverse)
-                == verdict(ref_distribution_checks, recording(cdf, ref), inverse))
-        assert repr(core) == repr(ref)
 
 
 # --- snap -----------------------------------------------------------------------

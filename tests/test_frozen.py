@@ -6,7 +6,7 @@ import re
 import pytest
 
 from intervaldyn.analysis import CobwebPath, DensityReport, PreimageSet
-from intervaldyn.chaos_rng import DistributionSpec, FixedPointWord
+from intervaldyn.chaos_rng import FixedPointWord
 from intervaldyn.cli import Result, RunConfig, _Cap
 from intervaldyn.closed_form import CrosscheckReport
 from intervaldyn.conjugacy import Conflict, ConjugacyReport
@@ -46,7 +46,6 @@ INSTANCES = {
     "PreimageSet": lambda: PreimageSet(depth=1, points=(0.0, 1.0), largest_gap=1.0),
     "DensityReport": lambda: DensityReport(largest_gap=0.5, count=3, dense_estimate=False),
     "FixedPointWord": lambda: FixedPointWord(8, 5),
-    "DistributionSpec": lambda: DistributionSpec(abs, abs),
     "CrosscheckReport": lambda: CrosscheckReport(0.0, 0.5, 1, 10, 2),
     "ConjugacyReport": lambda: ConjugacyReport(grid=(0.0,), residuals=(0.0,), max_residual=0.0,
                                                argmax=0.0),
@@ -86,8 +85,6 @@ REPRS = {
     "PreimageSet": "PreimageSet(depth=1, points=(0.0, 1.0), largest_gap=1.0, levels=())",
     "DensityReport": "DensityReport(largest_gap=0.5, count=3, dense_estimate=False)",
     "FixedPointWord": "FixedPointWord(bits=8, value=5)",
-    "DistributionSpec": ("DistributionSpec(cdf=<built-in function abs>, "
-                         "inverse_cdf=<built-in function abs>)"),
     "CrosscheckReport": ("CrosscheckReport(max_deviation=0.0, argmax_x=0.5, argmax_n=1, "
                          "samples=10, n_max=2)"),
     "ConjugacyReport": ("ConjugacyReport(grid=(0.0,), residuals=(0.0,), max_residual=0.0, "
@@ -110,7 +107,7 @@ _LOOKALIKES = [
 
 
 def test_every_value_class_is_listed():
-    assert set(INSTANCES) == set(REPRS) and len(INSTANCES) == 33
+    assert set(INSTANCES) == set(REPRS) and len(INSTANCES) == 32
 
 
 @pytest.mark.parametrize("name", INSTANCES)

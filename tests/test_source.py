@@ -117,7 +117,6 @@ PUBLIC_ONLY = {
     "CobwebPath": "cobweb_path returns it",
     "DensityReport": "density_report returns it",
     "PreimageSet": "zero_preimage_set returns it",
-    "DistributionSpec": "square_distribution returns it",
     "CrosscheckReport": "crosscheck_closed_form returns it",
     "ConjugacyReport": "verify_conjugacy and verify_semiconjugacy return it",
     "Orbit": "orbit returns it",
@@ -126,6 +125,7 @@ PUBLIC_ONLY = {
     "fractional_iterate_quadratic": "C05, the fractional iterates of 2x^2 - 1",
     "herschel_relation_residual": "C07, the functional relation of the Mobius family",
     "orbit_consistency": "C09, the fold obstruction",
+    "arcsine_cdf": "C12, the logistic map's invariant law, which STAGES gives its raw stage",
     "Affine": "the homeo spec family affine:p=,q=",
     "AlphaArcsin": "the homeo spec family alpha",
     "CompositionH": "the homeo spec form (h1 o h2)",

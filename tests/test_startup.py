@@ -18,8 +18,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 EXPORTS = {
     "analysis": ["CobwebPath", "DensityReport", "PreimageSet", "cobweb_path", "density_report",
                  "zero_preimage_set"],
-    "chaos_rng": ["DEFAULT_SEED", "DistributionSpec", "FixedPointWord", "arcsine_cdf",
-                  "doubling_collapse", "ks_distance", "square_distribution"],
+    "chaos_rng": ["DEFAULT_SEED", "FixedPointWord", "STAGES", "arcsine_cdf", "doubling_collapse",
+                  "ks_distance", "stage_values"],
     "closed_form": ["CrosscheckReport", "boole_iterate", "crosscheck_closed_form",
                     "fractional_iterate_hyperbola", "fractional_iterate_quadratic",
                     "herschel_iterate", "hyperbola_iterate"],

@@ -481,6 +481,15 @@ _GOLDEN_ARGUMENT_CASES = [
     ["density", "--map", "tent", "--depth", "6", "--threshold", "0.05"],
     # each argument within its cap, and the map steps of the whole check over theirs
     ["conjugacy", "order", "--map", "tent", "--p-max", "1000", "--samples", "1000000"],
+    # a Mobius change as the h of a check and inside a conjugated map
+    ["conjugacy", "verify", "--f", "tent", "--g", "conj:tent|mobius:a=0.5,b=0.25",
+     "--h", "mobius:a=0.5,b=0.25", "--samples", "11"],
+    ["iterate", "--map", "conj:tent|mobius:a=0.5,b=0.25", "--x0", "-0.7", "--n", "3"],
+    # negative numbers as the word after a flag, and one after "="
+    ["iterate", "--map", "quadratic", "--x0", "-1e-3", "--n", "1"],
+    ["iterate", "--map", "quadratic", "--x0", "-Infinity", "--n", "1"],
+    ["iterate", "--map", "quadratic", "--x0", "-nan", "--n", "1"],
+    ["iterate", "--map", "quadratic", "--x0=-1_000", "--n", "1"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

@@ -3,12 +3,11 @@
 Iterates of 4x(1-x) from a generic seed distribute along the arcsine
 law, whose CDF is the same (2/pi) arcsin sqrt(x) that conjugates the
 logistic map to the tent map - one function in two roles. Applying it
-pointwise (uniform_values) therefore uniformizes an orbit
-(logistic_values), and sqrt, the inverse of the CDF x^2, carries the
-uniform sample on to the square law. STAGES names the three stages and
-the CDF each one follows, and stage_values streams a stage one value at
-a time, so no stage of a long sample is held as a list; ks_distance
-reads such a stream once.
+pointwise therefore uniformizes an orbit (logistic_values), and sqrt,
+the inverse of the CDF x^2, carries the uniform sample on to the square
+law. STAGES names the three stages and the CDF each one follows, and
+stage_values streams a stage one value at a time, so no stage of a long
+sample is held as a list; ks_distance reads such a stream once.
 
 The catch: in alpha-coordinates (x = sin^2(pi*alpha)) the dynamics is
 the doubling map, a pure left shift of binary digits. A b-bit machine
@@ -66,13 +65,6 @@ def logistic_values(x0: float, n: int) -> Iterator[float]:
     return trajectory(Logistic(), x0, check_count(n, "step count"))
 
 
-def uniform_values(values: Iterable[float]) -> Iterator[float]:
-    """The arcsine CDF of each value, one at a time."""
-    fwd = _ULAM._fwd  # arcsine_cdf, inlined: one call per point
-    for v in values:
-        yield fwd(v) if 0.0 < v < 1.0 else apply_homeo(_ULAM, v)
-
-
 # each stage of the pipeline -> the CDF its sample follows
 STAGES = {"raw": arcsine_cdf, "uniform": lambda x: x, "square": lambda x: x * x}
 
@@ -85,8 +77,8 @@ def stage_values(x0: float, n: int, stage: str) -> Iterator[float]:
     if stage not in STAGES:
         raise ParameterError(f"unknown stage {stage!r}, expected one of {', '.join(STAGES)}")
     values = logistic_values(x0, n)
-    if stage != "raw":
-        values = uniform_values(values)
+    if stage != "raw":  # the orbit stays in [0, 1], where apply_homeo's snap moves nothing
+        values = map(_ULAM._fwd, values)
     if stage == "square":
         values = map(math.sqrt, values)
     return values

@@ -25,10 +25,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 import time
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import IntervalDynError, ParameterError, UsageError, check_cap
@@ -203,15 +203,21 @@ _ORDER_STEPS_CAP = _Cap(10**8, "--samples * --p-max * (--p-max + 1) / 2",
 # arguments, so that which error wins stays fixed; a check must be listed
 _CHECKS = (_positive, _finite, _SIZE_CAP, _ITERATE_CAP, _P_MAX_CAP, _CELLS_CAP, _ORDER_STEPS_CAP)
 
-# argparse alone takes "--x0 -1e-3" for an unknown option -1e-3
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$",
-                              re.IGNORECASE)
+def _reads_as_float(text: str) -> bool:
+    """Whether float() reads text, the rule type=float applies."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        # argparse asks this whether a word that starts with "-" is a number
+        # or an option; its own rule takes "--x0 -1e-3" for an unknown option
+        self._negative_number_matcher = SimpleNamespace(match=_reads_as_float)
 
     def error(self, message: str):  # one-line diagnostics, no hard exit
         raise UsageError(message)

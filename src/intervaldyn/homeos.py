@@ -319,30 +319,17 @@ class Power(Homeomorphism, Frozen):
 
 
 class Mobius(Homeomorphism, Frozen):
-    """x -> -(a + x)/(1 + b*x), its own inverse whenever a*b != 1.
-
-    The declared [lo, hi] interval must avoid the pole at -1/b; it is
-    metadata for grid-based checks. Evaluation itself is permitted at
-    any pole-free real, because the involution x -> phi(phi(x)) leaves
-    every bounded interval after one application.
-    """
+    """x -> -(a + x)/(1 + b*x) on the reals, its own inverse whenever
+    a*b != 1; evaluation at the pole -1/b raises DomainError."""
 
     a: float
     b: float
-    lo: float = 0.0
-    hi: float = 1.0
     _domain = _range = REALS
     _spec = ("mobius", ("a", "b"))
 
     def __post_init__(self) -> None:
         if abs(self.a * self.b - 1.0) <= 1e-9:
             raise ParameterError(f"a*b = {self.a * self.b!r} too close to 1; map degenerates")
-        if not self.lo < self.hi:  # NaN ends fail too
-            raise ParameterError(f"bad declared interval [{self.lo}, {self.hi}]")
-        if self.b != 0.0:
-            pole = -1.0 / self.b
-            if self.lo <= pole <= self.hi:
-                raise ParameterError(f"declared interval [{self.lo}, {self.hi}] contains the pole {pole!r}")
 
     def _fwd(self, x: float) -> float:
         den = 1.0 + self.b * x

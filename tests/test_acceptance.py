@@ -148,7 +148,7 @@ def test_c07_mobius_family():
     for a, b in pairs:
         pole = -1.0 / b if b != 0.0 else None
         lo = pole + 0.1 if pole is not None and 0.0 <= pole <= 3.0 else 0.0
-        phi = Mobius(a, b, lo=lo, hi=lo + 3.0)
+        phi = Mobius(a, b)  # [lo, lo + 3] is clear of the pole
         for i in range(200):
             x = lo + 3.0 * i / 199
             worst_inv = max(worst_inv, abs(apply_homeo(phi, apply_homeo(phi, x)) - x))
@@ -490,6 +490,12 @@ _GOLDEN_ARGUMENT_CASES = [
     ["iterate", "--map", "quadratic", "--x0", "-Infinity", "--n", "1"],
     ["iterate", "--map", "quadratic", "--x0", "-nan", "--n", "1"],
     ["iterate", "--map", "quadratic", "--x0=-1_000", "--n", "1"],
+    # a negative number with an underscore after a flag, and a Mobius change
+    # whose pole -1/b = 0.5 lies in [0, 1]: off the pole, and on it
+    ["iterate", "--map", "quadratic", "--x0", "-1_000", "--n", "1"],
+    ["iterate", "--map", "conj:tent|mobius:a=1,b=-2", "--x0", "3", "--n", "3"],
+    ["conjugacy", "verify", "--f", "tent", "--g", "conj:tent|mobius:a=1,b=-2",
+     "--h", "mobius:a=1,b=-2", "--samples", "11"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

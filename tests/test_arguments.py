@@ -145,7 +145,7 @@ _SAMPLED = {
     "crosscheck_closed_form": lambda n: crosscheck_closed_form(
         Quadratic(), boole_iterate, -1.0, 1.0, 2, n),
     "herschel_relation_residual": lambda n: herschel_relation_residual(
-        lambda t: 1.0 + 2.0 * t, Mobius(1.0, 2.0, 0.0, 3.0), 0.0, 3.0, n),
+        lambda t: 1.0 + 2.0 * t, Mobius(1.0, 2.0), 0.0, 3.0, n),
     "propagate_partial_conjugacy": lambda n: propagate_partial_conjugacy(
         Logistic(), Tent(), 0.1, 0.2, UlamArcsin(), 2, n, 1e-3),
 }

@@ -13,7 +13,7 @@ from intervaldyn import (DomainError, Doubling, EmptySampleError,
                          Tent, apply_homeo, arcsine_cdf, doubling_collapse,
                          eval_map, ks_distance, orbit, stage_values)
 from intervaldyn import chaos_rng
-from intervaldyn.chaos_rng import logistic_values, uniform_values
+from intervaldyn.chaos_rng import logistic_values
 from intervaldyn.homeos import UlamArcsin
 
 
@@ -28,12 +28,11 @@ def test_logistic_sequence_examples():
 
 
 def test_uniformize_examples():
-    values = list(uniform_values(logistic_values(0.75, 3)))
+    values = list(stage_values(0.75, 3, "uniform"))
     assert values == pytest.approx([2.0 / 3.0] * 4, abs=1e-15)
 
-    # endpoint fixing: an orbit pinned at 0 stays at 0
-    zero_orbit = orbit(Logistic(), 0.0, 3)
-    assert list(uniform_values(zero_orbit.values)) == [0.0] * 4
+    # endpoint fixing: the orbit of 0.5 lands on 1 and then stays at 0
+    assert list(stage_values(0.5, 3, "uniform"))[1:] == [1.0, 0.0, 0.0]
 
 
 def test_uniformize_uses_the_conjugacy_function():
@@ -41,7 +40,7 @@ def test_uniformize_uses_the_conjugacy_function():
     # invariant-measure CDF is the conjugating coordinate change
     o = list(logistic_values(0.37, 20))
     ulam = UlamArcsin()
-    assert list(uniform_values(o)) == [apply_homeo(ulam, v) for v in o]
+    assert list(stage_values(0.37, 20, "uniform")) == [apply_homeo(ulam, v) for v in o]
     assert all(arcsine_cdf(v) == apply_homeo(ulam, v) for v in o)
 
 
@@ -159,7 +158,7 @@ def test_semiconjugacy_transport():
 
 
 def test_uniformized_sequence_commutes_with_tent():
-    uni = list(uniform_values(logistic_values(0.123456789, 1000)))
+    uni = list(stage_values(0.123456789, 1000, "uniform"))
     t = Tent()
     worst = max(abs(eval_map(t, u) - nxt) for u, nxt in zip(uni, uni[1:]))
     assert worst < 1e-10
@@ -169,7 +168,7 @@ def test_statistics_smoke_at_modest_n():
     # full 10^6-sample bounds live in the acceptance suite
     o = list(logistic_values(0.123456789, 20000))
     assert ks_distance(o, arcsine_cdf) < 0.05
-    uni = list(uniform_values(o))
+    uni = list(stage_values(0.123456789, 20000, "uniform"))
     assert ks_distance(uni, lambda x: x) < 0.05
     counts = [0] * 10
     for u in uni:

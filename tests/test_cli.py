@@ -410,10 +410,14 @@ def _knots(cls, monotone):
     return _family(cls, pairs)
 
 
+# every Mobius change of finite a and b whose a*b is not within 1e-9 of 1,
+# wherever its pole lies
+_MOBIUS = (st.tuples(_FINITE, _FINITE).filter(lambda ab: abs(ab[0] * ab[1] - 1.0) > 1e-9)
+           .map(lambda ab: Mobius(*ab)))
 _HOMEOS = st.recursive(
     st.one_of([_family(c) for c in (UlamArcsin, AlphaArcsin, Reflect)]
               + [_family(Affine, _FLOATS, _FLOATS), _family(Power, _FLOATS),
-                 _family(Mobius, _FLOATS, _FLOATS), _knots(PiecewiseLinearHomeo, True)]),
+                 _family(Mobius, _FLOATS, _FLOATS), _MOBIUS, _knots(PiecewiseLinearHomeo, True)]),
     lambda inner: st.builds(CompositionH, inner, inner), max_leaves=4)
 _MAPS = st.recursive(
     st.one_of([_family(c) for c in (maps.Logistic, maps.Tent, maps.HalfTent, maps.Quadratic,
@@ -440,6 +444,7 @@ def test_map_specs_round_trip(m):
 @given(_HOMEOS)
 @example(CompositionH(UlamArcsin(), CompositionH(Reflect(), Reflect())))
 @example(CompositionH(CompositionH(UlamArcsin(), Reflect()), Reflect()))
+@example(Mobius(1.0, -2.0))
 def test_homeo_specs_round_trip(h):
     text = h.describe()
     assert repr(parse_homeo_spec(text)) == repr(h)
@@ -718,6 +723,13 @@ def test_negative_scientific_arguments(capsys):
     code, out, _ = run_cli(["iterate", "--map", "quadratic", "--x0", "-inf", "--n", "1"], capsys)
     assert code == 0
     assert json.loads(out)["result"] == float("inf")
+    # any word that float() reads is a number: -1_000 as after "=", -1E5, -Infinity
+    for word in ("-1_000", "-1E5", "-Infinity"):
+        code, out, _ = run_cli(["iterate", "--map", "quadratic", "--x0", word, "--n", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["inputs"]["x0"] == float(word)
+        assert run_cli(["iterate", "--map", "quadratic", f"--x0={word}", "--n", "1"],
+                       capsys)[1] == out
     # -nan is a number too, and fails as nan does, not as an unknown option
     nan_error = (3, "", "error: NaN is not a point of [-inf, inf]\n")
     assert run_cli(["iterate", "--map", "quadratic", "--x0", "nan", "--n", "1"], capsys) == nan_error
@@ -1016,7 +1028,7 @@ def test_readme_synopsis_matches_the_table():
 # sizes small enough for a fast test (exhaustive collapse at 12 bits, not
 # 24), and spec typos next to valid specs.
 _FUZZ_FLOATS = ["0.3", "-0.5", "0", "-0", "2", "1e300", "1e-17", "-1e-3", "inf", "-inf", "nan",
-                "-nan"]
+                "-nan", "-1_000"]
 _FUZZ_SIZES = ["-1", "0", "1", "3", "12", "50"]
 _FUZZ_SPECS = {
     parse_map_spec: ["logistic", "tent", "quadratic", "cosine", "hyperbola:e=2,a=1",

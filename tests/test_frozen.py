@@ -77,7 +77,7 @@ REPRS = {
     "AlphaArcsin": "AlphaArcsin()",
     "Affine": "Affine(p=2.0, q=1.0)",
     "Power": "Power(gamma=0.5)",
-    "Mobius": "Mobius(a=0.5, b=0.25, lo=0.0, hi=1.0)",
+    "Mobius": "Mobius(a=0.5, b=0.25)",
     "PiecewiseLinearHomeo": "PiecewiseLinearHomeo(knots=((0.0, 0.0), (0.3, 0.6), (1.0, 1.0)))",
     "Reflect": "Reflect()",
     "CompositionH": "CompositionH(outer=Affine(p=2.0, q=0.0), inner=AlphaArcsin())",
@@ -157,5 +157,5 @@ def test_describe_round_trips(name):
 def test_unequal_fields_differ():
     assert Interval(0.0, 1.0) != Interval(0.0, 2.0)
     assert Interval(0.0, 1.0) != Interval(0.0, 1.0, hi_closed=False)
-    assert Mobius(0.5, 0.25) != Mobius(0.5, 0.25, hi=2.0)
+    assert Mobius(0.5, 0.25) != Mobius(0.5, 0.5)
     assert PiecewiseLinear([(0, 0), (1, 1)]) != PiecewiseLinear([(0, 0), (1, 2)])

@@ -77,22 +77,22 @@ def test_power_validation():
 
 
 def test_mobius_basics():
-    phi = Mobius(a=1.0, b=2.0, lo=0.0, hi=3.0)
+    phi = Mobius(a=1.0, b=2.0)
     assert apply_homeo(phi, 0.0) == -1.0
-    # self-inverse evaluation is permitted outside the declared interval
+    # self-inverse evaluation: phi(1.7) = -0.6 lies on the other side of the pole -0.5
     assert abs(apply_homeo(phi, apply_homeo(phi, 1.7)) - 1.7) < 1e-14
 
 
 def test_mobius_validation():
     with pytest.raises(ParameterError, match="too close to 1"):
         Mobius(a=0.5, b=2.0)
-    with pytest.raises(ParameterError, match="pole"):
-        Mobius(a=1.0, b=-2.0, lo=0.0, hi=3.0)  # pole at 0.5
     with pytest.raises(DomainError, match="pole"):
-        apply_homeo(Mobius(a=1.0, b=2.0, lo=0.0, hi=3.0), -0.5)
-    for lo, hi in ((1.0, 0.0), (0.5, 0.5), (math.nan, 1.0), (0.0, math.nan)):
-        with pytest.raises(ParameterError, match="^bad declared interval"):
-            Mobius(a=0.5, b=0.5, lo=lo, hi=hi)
+        apply_homeo(Mobius(a=1.0, b=2.0), -0.5)
+    # a pole inside [0, 1] is no error: the change is defined on every other real
+    phi = Mobius(a=1.0, b=-2.0)
+    assert apply_homeo(phi, 0.25) == -2.5
+    with pytest.raises(DomainError, match="pole"):
+        apply_homeo(phi, 0.5)
 
 
 def test_mobius_reduces_to_negation():

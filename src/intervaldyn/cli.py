@@ -203,6 +203,7 @@ _ORDER_STEPS_CAP = _Cap(10**8, "--samples * --p-max * (--p-max + 1) / 2",
 # arguments, so that which error wins stays fixed; a check must be listed
 _CHECKS = (_positive, _finite, _SIZE_CAP, _ITERATE_CAP, _P_MAX_CAP, _CELLS_CAP, _ORDER_STEPS_CAP)
 
+
 def _reads_as_float(text: str) -> bool:
     """Whether float() reads text, the rule type=float applies."""
     try:
@@ -215,8 +216,7 @@ def _reads_as_float(text: str) -> bool:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse asks this whether a word that starts with "-" is a number
-        # or an option; its own rule takes "--x0 -1e-3" for an unknown option
+        # argparse's own matcher takes "--x0 -1e-3" for an unknown option -1e-3
         self._negative_number_matcher = SimpleNamespace(match=_reads_as_float)
 
     def error(self, message: str):  # one-line diagnostics, no hard exit

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from intervaldyn import (DomainError, Doubling, EmptySampleError,
                          FixedPointWord, Logistic, ParameterError, SineSquared,
                          Tent, apply_homeo, arcsine_cdf, doubling_collapse,
-                         eval_map, ks_distance, orbit, stage_values)
+                         eval_map, ks_distance, stage_values)
 from intervaldyn import chaos_rng
 from intervaldyn.chaos_rng import logistic_values
 from intervaldyn.homeos import UlamArcsin

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from intervaldyn import (Affine, AlphaArcsin, CompositionH, DomainError,
@@ -79,7 +77,7 @@ def test_power_validation():
 def test_mobius_basics():
     phi = Mobius(a=1.0, b=2.0)
     assert apply_homeo(phi, 0.0) == -1.0
-    # self-inverse evaluation: phi(1.7) = -0.6 lies on the other side of the pole -0.5
+    # self-inverse evaluation across the pole -0.5: phi(1.7) is about -0.61
     assert abs(apply_homeo(phi, apply_homeo(phi, 1.7)) - 1.7) < 1e-14
 
 

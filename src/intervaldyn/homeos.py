@@ -319,8 +319,8 @@ class Power(Homeomorphism, Frozen):
 
 
 class Mobius(Homeomorphism, Frozen):
-    """x -> -(a + x)/(1 + b*x) on the reals, its own inverse whenever
-    a*b != 1; evaluation at the pole -1/b raises DomainError."""
+    """x -> -(a + x)/(1 + b*x) on the reals, for finite a and b, its own
+    inverse whenever a*b != 1; evaluation at the pole -1/b raises DomainError."""
 
     a: float
     b: float
@@ -328,6 +328,8 @@ class Mobius(Homeomorphism, Frozen):
     _spec = ("mobius", ("a", "b"))
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ParameterError(f"mobius change needs finite a and b, got a={self.a}, b={self.b}")
         if abs(self.a * self.b - 1.0) <= 1e-9:
             raise ParameterError(f"a*b = {self.a * self.b!r} too close to 1; map degenerates")
 

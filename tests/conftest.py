@@ -1,11 +1,11 @@
-"""Hypothesis profiles, the property marker, and a watchdog for hung tests.
+"""Hypothesis profiles, and a watchdog for hung tests.
 
 Tier-1 runs the default profile; HYPOTHESIS_PROFILE=thorough runs ten
 times hypothesis' default of 100 examples in every test that does not fix
-its own count. Every @given test carries the marker property, so one
-command runs them all for that longer search:
+its own count. hypothesis' pytest plugin marks every @given test as
+hypothesis, so one command runs them all for that longer search:
 
-    HYPOTHESIS_PROFILE=thorough python -m pytest -m property
+    HYPOTHESIS_PROFILE=thorough python -m pytest -m hypothesis
 
 A test that runs longer than TEST_TIMEOUT_S (a loop that never ends, say a
 bisection that stops halving) ends the run: faulthandler prints every
@@ -16,7 +16,7 @@ import faulthandler
 import os
 
 import pytest
-from hypothesis import is_hypothesis_test, settings
+from hypothesis import settings
 
 settings.register_profile("thorough", max_examples=1000, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -35,12 +35,6 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     os.close(config.stash[STDERR_FD])
-
-
-def pytest_collection_modifyitems(items):
-    for item in items:
-        if is_hypothesis_test(getattr(item, "obj", None)):
-            item.add_marker(pytest.mark.property)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -496,6 +496,8 @@ _GOLDEN_ARGUMENT_CASES = [
     ["iterate", "--map", "conj:tent|mobius:a=1,b=-2", "--x0", "3", "--n", "3"],
     ["conjugacy", "verify", "--f", "tent", "--g", "conj:tent|mobius:a=1,b=-2",
      "--h", "mobius:a=1,b=-2", "--samples", "11"],
+    # a Mobius change needs finite a and b
+    ["iterate", "--map", "conj:tent|mobius:a=1,b=inf", "--x0", "0.3", "--n", "3"],
 ]
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")

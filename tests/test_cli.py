@@ -410,14 +410,10 @@ def _knots(cls, monotone):
     return _family(cls, pairs)
 
 
-# every Mobius change of finite a and b whose a*b is not within 1e-9 of 1,
-# wherever its pole lies
-_MOBIUS = (st.tuples(_FINITE, _FINITE).filter(lambda ab: abs(ab[0] * ab[1] - 1.0) > 1e-9)
-           .map(lambda ab: Mobius(*ab)))
 _HOMEOS = st.recursive(
     st.one_of([_family(c) for c in (UlamArcsin, AlphaArcsin, Reflect)]
               + [_family(Affine, _FLOATS, _FLOATS), _family(Power, _FLOATS),
-                 _family(Mobius, _FLOATS, _FLOATS), _MOBIUS, _knots(PiecewiseLinearHomeo, True)]),
+                 _family(Mobius, _FLOATS, _FLOATS), _knots(PiecewiseLinearHomeo, True)]),
     lambda inner: st.builds(CompositionH, inner, inner), max_leaves=4)
 _MAPS = st.recursive(
     st.one_of([_family(c) for c in (maps.Logistic, maps.Tent, maps.HalfTent, maps.Quadratic,

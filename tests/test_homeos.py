@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from intervaldyn import (Affine, AlphaArcsin, CompositionH, DomainError,
@@ -84,6 +86,9 @@ def test_mobius_basics():
 def test_mobius_validation():
     with pytest.raises(ParameterError, match="too close to 1"):
         Mobius(a=0.5, b=2.0)
+    for a, b in ((1.0, math.inf), (1.0, -math.inf), (math.inf, 0.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ParameterError, match="finite a and b"):
+            Mobius(a=a, b=b)
     with pytest.raises(DomainError, match="pole"):
         apply_homeo(Mobius(a=1.0, b=2.0), -0.5)
     # a pole inside [0, 1] is no error: the change is defined on every other real
